@@ -564,9 +564,17 @@ class CycElt:
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.order, self.coords))
+        # x == x.embed(k), so hash x in the least field Q(zeta_m) holding it:
+        # the fields holding x are closed under intersection, so m is the
+        # first divisor of the order whose embedded power basis spans x.
+        for m in divisors(self.order):
+            basis = [
+                CycElt.root(m, j).embed(self.order).coords
+                for j in range(_cyc_degree(m))
+            ]
+            coords = _solve_rational(basis, self.coords)
+            if coords is not None:
+                return hash(coords[0]) if m == 1 else hash((m, coords))
 
     def embed(self, target_order: int) -> "CycElt":
         """Image under zeta_order -> zeta_target ** (target/order)."""
@@ -581,6 +589,25 @@ class CycElt:
 
     def __repr__(self) -> str:
         return f"CycElt(order={self.order}, coords={self.coords})"
+
+
+def _solve_rational(columns, target):
+    """Exact y with sum_j y_j * columns[j] == target, or None if there is none.
+
+    The columns must be linearly independent.
+    """
+    rows = [list(row) for row in zip(*columns, target)]
+    width = len(columns)
+    for c in range(width):
+        pivot = next(k for k in range(c, len(rows)) if rows[k][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for k, row in enumerate(rows):
+            if k != c and row[c]:
+                rows[k] = [a - row[c] * b for a, b in zip(row, rows[c])]
+    if any(row[-1] for row in rows[width:]):
+        return None
+    return tuple(row[-1] for row in rows[:width])
 
 
 def lcm(a: int, b: int) -> int:

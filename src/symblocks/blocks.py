@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .algebra import ExactnessError, factorial_val, is_prime, padic_val
 from .partitions import (
@@ -34,30 +34,11 @@ from .partitions import (
     is_self_dual,
     runner_bead_counts,
 )
-from .wreath import enumerate_multipartitions, wreath_degree
+from .wreath import enumerate_multipartitions, symbol_hooks, symbol_of, wreath_degree
 
 
 class ClassificationError(RuntimeError):
     """No classification case applies; this is a refutation event."""
-
-
-@dataclass(frozen=True)
-class CoreOffsets:
-    """Runner offsets of a p-core: bead counts b, c_i = p*b_i + i - 1, and
-    the sorted zero-based offsets e."""
-
-    p: int
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-    e: tuple[int, ...]
-
-    @staticmethod
-    def of(core: Partition, p: int) -> "CoreOffsets":
-        b = runner_bead_counts(core, p)
-        c = tuple(p * b[i] + i for i in range(p))
-        s = sorted(c)
-        e = tuple(x - s[0] for x in s)
-        return CoreOffsets(p, b, c, e)
 
 
 @dataclass(frozen=True)
@@ -148,42 +129,13 @@ def is_ehzd(block: BlockData) -> bool:
 # the relative hook formula and its congruence
 
 
-def _symbol_hook_product(quotient, offsets: CoreOffsets) -> int:
-    """prod over symbol hooks of |p*l(h) + c_i(h) - c_j(h)|.
-
-    The symbol has row i = beta-set of quotient component i padded to the
-    maximal component length; its hook multiset does not depend on the
-    padding length.
-    """
-    from .partitions import beta_set
-
-    p = offsets.p
-    m = max((len(c) for c in quotient), default=0)
-    rows = [beta_set(c, m) for c in quotient]
-    row_sets = [set(r) for r in rows]
-    c = offsets.c
-    prod = 1
-    for i in range(p):
-        ci = c[i]
-        for s in rows[i]:
-            for j in range(p):
-                cj = c[j]
-                in_j = row_sets[j]
-                for t in range(s + 1):
-                    if t in in_j:
-                        continue
-                    if s == t and j <= i:
-                        continue
-                    prod *= abs(p * (s - t) + ci - cj)
-    return prod
-
-
 def relative_hook_degree(pi: Partition, p: int) -> int:
     """Degree of the character of pi computed through its p-core.
 
-    n!/r! divided by the product over all hooks h of the p-symbol of the
-    p-quotient of |p*l(h) + c_i(h) - c_j(h)|, times the degree of the core
-    (r = |core|).  Always equals degree(pi).
+    n!/r! divided by the product over all hooks (i, j, l) of the p-symbol of
+    the p-quotient of |p*l + c_i - c_j|, times the degree of the core
+    (r = |core|, c_i = p*b_i + i from the runner bead counts b of the core).
+    Always equals degree(pi).
 
     >>> relative_hook_degree((3, 1), 2)
     3
@@ -193,17 +145,18 @@ def relative_hook_degree(pi: Partition, p: int) -> int:
     core, quotient, w = core_and_quotient(pi, p)
     if w == 0:
         return degree(core)
-    n = sum(pi)
-    r = sum(core)
-    offsets = CoreOffsets.of(core, p)
-    prod = _symbol_hook_product(quotient, offsets)
-    if prod == 0:
+    c = [p * b + i for i, b in enumerate(runner_bead_counts(core, p))]
+    hooks = prod(
+        abs(p * length + c[i] - c[j])
+        for i, j, length in symbol_hooks(symbol_of(quotient))
+    )
+    if hooks == 0:
         raise ExactnessError("zero hook factor")
-    num = (factorial(n) // factorial(r)) * degree(core)
-    q, rem = divmod(num, prod)
+    num = (factorial(sum(pi)) // factorial(sum(core))) * degree(core)
+    q, rem = divmod(num, hooks)
     if rem:
         raise ExactnessError(
-            f"hook product {prod} does not divide {num} for {pi}, p={p}"
+            f"hook product {hooks} does not divide {num} for {pi}, p={p}"
         )
     return q
 
@@ -232,10 +185,10 @@ class CongruenceReport:
 def quotient_congruence(pi: Partition, p: int) -> CongruenceReport:
     """Compare the degree ratio with the wreath degree of the quotient mod p.
 
-    The ratio degree(pi)/degree(core) is computed exactly from the relative
-    hook product (n!/r! over the product), reduced mod p where defined, and
+    The exact ratio degree(pi)/degree(core), reduced mod p where defined, is
     compared with the degree of the wreath-product character of the
-    p-quotient, with either sign.
+    p-quotient, with either sign.  By the relative hook formula the ratio is
+    n!/r! over the symbol hook product; it is taken from the degrees here.
 
     >>> r = quotient_congruence((3, 1), 2)
     >>> (r.ratio, r.lhs, r.rhs, r.holds)
@@ -243,62 +196,13 @@ def quotient_congruence(pi: Partition, p: int) -> CongruenceReport:
     """
     check_partition(pi)
     _check_prime(p)
-    core, quotient, w = core_and_quotient(pi, p)
-    n = sum(pi)
-    r = sum(core)
-    if w == 0:
-        ratio = Fraction(1)
-    else:
-        offsets = CoreOffsets.of(core, p)
-        prod = _symbol_hook_product(quotient, offsets)
-        if prod == 0:
-            raise ExactnessError("zero hook factor")
-        ratio = Fraction(factorial(n) // factorial(r), prod)
+    core, quotient, _ = core_and_quotient(pi, p)
+    ratio = Fraction(degree(pi), degree(core))
     rhs = wreath_degree(quotient) % p
     if ratio.denominator % p == 0:
         return CongruenceReport(ratio, None, rhs, False, False)
     lhs = ratio.numerator * pow(ratio.denominator, -1, p) % p
     return CongruenceReport(ratio, lhs, rhs, lhs == rhs, lhs == (-rhs) % p)
-
-
-@dataclass(frozen=True)
-class LinearMember:
-    """Degree data for the member attached to the i-th sorted runner offset."""
-
-    i: int
-    f: int
-    degree: int
-
-
-def linear_member_degrees(block: BlockData) -> tuple[LinearMember, ...]:
-    """The p member degrees coming from linear relative-Weyl characters.
-
-    For each position i in the sorted offset list e: f_i is the product over
-    k < w and j != i of |p*k + e_i - e_j|, and the degree is
-    n!/(p^w * r! * w! * f_i) * degree(core).  Each value is the degree of
-    the member whose quotient concentrates the whole weight on the matching
-    runner, and is a height zero degree of the block.
-    """
-    label = block.label
-    p, w = label.p, label.weight
-    if w < 1:
-        raise ValueError("needs positive weight")
-    e = CoreOffsets.of(label.core, p).e
-    r = sum(label.core)
-    base = factorial(label.n) * degree(label.core)
-    den_common = p**w * factorial(r) * factorial(w)
-    out = []
-    for i in range(p):
-        f = 1
-        for k in range(w):
-            for j in range(p):
-                if j != i:
-                    f *= abs(p * k + e[i] - e[j])
-        d, rem = divmod(base, den_common * f)
-        if rem:
-            raise ExactnessError(f"inexact linear member degree at i={i + 1}")
-        out.append(LinearMember(i + 1, f, d))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +215,23 @@ class SymClassification:
     witness: tuple[Member, Member] | None
 
 
-def _degree_witness(block: BlockData) -> tuple[Member, Member] | None:
-    """A height zero pair d_1 < d_2 that survives restriction arguments:
-    either both partitions are non-self-conjugate, or d_2 != 2*d_1."""
+def _height_zero_witness(block: BlockData, accept) -> tuple[Member, Member] | None:
+    """The first height zero pair (x, y) with x.degree < y.degree that
+    accept(x, y) admits, scanning x, then y, in member order."""
     hz = block.height_zero
-    for a in range(len(hz)):
-        for b in range(len(hz)):
-            x, y = hz[a], hz[b]
-            if x.degree >= y.degree:
-                continue
-            if (not is_self_dual(x.partition) and not is_self_dual(y.partition)) or (
-                y.degree != 2 * x.degree
-            ):
-                return (x, y)
+    for x in hz:
+        for y in hz:
+            if x.degree < y.degree and accept(x, y):
+                return x, y
     return None
+
+
+def _survives_restriction(x: Member, y: Member) -> bool:
+    """Degrees d_1 < d_2 stay apart in A_n: either both partitions are
+    non-self-conjugate, or d_2 != 2*d_1."""
+    return (not is_self_dual(x.partition) and not is_self_dual(y.partition)) or (
+        y.degree != 2 * x.degree
+    )
 
 
 def classify_sym(block: BlockData) -> SymClassification:
@@ -347,7 +254,7 @@ def classify_sym(block: BlockData) -> SymClassification:
         return SymClassification("b", None)
     if p == 3 and w == 1 and is_self_dual(label.core):
         return SymClassification("c", None)
-    witness = _degree_witness(block)
+    witness = _height_zero_witness(block, _survives_restriction)
     if witness is None:
         raise ClassificationError(
             f"classification failure: no witness pair in block "
@@ -363,7 +270,8 @@ def classify_sym(block: BlockData) -> SymClassification:
 def _restrict_members(sym_members: tuple[Member, ...]):
     """Member (partition, degree) pairs of the covered alternating block.
 
-    A conjugate pair contributes one entry under the smaller label; a
+    A conjugate pair contributes one entry under the smaller label (a block
+    whose core is not self-conjugate holds one partition of each pair); a
     self-conjugate partition contributes two entries of half degree.
     """
     pairs = []
@@ -429,26 +337,15 @@ def blocks_an(n: int, p: int) -> tuple[BlockData, ...]:
             )
             continue
 
-        if core == core_c:
-            pairs = _restrict_members(sblock.members)
-        else:
-            pairs = [
-                (min(m.partition, conjugate(m.partition)), m.degree)
-                for m in sblock.members
-            ]
-        members, base = _with_heights(pairs, p)
+        members, base = _with_heights(_restrict_members(sblock.members), p)
         defect = group_val - base
         block = BlockData(label, members, defect)
 
-        if p == 2 and w == 1:
-            if len(members) != 1 or defect != 0:
-                raise ClassificationError(
-                    f"unexpected weight-1 restriction at p=2, core "
-                    f"{format_partition(label_core)}, n={n}"
-                )
-            out.append(replace(block, classification="a"))
-            continue
-
+        if p == 2 and w == 1 and (len(members) != 1 or defect != 0):
+            raise ClassificationError(
+                f"unexpected weight-1 restriction at p=2, core "
+                f"{format_partition(label_core)}, n={n}"
+            )
         if defect == 0:
             out.append(replace(block, classification="a"))
             continue
@@ -461,15 +358,7 @@ def blocks_an(n: int, p: int) -> tuple[BlockData, ...]:
                 )
             out.append(replace(block, classification="b"))
             continue
-        witness = None
-        hz = block.height_zero
-        for a in range(len(hz)):
-            for bb in range(len(hz)):
-                if hz[a].degree < hz[bb].degree:
-                    witness = (hz[a], hz[bb])
-                    break
-            if witness:
-                break
+        witness = _height_zero_witness(block, lambda x, y: True)
         if witness is None:
             raise ClassificationError(
                 f"classification failure: positive-defect block with equal "
@@ -484,14 +373,11 @@ def blocks_an(n: int, p: int) -> tuple[BlockData, ...]:
 # serialization
 
 
-def to_json_record(block: BlockData, classification: str | None = None,
-                   witness: tuple[Member, Member] | None = None) -> dict:
+def to_json_record(block: BlockData) -> dict:
     """Flat JSON-ready record for one block.
 
     Degrees are rendered as decimal strings so consumers never round them.
     """
-    cls = block.classification if classification is None else classification
-    wit = block.witness if witness is None else witness
     record = {
         "group": block.label.group,
         "n": block.label.n,
@@ -511,12 +397,12 @@ def to_json_record(block: BlockData, classification: str | None = None,
             str(d) for d in sorted(block.height_zero_degrees)
         ],
         "ehzd": is_ehzd(block),
-        "classification": cls,
+        "classification": block.classification,
         "witness": None
-        if wit is None
+        if block.witness is None
         else [
             {"partition": format_partition(m.partition), "degree": str(m.degree)}
-            for m in wit
+            for m in block.witness
         ],
     }
     return record

@@ -7,7 +7,9 @@ Reruns with identical flags produce byte-identical output.
 
 Exit status: 0 on success, 1 when at least one refutation record was
 emitted (a counterexample to one of the checked statements), 2 on usage
-errors with a single-line diagnostic on stderr.
+errors with a single-line diagnostic on stderr, 3 when an internal check
+of the library failed (an inexact division, a failed Schur evaluation, a
+block no classification case covers), with a single "internal error:" line.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from math import factorial
 
-from .algebra import zsigmondy
+from .algebra import ExactnessError, is_prime_power, zsigmondy
 from .blocks import (
     ClassificationError,
     blocks_an,
@@ -43,6 +46,7 @@ from .unipotent import (
     unipotent_degrees_gl,
 )
 from .wreath import (
+    SchurEvaluationError,
     enumerate_multipartitions,
     schur_specialize_roots,
     symbol_of,
@@ -83,6 +87,25 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     return values
 
 
+def _checked_int(accept, requirement: str):
+    """An argparse type: an integer that accept() admits."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked_int(lambda v: v >= 1, "at least 1")
+_prime_power = _checked_int(is_prime_power, "a prime power")
+
+
 def _poly_coeffs(poly) -> list[str]:
     return [str(c) for c in poly.coeffs]
 
@@ -108,7 +131,7 @@ def _scan_blocks_worker(key):
                 case, wit = cls.case, cls.witness
             except ClassificationError:
                 case, wit = "failure", None
-            rec = to_json_record(blk, classification=case, witness=wit)
+            rec = to_json_record(replace(blk, classification=case, witness=wit))
             rec["refutation"] = case == "failure" or (
                 is_ehzd(blk) and blk.label.weight > 0 and case not in ("b", "c")
             )
@@ -196,8 +219,6 @@ def _hook_worker(key):
 
 def _cmd_verify_hook(args) -> dict:
     primes = _parse_primes(args.primes)
-    if args.n_max < 1:
-        raise UsageError("--n-max must be at least 1")
     keys = [(n, p) for n in range(1, args.n_max + 1) for p in primes]
     results = _parallel_map(_hook_worker, keys, args.jobs)
     rows = [row for row, _, _ in results]
@@ -255,8 +276,6 @@ def _wreath_worker(key):
 
 
 def _cmd_verify_wreath(args) -> dict:
-    if args.e_max < 1 or args.r_max < 1:
-        raise UsageError("--e-max and --r-max must be at least 1")
     keys = [(e, r) for e in range(1, args.e_max + 1) for r in range(1, args.r_max + 1)]
     results = _parallel_map(_wreath_worker, keys, args.jobs)
     rows = [row for row, _ in results]
@@ -737,25 +756,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--ehzd-only", action="store_true",
                    help="only blocks whose height-zero degrees agree")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_scan_blocks)
 
     p = sub.add_parser(
         "verify-hook-formula", parents=[common],
         help="exercise the relative degree formula and its congruence",
     )
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--primes", required=True, help="comma list, e.g. 2,3,5,7")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_verify_hook)
 
     p = sub.add_parser(
         "verify-wreath", parents=[common],
         help="check wreath product degrees against root-of-unity values",
     )
-    p.add_argument("--e-max", type=int, required=True)
-    p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--e-max", type=_positive_int, required=True)
+    p.add_argument("--r-max", type=_positive_int, required=True)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_verify_wreath)
 
     p = sub.add_parser(
@@ -763,7 +782,7 @@ def _build_parser() -> _Parser:
         help="degree polynomials, optionally with values and collisions",
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--q", type=_prime_power, default=None)
     p.add_argument("--collisions", action="store_true")
     p.set_defaults(handler=_cmd_unipotent)
 
@@ -791,7 +810,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--series", choices=TORI_SERIES, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_prime_power, required=True)
     p.set_defaults(handler=_cmd_tori)
 
     p = sub.add_parser(
@@ -809,6 +828,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         report = args.handler(args)
+    except (ExactnessError, SchurEvaluationError, ClassificationError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -131,63 +131,23 @@ def symbol_c(sym: ESymbol) -> int:
     return comb(e, 2) * comb(m, 2) + r * (e - 1)
 
 
-@dataclass(frozen=True)
-class SymbolHook:
-    """A hook of a symbol: s in row i, t in {0..s} minus row j (1-indexed rows).
+def symbol_hooks(sym: ESymbol):
+    """Yield the hooks of the symbol as (i, j, length), rows 0-indexed.
 
-    When s == t the pair only counts for j > i.  The length is s - t; length
-    zero is allowed.
-    """
+    A hook pairs s in row i with t in {0..s} missing from row j, of length
+    s - t; when s == t it only counts for j > i, so length zero is allowed.
 
-    i: int
-    j: int
-    s: int
-    t: int
-
-    @property
-    def length(self) -> int:
-        return self.s - self.t
-
-
-def symbol_hooks(sym: ESymbol) -> tuple[SymbolHook, ...]:
-    """All hooks of the symbol, in (i, j, s, t) order.
-
-    >>> [(h.i, h.j, h.length) for h in symbol_hooks(((2,), (0,)))]
-    [(1, 1, 2), (1, 1, 1), (1, 2, 1), (1, 2, 0)]
+    >>> list(symbol_hooks(((2,), (0,))))
+    [(0, 0, 2), (0, 0, 1), (0, 1, 1), (0, 1, 0)]
     """
     check_symbol(sym)
-    e = len(sym)
     row_sets = [set(row) for row in sym]
-    out = []
-    for i in range(e):
-        for s in sym[i]:
-            for j in range(e):
+    for i, row in enumerate(sym):
+        for s in row:
+            for j, in_j in enumerate(row_sets):
                 for t in range(s + 1):
-                    if t in row_sets[j]:
-                        continue
-                    if s == t and j <= i:
-                        continue
-                    out.append(SymbolHook(i + 1, j + 1, s, t))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class SymbolInvariants:
-    rank: int
-    a: int
-    c: int
-    hooks: tuple[SymbolHook, ...]
-
-
-def symbol_invariants(sym: ESymbol) -> SymbolInvariants:
-    """Rank, the two combinatorial exponents, and the hook list."""
-    check_symbol(sym)
-    return SymbolInvariants(
-        rank=symbol_rank(sym),
-        a=symbol_a(sym),
-        c=symbol_c(sym),
-        hooks=symbol_hooks(sym),
-    )
+                    if t not in in_j and (s != t or j > i):
+                        yield i, j, s - t
 
 
 def linear_symbol(e: int, r: int, i: int) -> ESymbol:
@@ -445,56 +405,3 @@ def schur_linear(e: int, r: int, i: int, params: ParamSpec) -> FieldValue:
     if order > 0:
         raise PositiveOrderZeroError(f"total vanishing order {order} > 0")
     return num / den
-
-
-# ---------------------------------------------------------------------------
-# the cyclic-parameter criterion
-
-
-@dataclass(frozen=True)
-class CyclicVerdict:
-    """Outcome of the constancy test for t_i = prod_{k != i} u_k/(u_k - u_i).
-
-    When the products are not all equal, `witness` holds a pair of indices
-    (1-based) with different values.  When they are equal, `root_config`
-    reports whether the u_i are a common multiple of the e-th roots of unity
-    (which the constancy is supposed to force).
-    """
-
-    constant: bool
-    values: tuple
-    witness: tuple[int, int] | None
-    root_config: bool | None
-
-
-def cyclic_config_test(u: Sequence) -> CyclicVerdict:
-    """Test whether prod_{k != i} u_k/(u_k - u_i) is independent of i.
-
-    >>> cyclic_config_test((1, -1)).constant
-    True
-    >>> cyclic_config_test((1, 2)).constant
-    False
-    """
-    vals = normalize_field_values(u)
-    e = len(vals)
-    if e < 2:
-        raise ValueError("need at least two values")
-    for a in range(e):
-        if vals[a] == 0:
-            raise ValueError("values must be nonzero")
-        for b in range(a + 1, e):
-            if vals[a] == vals[b]:
-                raise ValueError("values must be pairwise distinct")
-    prods = []
-    for i in range(e):
-        t = _one_like(vals[0])
-        for k in range(e):
-            if k != i:
-                t = t * vals[k] / (vals[k] - vals[i])
-        prods.append(t)
-    for i in range(1, e):
-        if prods[i] != prods[0]:
-            return CyclicVerdict(False, tuple(prods), (1, i + 1), None)
-    ratios = [x / vals[0] for x in vals]
-    is_roots = all(rho**e == 1 for rho in ratios)
-    return CyclicVerdict(True, tuple(prods), None, is_roots)

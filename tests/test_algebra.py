@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symblocks.algebra as algebra
 from symblocks.algebra import (
@@ -233,6 +235,35 @@ def test_cyc_embedding_compatibility():
     z6 = CycElt.root(6)
     assert z3.embed(6) == z6**2
     assert (z3 + 1).embed(6) == z6**2 + 1
+
+
+def test_cyc_hash_agrees_with_embedding():
+    a = CycElt.root(3)
+    b = a.embed(6)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(CycElt.root(12, 6)) == hash(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from((3, 4, 5, 6, 8, 9, 10, 12)),
+    factor=st.integers(1, 4),
+    data=st.data(),
+)
+def test_cyc_hash_survives_embed(order, factor, data):
+    d = len(CycElt.root(order).coords)
+    coords = data.draw(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=d,
+            max_size=d,
+        )
+    )
+    x = CycElt(order, tuple(coords))
+    y = x.embed(order * factor)
+    assert x == y
+    assert hash(x) == hash(y)
 
 
 def test_cyc_mixed_orders_rejected():

@@ -1,4 +1,5 @@
 import doctest
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,10 @@ import symblocks.blocks as blocks
 from symblocks.algebra import factorial_val, padic_val
 from symblocks.blocks import (
     ClassificationError,
-    CoreOffsets,
     blocks_an,
     blocks_sn,
     classify_sym,
     is_ehzd,
-    linear_member_degrees,
     quotient_congruence,
     relative_hook_degree,
     to_json_record,
@@ -169,44 +168,6 @@ def test_congruence_weight_zero_is_trivial():
 
 
 # ---------------------------------------------------------------------------
-# linear members
-
-
-def test_linear_member_values():
-    b = blocks_sn(3, 3)[0]
-    assert [(l.i, l.f, l.degree) for l in linear_member_degrees(b)] == [
-        (1, 2, 1),
-        (2, 1, 2),
-        (3, 2, 1),
-    ]
-    b = {x.label.core: x for x in blocks_sn(4, 3)}[(1,)]
-    assert [(l.i, l.f, l.degree) for l in linear_member_degrees(b)] == [
-        (1, 8, 1),
-        (2, 4, 2),
-        (3, 8, 1),
-    ]
-
-
-def test_linear_members_are_height_zero_degrees():
-    for n in range(2, 11):
-        for p in (2, 3, 5):
-            for b in blocks_sn(n, p):
-                if b.label.weight == 0:
-                    with pytest.raises(ValueError):
-                        linear_member_degrees(b)
-                    continue
-                hz = set(b.height_zero_degrees)
-                for lin in linear_member_degrees(b):
-                    assert lin.degree in hz
-
-
-def test_offsets_are_distinct_residues():
-    off = CoreOffsets.of((3, 1), 3)
-    assert len(off.e) == 3
-    assert sorted(x % 3 for x in off.e) == [0, 1, 2]
-
-
-# ---------------------------------------------------------------------------
 # classification of symmetric blocks
 
 
@@ -318,7 +279,7 @@ def test_alternating_p2_conventions():
 def test_json_record_shape():
     b = blocks_sn(4, 2)[0]
     c = classify_sym(b)
-    rec = to_json_record(b, c.case, c.witness)
+    rec = to_json_record(replace(b, classification=c.case, witness=c.witness))
     assert rec["group"] == "sym" and rec["n"] == 4 and rec["p"] == 2
     assert rec["core"] == "[]" and rec["weight"] == 2 and rec["defect"] == 3
     assert sorted(m["degree"] for m in rec["members"]) == ["1", "1", "2", "3", "3"]

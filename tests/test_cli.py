@@ -3,6 +3,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from symblocks import cli
+from symblocks.algebra import ExactnessError
+from symblocks.blocks import ClassificationError
+from symblocks.wreath import SchurEvaluationError
+
 BASE = [sys.executable, "-m", "symblocks"]
 
 
@@ -45,6 +52,49 @@ def test_invalid_rank_is_reported_not_raised():
     assert r.returncode == 2
     assert r.stderr.startswith("error:")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-blocks", "--group", "sym", "--n-range", "2..3", "--p", "2", "--jobs", "0"],
+        ["verify-hook-formula", "--n-max", "3", "--primes", "2", "--jobs", "-3"],
+        ["verify-wreath", "--e-max", "1", "--r-max", "1", "--jobs", "0"],
+        ["tori", "--series", "B/C", "--n", "2", "--q", "6"],
+        ["unipotent", "--n", "3", "--q", "6"],
+    ],
+)
+def test_invalid_values_are_usage_errors(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ExactnessError("inexact"), SchurEvaluationError("pole"), ClassificationError("no case")],
+)
+def test_internal_errors_exit_3(exc, monkeypatch, capsys):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_zsigmondy", fail)
+    assert cli.main(["zsigmondy", "--q", "2", "--m", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_alternating_classification_failure_exits_3(monkeypatch, capsys):
+    def fail(n, p):
+        raise ClassificationError(f"no case covers a block of A_{n} at p={p}")
+
+    monkeypatch.setattr(cli, "blocks_an", fail)
+    argv = ["scan-blocks", "--group", "alt", "--n-range", "5..5", "--p", "3"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("internal error: ClassificationError:")
 
 
 def test_scan_blocks_json_schema():

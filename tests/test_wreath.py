@@ -6,7 +6,6 @@ from math import factorial
 import pytest
 
 import symblocks.wreath as wreath
-from symblocks.algebra import CycElt
 from symblocks.partitions import degree, enumerate_partitions, hook_lengths
 from symblocks.wreath import (
     InadmissibleParametersError,
@@ -15,7 +14,6 @@ from symblocks.wreath import (
     SchurEvaluationError,
     case_one_params,
     check_symbol,
-    cyclic_config_test,
     enumerate_multipartitions,
     linear_symbol,
     multipartition_of,
@@ -24,8 +22,9 @@ from symblocks.wreath import (
     schur_value,
     shift_symbol,
     symbol_hooks,
-    symbol_invariants,
     symbol_of,
+    symbol_a,
+    symbol_c,
     symbol_rank,
     wreath_degree,
 )
@@ -90,16 +89,16 @@ def test_single_row_hooks_match_partition_hooks():
     for n in range(1, 9):
         for pi in enumerate_partitions(n):
             sym = symbol_of((pi,))
-            got = Counter(h.length for h in symbol_hooks(sym))
+            got = Counter(length for _, _, length in symbol_hooks(sym))
             assert got == Counter(hook_lengths(pi))
 
 
 def test_invariants_small_symbol():
-    inv = symbol_invariants(((1,), (0,)))
-    assert inv.rank == 1
-    assert inv.a == 0
-    assert inv.c == 1
-    assert len(inv.hooks) == 2
+    sym = ((1,), (0,))
+    assert symbol_rank(sym) == 1
+    assert symbol_a(sym) == 0
+    assert symbol_c(sym) == 1
+    assert list(symbol_hooks(sym)) == [(0, 0, 1), (0, 1, 0)]
 
 
 def test_linear_symbol_shape():
@@ -223,52 +222,3 @@ def test_orders_cancel_away_from_roots():
     params = ParamSpec.of(1, (1, 2))
     assert schur_value(((1,), (0,)), params) == 2
     assert schur_value(((0,), (1,)), params) == -1
-
-
-# ---------------------------------------------------------------------------
-# the constancy criterion for cyclic configurations
-
-
-def test_cyclic_config_roots_pass():
-    for e in (2, 3, 4, 6):
-        if e == 2:
-            u = [Fraction(1), Fraction(-1)]
-        else:
-            z = CycElt.root(e)
-            u = [z**j for j in range(e)]
-        verdict = cyclic_config_test(u)
-        assert verdict.constant
-        assert verdict.root_config
-        assert verdict.witness is None
-        assert len(set(verdict.values)) == 1
-
-
-def test_cyclic_config_scaling_invariance():
-    z = CycElt.root(3)
-    scaled = [z * 5, z**2 * 5, CycElt.from_rational(3, 5)]
-    verdict = cyclic_config_test(scaled)
-    assert verdict.constant and verdict.root_config
-
-
-def test_cyclic_config_generic_fails():
-    import random
-
-    rng = random.Random(7)
-    failures = 0
-    for _ in range(30):
-        u = rng.sample(range(1, 60), 3)
-        verdict = cyclic_config_test(u)
-        if not verdict.constant:
-            failures += 1
-            i, j = verdict.witness
-            assert verdict.values[i - 1] != verdict.values[j - 1]
-    assert failures >= 25  # generic configurations are not constant
-
-
-def test_cyclic_config_validation():
-    with pytest.raises(ValueError):
-        cyclic_config_test((3,))
-    with pytest.raises(ValueError):
-        cyclic_config_test((0, 1))
-    with pytest.raises(ValueError):
-        cyclic_config_test((2, 2))
