@@ -1,11 +1,14 @@
-"""Exact arithmetic substrate: rationals, dense polynomials, cyclotomic fields.
+"""Exact arithmetic substrate: integers, dense polynomials, cyclotomic fields.
 
-Everything here is exact. Rationals are `fractions.Fraction`, polynomials are
-dense coefficient tuples over the rationals, and elements of the n-th
-cyclotomic field are coordinate vectors modulo the n-th cyclotomic polynomial.
-Division that is supposed to be exact raises `ExactnessError` instead of
-truncating, so a failed divisibility claim surfaces as an error, never as a
-silently wrong value.
+Everything here is exact. `Poly` keeps its coefficients as given and never
+makes a `Fraction` itself: the cyclotomic polynomials, x^k - 1, x^k + 1 and the
+degree polynomials are built with `int` coefficients. `fractions.Fraction`
+appears only in ratios and in the coordinates of cyclotomic field elements
+(vectors modulo the n-th cyclotomic polynomial); `CycElt` arithmetic passes
+those Fraction coordinates through `Poly`. Polynomials are divided only by
+divisors with leading coefficient 1 or -1, so integer quotients stay integral. Any other divisor, and any
+division that should be exact but is not, raises `ExactnessError` instead of
+truncating, so a failed divisibility claim never yields a wrong value.
 
 Integer factorization is deterministic trial division; the integers factored
 here (cyclotomic values Phi_m(q) at small q) stay far below 2**64.
@@ -19,7 +22,6 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Union
 
-Rat = Fraction
 Scalar = Union[int, Fraction]
 
 
@@ -133,10 +135,10 @@ def is_prime_power(q: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Q
+# dense polynomials
 
 
-def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _strip(coeffs: list[Scalar]) -> tuple[Scalar, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -144,7 +146,7 @@ def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class Poly:
-    """A univariate polynomial with exact rational coefficients.
+    """A univariate polynomial with exact coefficients, kept as given.
 
     Coefficients are stored low degree first; the zero polynomial has an
     empty coefficient tuple.
@@ -153,16 +155,16 @@ class Poly:
     >>> p.degree
     2
     >>> p(3)
-    Fraction(8, 1)
+    8
     >>> (p * p).degree
     4
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     @staticmethod
     def of(*cs: Scalar) -> "Poly":
-        return Poly(_strip([Fraction(c) for c in cs]))
+        return Poly(_strip(list(cs)))
 
     @staticmethod
     def zero() -> "Poly":
@@ -179,9 +181,9 @@ class Poly:
     @staticmethod
     def x_power_minus_one(n: int) -> "Poly":
         """x**n - 1."""
-        cs = [Fraction(0)] * (n + 1)
-        cs[0] = Fraction(-1)
-        cs[n] = Fraction(1)
+        cs = [0] * (n + 1)
+        cs[0] = -1
+        cs[n] = 1
         return Poly(tuple(cs))
 
     @property
@@ -214,7 +216,8 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        # a zero of the coefficients' own type keeps rational sums fast
+        out = [a[0] * 0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -222,17 +225,11 @@ class Poly:
                         out[i + j] += ca * cb
         return Poly(_strip(out))
 
-    def scale(self, c: Scalar) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly(())
-        return Poly(tuple(c * a for a in self.coeffs))
-
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
         if not self.coeffs:
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly((0,) * k + self.coeffs)
 
     def __pow__(self, n: int) -> "Poly":
         out = Poly.one()
@@ -245,18 +242,20 @@ class Poly:
         return out
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Quotient and remainder, deg(rem) < deg(other)."""
+        """Quotient and remainder by a divisor with leading coefficient +-1."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        lead = other.coeffs[-1]
+        if lead not in (1, -1):
+            raise ExactnessError(f"leading coefficient of {other} is not 1 or -1")
         rem = list(self.coeffs)
         d = other.degree
-        lead = other.coeffs[-1]
-        q = [Fraction(0)] * max(0, len(rem) - d)
+        q = [0] * max(0, len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            factor = c / lead
+            factor = c * lead
             q[i - d] = factor
             for j, oc in enumerate(other.coeffs):
                 rem[i - d + j] -= factor * oc
@@ -274,7 +273,7 @@ class Poly:
 
     def __call__(self, x):
         """Horner evaluation; works for any value supporting * and +."""
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -285,9 +284,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + as_int(c)
         return acc
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -435,7 +431,9 @@ class CycElt:
     def from_poly(order: int, p: Poly) -> "CycElt":
         rem = p % cyclotomic_poly(order)
         d = _cyc_degree(order)
-        cs = list(rem.coeffs) + [Fraction(0)] * (d - len(rem.coeffs))
+        # convert only ints: every field product passes here, and Fraction(c) costs
+        cs = [c if type(c) is Fraction else Fraction(c) for c in rem.coeffs]
+        cs += [Fraction(0)] * (d - len(cs))
         return CycElt(order, tuple(cs))
 
     @staticmethod
@@ -449,7 +447,7 @@ class CycElt:
     @staticmethod
     def root(order: int, k: int = 1) -> "CycElt":
         """zeta_order ** k."""
-        return CycElt.from_poly(order, Poly.x() ** (k % order if order > 0 else k))
+        return CycElt.from_poly(order, Poly.x() ** (k % order))
 
     # predicates -------------------------------------------------------
 
@@ -509,23 +507,13 @@ class CycElt:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElt":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the y = sum_j y_j zeta**j with self * y == 1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        a = Poly(_strip(list(self.coords)))
-        b = cyclotomic_poly(self.order)
-        # extended gcd over Q[x]; gcd is a nonzero constant since b is
-        # irreducible and a is a nonzero residue
-        r0, r1 = a, b
-        s0, s1 = Poly.one(), Poly.zero()
-        while not r1.is_zero():
-            q, r = r0.divrem(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            raise ExactnessError("cyclotomic polynomial unexpectedly reducible")
-        inv = s0.scale(Fraction(1) / r0.coeffs[0])
-        return CycElt.from_poly(self.order, inv)
+        d = _cyc_degree(self.order)
+        columns = [(self * CycElt.root(self.order, j)).coords for j in range(d)]
+        one = CycElt.from_rational(self.order, 1)
+        return CycElt(self.order, _solve_rational(columns, one.coords))
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -7,9 +7,10 @@ Reruns with identical flags produce byte-identical output.
 
 Exit status: 0 on success, 1 when at least one refutation record was
 emitted (a counterexample to one of the checked statements), 2 on usage
-errors with a single-line diagnostic on stderr, 3 when an internal check
-of the library failed (an inexact division, a failed Schur evaluation, a
-block no classification case covers), with a single "internal error:" line.
+errors and on an --out file that cannot be written, with a single-line
+diagnostic on stderr, 3 on any other exception (an internal check of the
+library failed: an inexact division, a failed Schur evaluation, a block no
+classification case covers), with a single "internal error:" line.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from math import factorial
 
-from .algebra import ExactnessError, is_prime_power, zsigmondy
+from .algebra import is_prime_power, zsigmondy
 from .blocks import (
     ClassificationError,
     blocks_an,
@@ -46,7 +47,6 @@ from .unipotent import (
     unipotent_degrees_gl,
 )
 from .wreath import (
-    SchurEvaluationError,
     enumerate_multipartitions,
     schur_specialize_roots,
     symbol_of,
@@ -111,9 +111,16 @@ def _poly_coeffs(poly) -> list[str]:
 
 
 def _parallel_map(fn, keys, jobs):
-    if jobs <= 1:
+    # the fork start method forks every worker up front, so ask for no more
+    # workers than there are keys or CPUs this process may run on
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(keys), cpus)
+    if workers <= 1:
         return [fn(k) for k in keys]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, keys))
 
 
@@ -714,15 +721,43 @@ def _render(report: dict, fmt: str) -> str:
 
 
 def _emit(text: str, args) -> None:
-    if args.out:
-        path = args.out
-        base = os.environ.get("SYMBLOCKS_OUT_DIR")
-        if base and not os.path.isabs(path):
-            path = os.path.join(base, path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return
+    path = args.out
+    base = os.environ.get("SYMBLOCKS_OUT_DIR")
+    if base and not os.path.isabs(path):
+        path = os.path.join(base, path)
+    try:
+        if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+            # a device, FIFO or symlink is written through, never replaced
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            _replace_file(path, text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+
+
+def _replace_file(path: str, text: str) -> None:
+    """Write a temp file beside the regular file `path` and rename it into
+    place, so a failed write never leaves a partial report behind.  The file
+    gets the mode of the file it replaces, else the mode open() would give."""
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        mode = None
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -828,13 +863,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         report = args.handler(args)
-    except (ExactnessError, SchurEvaluationError, ClassificationError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        _emit(_render(report, args.format), args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(_render(report, args.format), args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 1 if report["refutations"] else 0
 
 

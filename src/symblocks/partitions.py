@@ -16,11 +16,10 @@ so the convention is stable under padding.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from .algebra import ExactnessError, Poly
+from .algebra import ExactnessError, Poly, cyclotomic_poly
 
 Partition = tuple[int, ...]
 
@@ -258,8 +257,9 @@ def b_statistic(pi: Partition) -> int:
 def gl_degree_poly(pi: Partition) -> Poly:
     """Generic degree of the unipotent character of GL_n indexed by pi.
 
-    The hook-type formula x**b(pi) * prod_{k<=n}(x^k - 1) / prod_h(x^l(h) - 1);
-    all divisions are exact, and evaluation at 1 recovers degree(pi).
+    x**b(pi) * prod_{k<=n}(x^k - 1) / prod_h(x^h - 1), built without division
+    as x**b(pi) * prod_{d<=n} Phi_d**e_d, where e_d = floor(n/d) minus the
+    number of hook lengths divisible by d; evaluation at 1 gives degree(pi).
 
     >>> print(gl_degree_poly((1, 1)))
     x
@@ -267,16 +267,11 @@ def gl_degree_poly(pi: Partition) -> Poly:
     1
     """
     n = sum(pi)
-    num = Counter(range(1, n + 1))
-    num.subtract(hook_lengths(pi))
+    hooks = hook_lengths(pi)
     poly = Poly.one().shift(b_statistic(pi))
-    rest: list[tuple[int, int]] = []
-    for k, mult in sorted(num.items()):
-        if mult > 0:
-            poly = poly * Poly.x_power_minus_one(k) ** mult
-        elif mult < 0:
-            rest.append((k, -mult))
-    for k, mult in rest:
-        for _ in range(mult):
-            poly = poly.exact_div(Poly.x_power_minus_one(k))
+    for d in range(1, n + 1):
+        e = n // d - sum(1 for h in hooks if h % d == 0)
+        if e < 0:
+            raise ExactnessError(f"Phi_{d} has exponent {e} in the degree of {pi}")
+        poly = poly * cyclotomic_poly(d) ** e
     return poly

@@ -155,12 +155,7 @@ def hll_check_gl(n: int, d: int) -> HllReport:
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     phi = cyclotomic_poly(d)
-    if d == 1:
-        zeta = Fraction(1)
-    elif d == 2:
-        zeta = Fraction(-1)
-    else:
-        zeta = CycElt.root(d)
+    zeta = CycElt.root(d)
     series_reports = []
     for core, members in dhc_series_gl(n, d):
         r = sum(core)
@@ -180,14 +175,10 @@ def hll_check_gl(n: int, d: int) -> HllReport:
             expected = wreath_degree(quotient)
             constant: Fraction | None = None
             reason: str | None = None
-            if isinstance(value, CycElt):
-                if value.is_rational():
-                    constant = value.to_fraction()
-                else:
-                    reason = "constant is not rational"
+            if not value.is_rational():
+                reason = "constant is not rational"
             else:
-                constant = Fraction(value)
-            if constant is not None:
+                constant = value.to_fraction()
                 if constant.denominator != 1:
                     reason = "constant is not an integer"
                 elif abs(constant) != expected:

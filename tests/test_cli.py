@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -74,7 +75,12 @@ def test_invalid_values_are_usage_errors(argv, capsys):
 
 @pytest.mark.parametrize(
     "exc",
-    [ExactnessError("inexact"), SchurEvaluationError("pole"), ClassificationError("no case")],
+    [
+        ExactnessError("inexact"),
+        SchurEvaluationError("pole"),
+        ClassificationError("no case"),
+        ZeroDivisionError("division by zero"),
+    ],
 )
 def test_internal_errors_exit_3(exc, monkeypatch, capsys):
     def fail(args):
@@ -85,6 +91,85 @@ def test_internal_errors_exit_3(exc, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert cli.main(["zsigmondy", "--q", "2", "--m", "3", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {target}:")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_failed_out_write_keeps_the_existing_file(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("previous report\n")
+
+    def fail(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert cli.main(["zsigmondy", "--q", "2", "--m", "3", "--out", str(target)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out {target}: Permission denied\n"
+    )
+    assert target.read_text() == "previous report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+def test_out_writes_through_a_device(capsys):
+    assert cli.main(["zsigmondy", "--q", "2", "--m", "3", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_writes_through_a_symlink_and_keeps_the_mode(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("previous report\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert cli.main(["zsigmondy", "--q", "2", "--m", "3", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    written = target.read_text()
+    assert cli.main(["zsigmondy", "--q", "2", "--m", "3", "--out", str(target)]) == 0
+    assert target.read_text() == written != "previous report\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "report.txt"]
+
+
+def test_jobs_are_capped_by_keys_and_cpus(monkeypatch, capsys):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, keys):
+            return map(fn, keys)
+
+    argv = ["verify-hook-formula", "--n-max", "4", "--primes", "2,3"]
+    argv += ["--format", "json"]
+    assert cli.main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli.main(argv + ["--jobs", "64"]) == 0
+    assert capsys.readouterr().out == serial
+    assert requested == [2]
+    # one key leaves nothing to share out: no pool at all
+    one_key = ["verify-wreath", "--e-max", "1", "--r-max", "1", "--jobs", "64"]
+    assert cli.main(one_key) == 0
+    assert requested == [2]
 
 
 def test_alternating_classification_failure_exits_3(monkeypatch, capsys):

@@ -5,6 +5,12 @@ benchmark command, as printed by `python -m symblocks ARGV --format json`.
 One entry per subcommand is replayed here in-process with --jobs 1 (the
 recorder checks that --jobs does not change the bytes), so a refactor that
 changes any report byte or exit status fails the suite.
+
+PARENT_RECORDED covers the paths the benchmark does not reach: hll-check at
+d = 1 and d = 2 (rational roots of unity), every torus series, speceq, and
+the CSV and table renderers.  Its digests were recorded from the code before
+the polynomial substrate became integer-only, so the change is checked
+against the bytes it had to keep.
 """
 
 import hashlib
@@ -42,3 +48,42 @@ def test_report_matches_golden(line, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[line]["sha256"]
     assert status == GOLDEN[line]["exit"]
+
+
+PARENT_RECORDED = (
+    ("hll-check --n 9 --d 1 --format json",
+     "5392e89ff04e72e2c9f56a30ae950f5badb47bb542272a5d552b7a8b29e86d6f", 0),
+    ("hll-check --n 9 --d 2 --format json",
+     "1ed0966613741ad320304d3e03ee5cecf3de19bd67ede0a84248565309f83df2", 1),
+    ("tori --series A --n 8 --q 3 --format json",
+     "a6e289dd90e0c46fad1456ae6c16a7e12c6ec7765d5c7a487b76aed8342b4adc", 0),
+    ("tori --series 2A --n 8 --q 3 --format json",
+     "9f61599361f79653b1d6c1ec0cf09a1834f044d0fc52c86f54d5b91bdac8f783", 0),
+    ("tori --series B/C --n 8 --q 3 --format json",
+     "961962ab29cf2e6941a3e0bacf12bec8055c0e04d69d8f4984a7711e1d550b04", 0),
+    ("tori --series D --n 8 --q 3 --format json",
+     "ecfe4b61950c24e43b280739ad9be7df3ab163f0a7097178d046cfe1d5be913e", 0),
+    ("tori --series 2D --n 8 --q 3 --format json",
+     "4106155b0a01c0984ab5728e5e1ba3fc1377c9744ea779a8439d1dc6880f1da3", 0),
+    ("tori --series E6 --n 6 --q 3 --format json",
+     "ff6db62dc83eafc10709f380df58fd2c9df34655fc4c4ee505a0dbb44ea5cdd3", 0),
+    ("tori --series 2E6 --n 6 --q 3 --format json",
+     "7b7687f458b3e0ac85bb291dcd22d8e906e8ef5ee91075be4e3acd213320fdf3", 0),
+    ("tori --series E7 --n 7 --q 3 --format json",
+     "4519e3b041de7c02df2391a0dafa075124c57e1154156b56a79046a5f2b8a52c", 0),
+    ("speceq --q-max 5 --m-max 6 --exp-bound 2 --format json",
+     "e8f7f5ae285713ff0dcd59c605331d18863aaf7eb2ff39d3f8433f0486051d5a", 0),
+    ("unipotent --n 8 --format json",
+     "4fc170e83a4c9f9d03d9b1c0102a6b4ae6f66b64244556cdbf82974a2c4dd7b8", 0),
+    ("unipotent --n 8 --q 3 --format csv",
+     "ddac4fbb036166bb77d38168d959581f4de6eba6704378734bc55b09a2e8c575", 0),
+    ("hll-check --n 9 --d 4 --format table",
+     "8771ab727ed45b6610448b2d4c20fd6ce3a9e7d65fe8da4f0ae79a59bfd081b4", 1),
+)
+
+
+@pytest.mark.parametrize("line,sha256,status", PARENT_RECORDED)
+def test_report_matches_parent_recording(line, sha256, status, capsys):
+    assert cli.main(line.split()) == status
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

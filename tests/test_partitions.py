@@ -3,6 +3,7 @@ from functools import lru_cache
 from math import factorial
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,8 +297,26 @@ def test_gl_degree_poly_specializes():
     for n in range(1, 13):
         for pi in enumerate_partitions(n):
             poly = gl_degree_poly(pi)
-            assert poly.is_integral()
+            assert all(type(c) is int for c in poly.coeffs)
             assert poly(1) == degree(pi)
+
+
+def test_gl_degree_poly_matches_sympy_division():
+    # the defining quotient x^b * prod_{k<=n}(x^k - 1) / prod_h(x^h - 1),
+    # divided out by sympy, against the division-free cyclotomic product
+    x = sympy.Symbol("x")
+    for n in range(1, 11):
+        numerator = sympy.prod(x**k - 1 for k in range(1, n + 1))
+        for pi in enumerate_partitions(n):
+            denominator = sympy.prod(x**h - 1 for h in hook_lengths(pi))
+            quotient, remainder = sympy.div(
+                sympy.expand(x ** b_statistic(pi) * numerator),
+                sympy.expand(denominator),
+                x,
+            )
+            assert remainder == 0
+            coeffs = sympy.Poly(quotient, x).all_coeffs()[::-1]
+            assert list(gl_degree_poly(pi).coeffs) == [int(c) for c in coeffs], pi
 
 
 def test_gl_degree_poly_lowest_term():
