@@ -1,14 +1,14 @@
 """Exact arithmetic substrate: integers, dense polynomials, cyclotomic fields.
 
-Everything here is exact. `Poly` keeps its coefficients as given and never
-makes a `Fraction` itself: the cyclotomic polynomials, x^k - 1, x^k + 1 and the
-degree polynomials are built with `int` coefficients. `fractions.Fraction`
-appears only in ratios and in the coordinates of cyclotomic field elements
-(vectors modulo the n-th cyclotomic polynomial); `CycElt` arithmetic passes
-those Fraction coordinates through `Poly`. Polynomials are divided only by
-divisors with leading coefficient 1 or -1, so integer quotients stay integral. Any other divisor, and any
-division that should be exact but is not, raises `ExactnessError` instead of
-truncating, so a failed divisibility claim never yields a wrong value.
+Everything here is exact. `Poly` coefficients and `CycElt` coordinates (vectors
+modulo the monic n-th cyclotomic polynomial) are kept as given, so integer
+polynomials and cyclotomic integers stay `int` through sums, products and powers.
+A `fractions.Fraction` is made only by `_solve_rational`, the one exact division
+(`CycElt.inverse`, `/`, `hash`), and by `CycElt.to_fraction`, the boundary to
+rational callers. Polynomials are divided only by divisors with leading
+coefficient 1 or -1, so integer quotients stay integral. Any other divisor, and
+any division that should be exact but is not, raises `ExactnessError` instead
+of truncating, so a failed divisibility claim never yields a wrong value.
 
 Integer factorization is deterministic trial division; the integers factored
 here (cyclotomic values Phi_m(q) at small q) stay far below 2**64.
@@ -180,11 +180,13 @@ class Poly:
 
     @staticmethod
     def x_power_minus_one(n: int) -> "Poly":
-        """x**n - 1."""
+        """x**n - 1, n >= 0; the zero polynomial for n = 0."""
+        if n < 0:
+            raise ValueError("x**n - 1 needs n >= 0")
         cs = [0] * (n + 1)
-        cs[0] = -1
-        cs[n] = 1
-        return Poly(tuple(cs))
+        cs[n] += 1
+        cs[0] -= 1
+        return Poly(_strip(cs))
 
     @property
     def degree(self) -> int:
@@ -216,8 +218,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(())
-        # a zero of the coefficients' own type keeps rational sums fast
-        out = [a[0] * 0] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -405,7 +406,9 @@ class CycElt:
 
     Stored as the coordinate vector of its residue modulo the order-th
     cyclotomic polynomial, so the representation is a field: every nonzero
-    element has an inverse.
+    element has an inverse.  Coordinates are kept as given: `int` coordinates
+    stay `int` under +, -, * and **, and only `inverse`, `/` and `to_fraction`
+    make a `Fraction`.
 
     >>> z = CycElt.root(3)
     >>> z ** 3 == 1
@@ -418,7 +421,7 @@ class CycElt:
 
     __slots__ = ("order", "coords")
 
-    def __init__(self, order: int, coords: tuple[Fraction, ...]):
+    def __init__(self, order: int, coords: tuple[Scalar, ...]):
         d = _cyc_degree(order)
         if len(coords) != d:
             raise ValueError(f"need exactly {d} coordinates for order {order}")
@@ -430,19 +433,12 @@ class CycElt:
     @staticmethod
     def from_poly(order: int, p: Poly) -> "CycElt":
         rem = p % cyclotomic_poly(order)
-        d = _cyc_degree(order)
-        # convert only ints: every field product passes here, and Fraction(c) costs
-        cs = [c if type(c) is Fraction else Fraction(c) for c in rem.coeffs]
-        cs += [Fraction(0)] * (d - len(cs))
-        return CycElt(order, tuple(cs))
+        return CycElt(order, rem.coeffs + (0,) * (_cyc_degree(order) - len(rem.coeffs)))
 
     @staticmethod
     def from_rational(order: int, a: Scalar) -> "CycElt":
-        d = _cyc_degree(order)
-        cs = [Fraction(0)] * d
-        cs[0] = Fraction(a)
         # order 1: the basis vector is 1 itself (x == 1 mod x-1), same slot
-        return CycElt(order, tuple(cs))
+        return CycElt(order, (a,) + (0,) * (_cyc_degree(order) - 1))
 
     @staticmethod
     def root(order: int, k: int = 1) -> "CycElt":
@@ -463,7 +459,7 @@ class CycElt:
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ExactnessError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Fraction(self.coords[0])
 
     # arithmetic -------------------------------------------------------
 
@@ -582,9 +578,10 @@ class CycElt:
 def _solve_rational(columns, target):
     """Exact y with sum_j y_j * columns[j] == target, or None if there is none.
 
-    The columns must be linearly independent.
+    The columns must be linearly independent.  Rows become Fractions first,
+    so integer input never divides to a float.
     """
-    rows = [list(row) for row in zip(*columns, target)]
+    rows = [[Fraction(x) for x in row] for row in zip(*columns, target)]
     width = len(columns)
     for c in range(width):
         pivot = next(k for k in range(c, len(rows)) if rows[k][c])

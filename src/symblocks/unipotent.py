@@ -163,7 +163,7 @@ def hll_check_gl(n: int, d: int) -> HllReport:
         base = gl_degree_poly(core)
         for _ in range(strip):
             base = base.exact_div(phi)
-        base_val = base(zeta)
+        base_inv = base(zeta).inverse()
         weight = (n - r) // d
         member_reports = []
         for pi in members:
@@ -171,7 +171,7 @@ def hll_check_gl(n: int, d: int) -> HllReport:
             reduced = gl_degree_poly(pi)
             for _ in range(strip):
                 reduced = reduced.exact_div(phi)
-            value = reduced(zeta) / base_val
+            value = reduced(zeta) * base_inv
             expected = wreath_degree(quotient)
             constant: Fraction | None = None
             reason: str | None = None
@@ -389,10 +389,6 @@ class ToriEntry:
 TORI_SERIES = ("A", "2A", "B/C", "D", "2D", "E6", "2E6", "E7")
 
 
-def _x_pow_minus_one(k: int) -> Poly:
-    return Poly.x_power_minus_one(k)
-
-
 def _x_pow_plus_one(k: int) -> Poly:
     return Poly.x_power_minus_one(2 * k).exact_div(Poly.x_power_minus_one(k))
 
@@ -407,15 +403,15 @@ def tori_entry(series: str, n: int) -> ToriEntry:
     if series == "A":
         if n < 1:
             raise ValueError("series A needs n >= 1")
-        t1 = _x_pow_minus_one(n + 1).exact_div(_x_pow_minus_one(1))
-        return ToriEntry(series, n, t1, _x_pow_minus_one(n), n + 1, n)
+        t1 = Poly.x_power_minus_one(n + 1).exact_div(Poly.x_power_minus_one(1))
+        return ToriEntry(series, n, t1, Poly.x_power_minus_one(n), n + 1, n)
     if series == "2A":
         if n < 2:
             raise ValueError("series 2A needs n >= 2")
         if n % 2 == 0:
             t1 = _x_pow_plus_one(n + 1).exact_div(_x_pow_plus_one(1))
-            return ToriEntry(series, n, t1, _x_pow_minus_one(n), 2 * n + 2, n)
-        t1 = _x_pow_minus_one(n + 1).exact_div(_x_pow_plus_one(1))
+            return ToriEntry(series, n, t1, Poly.x_power_minus_one(n), 2 * n + 2, n)
+        t1 = Poly.x_power_minus_one(n + 1).exact_div(_x_pow_plus_one(1))
         return ToriEntry(series, n, t1, _x_pow_plus_one(n), n + 1, 2 * n)
     if series == "B/C":
         if n < 2:
@@ -424,20 +420,20 @@ def tori_entry(series: str, n: int) -> ToriEntry:
             t2 = _x_pow_plus_one(n - 1) * _x_pow_plus_one(1)
             return ToriEntry(series, n, _x_pow_plus_one(n), t2, 2 * n, 2 * n - 2)
         return ToriEntry(
-            series, n, _x_pow_plus_one(n), _x_pow_minus_one(n), 2 * n, n
+            series, n, _x_pow_plus_one(n), Poly.x_power_minus_one(n), 2 * n, n
         )
     if series == "D":
         if n < 4:
             raise ValueError("series D needs n >= 4")
         t2 = _x_pow_plus_one(n - 1) * _x_pow_plus_one(1)
         if n % 2 == 0:
-            t1 = _x_pow_minus_one(n - 1) * _x_pow_minus_one(1)
+            t1 = Poly.x_power_minus_one(n - 1) * Poly.x_power_minus_one(1)
             return ToriEntry(series, n, t1, t2, n - 1, 2 * n - 2)
-        return ToriEntry(series, n, _x_pow_minus_one(n), t2, n, 2 * n - 2)
+        return ToriEntry(series, n, Poly.x_power_minus_one(n), t2, n, 2 * n - 2)
     if series == "2D":
         if n < 4:
             raise ValueError("series 2D needs n >= 4")
-        t2 = _x_pow_plus_one(n - 1) * _x_pow_minus_one(1)
+        t2 = _x_pow_plus_one(n - 1) * Poly.x_power_minus_one(1)
         return ToriEntry(series, n, _x_pow_plus_one(n), t2, 2 * n, 2 * n - 2)
     if series == "E6":
         if n != 6:

@@ -195,7 +195,7 @@ def normalize_field_values(values: Sequence) -> tuple[FieldValue, ...]:
         if isinstance(v, CycElt):
             out.append(v.embed(L))
         else:
-            out.append(CycElt.from_rational(L, Fraction(v)))
+            out.append(CycElt.from_rational(L, v))
     return tuple(out)
 
 

@@ -138,6 +138,9 @@ def test_x_power_minus_one():
         assert p.degree == n
         assert p(1) == 0
         assert p(2) == 2**n - 1
+    assert Poly.x_power_minus_one(0).is_zero()
+    with pytest.raises(ValueError):
+        Poly.x_power_minus_one(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +309,27 @@ def test_cyc_division_undoes_multiplication(data, x):
     assert (x / y) * y == x
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    order=st.integers(1, 12),
+    k=st.integers(0, 5),
+    factor=st.integers(1, 3),
+)
+def test_cyc_integer_coordinates_stay_int(data, order, k, factor):
+    d = len(CycElt.root(order).coords)
+    ints = st.lists(st.integers(-5, 5), min_size=d, max_size=d)
+    x = CycElt(order, tuple(data.draw(ints)))
+    y = CycElt(order, tuple(data.draw(ints)))
+    for z in (x + y, x - y, x * y, x**k, x.embed(order * factor), x + 3, 2 * x):
+        assert all(type(c) is int for c in z.coords)
+    if x:
+        for z in (x.inverse(), y / x, x / 2):
+            assert all(type(c) in (int, Fraction) for c in z.coords)
+        assert x * x.inverse() == 1
+    assert type(CycElt.from_rational(order, 3).to_fraction()) is Fraction
+
+
 def test_cyc_mixed_orders_rejected():
     with pytest.raises(ValueError):
         CycElt.root(3) + CycElt.root(4)
@@ -313,4 +337,7 @@ def test_cyc_mixed_orders_rejected():
 
 def test_field_value_str():
     assert field_value_str(Fraction(3, 2)) == "3/2"
-    assert isinstance(field_value_str(CycElt.root(3)), str)
+    assert field_value_str(CycElt.root(3)) == "cyc3:0,1"
+    assert field_value_str(CycElt.root(3).inverse()) == "cyc3:-1,-1"
+    assert field_value_str(CycElt.root(4) / 2) == "cyc4:0,1/2"
+    assert field_value_str(CycElt.root(5) + CycElt.root(5) ** 4) == "cyc5:-1,0,-1,-1"

@@ -7,10 +7,12 @@ recorder checks that --jobs does not change the bytes), so a refactor that
 changes any report byte or exit status fails the suite.
 
 PARENT_RECORDED covers the paths the benchmark does not reach: hll-check at
-d = 1 and d = 2 (rational roots of unity), every torus series, speceq, and
-the CSV and table renderers.  Its digests were recorded from the code before
-the polynomial substrate became integer-only, so the change is checked
-against the bytes it had to keep.
+d = 1 and d = 2 (rational roots of unity) and at d = 5 and d = 6, verify-wreath
+at field orders 5 and 6, every torus series, speceq, and the CSV and table
+renderers.  Its digests were recorded from the code before the change that
+each entry guards (the integer-only polynomial substrate, then integer
+cyclotomic coordinates), so the change is checked against the bytes it had
+to keep.
 """
 
 import hashlib
@@ -79,6 +81,12 @@ PARENT_RECORDED = (
      "ddac4fbb036166bb77d38168d959581f4de6eba6704378734bc55b09a2e8c575", 0),
     ("hll-check --n 9 --d 4 --format table",
      "8771ab727ed45b6610448b2d4c20fd6ce3a9e7d65fe8da4f0ae79a59bfd081b4", 1),
+    ("verify-wreath --e-max 6 --r-max 2 --format json",
+     "a289fec574452996fe03caa77375ed07187b252741c4a7ccff28b19b97ecd52b", 0),
+    ("hll-check --n 10 --d 5 --format json",
+     "230e017a5d15f3a9b598893ae4be9e0c4841ece3d59a57892330eeb8ed01392f", 1),
+    ("hll-check --n 11 --d 6 --format json",
+     "8304b5bf46793adbb65ff88b46c4b5f5c45c88db3f240b909aced501817b66e0", 0),
 )
 
 

@@ -122,6 +122,13 @@ def test_hll_two_by_two():
     assert rep.failures == ()
 
 
+def test_hll_constants_are_fractions():
+    rep = hll_check_gl(9, 4)
+    members = [m for s in rep.series for m in s.members]
+    assert members and all(m.constant is not None for m in members)
+    assert all(type(m.constant) is Fraction for m in members)
+
+
 def test_hll_modulus_one_always_passes():
     for n in range(1, 9):
         rep = hll_check_gl(n, 1)
