@@ -10,8 +10,13 @@ coefficient 1 or -1, so integer quotients stay integral. Any other divisor, and
 any division that should be exact but is not, raises `ExactnessError` instead
 of truncating, so a failed divisibility claim never yields a wrong value.
 
-Integer factorization is deterministic trial division; the integers factored
-here (cyclotomic values Phi_m(q) at small q) stay far below 2**64.
+Primality is deterministic Miller-Rabin with the prime bases 2..41, proven
+correct below 3317044064679887385961981 (Sorenson-Webster 2015); at or above
+that bound `is_prime` falls back to `trial_factor`, so no answer rests on an
+unproven test. Primitive prime divisors are found by Bang's congruence without
+factoring Phi_m(q): for m > 2 every prime factor of Phi_m(q) is primitive
+except l, the largest prime of m, which divides it at most once, and each
+primitive one is 1 mod m (1 mod 2m for odd m).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -102,36 +107,78 @@ def trial_factor(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+# The first 13 primes; as Miller-Rabin bases they admit no strong pseudoprime
+# below _MR_BOUND (Sorenson-Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check.
+    """Deterministic primality check.
+
+    Below 3317044064679887385961981 this is Miller-Rabin with the prime bases
+    2..41, proven to admit no strong pseudoprime there; at or above it, n is
+    factored by `trial_factor`.
 
     >>> [k for k in range(2, 20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
+    >>> is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    False
     """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d <= isqrt(n):
-        if n % d == 0 or n % (d + 2) == 0:
+    if n >= _MR_BOUND:
+        return trial_factor(n) == {n: 1}
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 6
     return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r**k <= n, for n >= 1, by integer Newton steps.
+
+    >>> _iroot(3**40, 40), _iroot(3**40 - 1, 40), _iroot(10, 1)
+    (3, 2, 10)
+    """
+    r = 1 << -(-n.bit_length() // k)  # 2**ceil(bits/k) > n**(1/k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def is_prime_power(q: int) -> bool:
     """True when q = p**k for a prime p and k >= 1.
+
+    The largest k with q an exact k-th power r**k gives the least such r,
+    and q is a prime power exactly when that r is prime.
 
     >>> [q for q in range(2, 30) if is_prime_power(q)]
     [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
     """
     if q < 2:
         return False
-    f = trial_factor(q)
-    return len(f) == 1
+    for k in range(q.bit_length(), 1, -1):
+        r = _iroot(q, k)
+        if r >= 2 and r**k == q:
+            return is_prime(r)
+    return is_prime(q)  # k = 1, r = q
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +411,21 @@ class ZsigmondyResult:
     prime: int | None
 
 
-def _is_primitive(q: int, m: int, p: int) -> bool:
-    if pow(q, m, p) != 1:
-        return False
-    return all(pow(q, i, p) != 1 for i in range(1, m))
-
-
 def zsigmondy(q: int, m: int) -> ZsigmondyResult:
     """Smallest primitive prime divisor of q**m - 1, if one exists.
 
-    Any such prime divides Phi_m(q), so only that (small) value is ever
-    factored.  Primitivity is verified by checking q**i mod p for all i < m.
+    Every such prime divides Phi_m(q).  By Bang's theorem, for m > 2 every
+    prime factor of Phi_m(q) is primitive except l, the largest prime of m,
+    which divides it at most once; for m = 2 every odd prime factor of q + 1
+    is primitive, and for m = 1 every prime factor of q - 1 is.  An odd
+    primitive prime p has q of order m mod p, so p is 1 mod m, and 1 mod 2m
+    for odd m.  So once l is divided out (for m = 2 the 2s; for m = 1 an even
+    q - 1 gives 2), every prime factor of the cofactor is 1 mod s, with s = m
+    for even m and 2m for odd m.  The answer is its least prime factor: the
+    cofactor itself if Miller-Rabin proves it prime, else the first
+    d = 1 + k*s that divides it, which is prime because its prime factors
+    would be smaller terms of the same progression.  Phi_m(q) is never
+    factored in full.
 
     >>> zsigmondy(2, 4).prime
     5
@@ -386,10 +437,30 @@ def zsigmondy(q: int, m: int) -> ZsigmondyResult:
     if q < 2 or m < 1:
         raise ValueError("need q >= 2 and m >= 1")
     val = phi_value(m, q)
-    for p in trial_factor(val):
-        if _is_primitive(q, m, p):
-            return ZsigmondyResult(q, m, p)
-    return ZsigmondyResult(q, m, None)
+    if m >= 3:
+        ell = max(trial_factor(m))
+        if val % ell == 0:
+            val //= ell
+            if val % ell == 0:
+                raise ExactnessError(
+                    f"{ell}**2 divides Phi_{m}({q}), against Bang's theorem"
+                )
+    elif m == 2:
+        while val % 2 == 0:
+            val //= 2
+    elif val % 2 == 0:
+        return ZsigmondyResult(q, m, 2)
+    if val == 1:
+        return ZsigmondyResult(q, m, None)
+    if val < _MR_BOUND and is_prime(val):
+        return ZsigmondyResult(q, m, val)
+    step = m if m % 2 == 0 else 2 * m
+    d = 1 + step
+    while d * d <= val:
+        if val % d == 0:
+            return ZsigmondyResult(q, m, d)
+        d += step
+    return ZsigmondyResult(q, m, val)
 
 
 # ---------------------------------------------------------------------------

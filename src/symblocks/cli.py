@@ -103,6 +103,7 @@ def _checked_int(accept, requirement: str):
 
 
 _positive_int = _checked_int(lambda v: v >= 1, "at least 1")
+_base_int = _checked_int(lambda v: v >= 2, "at least 2")
 _prime_power = _checked_int(is_prime_power, "a prime power")
 
 
@@ -852,8 +853,8 @@ def _build_parser() -> _Parser:
         "zsigmondy", parents=[common],
         help="smallest primitive prime divisor of q^m - 1",
     )
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--q", type=_base_int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.set_defaults(handler=_cmd_zsigmondy)
 
     return parser

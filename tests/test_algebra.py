@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symblocks.algebra as algebra
+from symblocks import cli
 from symblocks.algebra import (
     CycElt,
     ExactnessError,
@@ -68,6 +69,26 @@ def test_trial_factor_matches_sympy():
 def test_primality_matches_sympy():
     for n in range(1, 2000):
         assert is_prime(n) == sympy.isprime(n)
+    rng = random.Random(64)
+    for _ in range(200):
+        n = rng.getrandbits(64)
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_primality_without_trial_division(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"trial_factor({n}) called")
+
+    monkeypatch.setattr(algebra, "trial_factor", refuse)
+    assert is_prime_power(10**16 + 61)
+    assert is_prime_power(3**40)
+    assert is_prime_power(2**61 - 1)
+    assert not is_prime_power(6**20)
+    assert is_prime(10**12 + 39)
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not sympy.isprime(n)
+        assert not is_prime(n), n
 
 
 def test_prime_power_detection():
@@ -195,6 +216,51 @@ def test_zsigmondy_against_factorization_oracle():
                 assert got == expected[0], (q, m)
             else:
                 assert got is None, (q, m)
+
+
+def _is_primitive(q: int, m: int, p: int) -> bool:
+    if pow(q, m, p) != 1:
+        return False
+    return all(pow(q, i, p) != 1 for i in range(1, m))
+
+
+def _zsigmondy_by_trial_division(q: int, m: int) -> int | None:
+    """The search `zsigmondy` replaced: factor Phi_m(q) in full, then take
+    the least prime factor that passes the primitivity check."""
+    for p in trial_factor(phi_value(m, q)):
+        if _is_primitive(q, m, p):
+            return p
+    return None
+
+
+def test_zsigmondy_matches_trial_division():
+    pairs = 0
+    for q in range(2, 200):
+        for m in range(1, 31):
+            if phi_value(m, q) > 10**12:
+                continue
+            pairs += 1
+            assert zsigmondy(q, m).prime == _zsigmondy_by_trial_division(q, m), (q, m)
+    assert pairs > 2000
+
+
+@pytest.mark.parametrize(
+    "q,m", [(52, 15), (79, 30), (70, 30), (42, 21), (53, 11), (71, 11)]
+)
+def test_zsigmondy_against_sympy_on_large_values(q, m):
+    primitive = [p for p in sympy.factorint(phi_value(m, q)) if _is_primitive(q, m, p)]
+    assert zsigmondy(q, m).prime == min(primitive)
+
+
+def test_square_of_the_largest_prime_of_m_is_an_internal_error(monkeypatch, capsys):
+    # 7**2 * 29 cannot be Phi_21(q); Bang's theorem allows 7 only once
+    monkeypatch.setattr(algebra, "phi_value", lambda m, q: 7**2 * 29)
+    with pytest.raises(ExactnessError):
+        zsigmondy(2, 21)
+    assert cli.main(["zsigmondy", "--q", "2", "--m", "21"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ExactnessError:")
 
 
 def test_zsigmondy_absence_classification():

@@ -63,6 +63,9 @@ def test_invalid_rank_is_reported_not_raised():
         ["verify-wreath", "--e-max", "1", "--r-max", "1", "--jobs", "0"],
         ["tori", "--series", "B/C", "--n", "2", "--q", "6"],
         ["unipotent", "--n", "3", "--q", "6"],
+        ["zsigmondy", "--q", "1", "--m", "3"],
+        ["zsigmondy", "--q", "x", "--m", "3"],
+        ["zsigmondy", "--q", "2", "--m", "0"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, capsys):

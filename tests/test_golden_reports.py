@@ -8,11 +8,13 @@ changes any report byte or exit status fails the suite.
 
 PARENT_RECORDED covers the paths the benchmark does not reach: hll-check at
 d = 1 and d = 2 (rational roots of unity) and at d = 5 and d = 6, verify-wreath
-at field orders 5 and 6, every torus series, speceq, and the CSV and table
-renderers.  Its digests were recorded from the code before the change that
-each entry guards (the integer-only polynomial substrate, then integer
-cyclotomic coordinates), so the change is checked against the bytes it had
-to keep.
+at field orders 5 and 6, every torus series, speceq, the CSV and table
+renderers, and zsigmondy at m = 1 and m = 2, where no primitive prime exists
+(including the exception (2, 6)), and at a 58-bit prime Phi_11(53).  Its
+digests were recorded from the code before the change that each entry guards
+(the integer-only polynomial substrate, then integer cyclotomic coordinates,
+then the congruence search for Zsigmondy primes), so the change is checked
+against the bytes it had to keep.
 """
 
 import hashlib
@@ -87,6 +89,22 @@ PARENT_RECORDED = (
      "230e017a5d15f3a9b598893ae4be9e0c4841ece3d59a57892330eeb8ed01392f", 1),
     ("hll-check --n 11 --d 6 --format json",
      "8304b5bf46793adbb65ff88b46c4b5f5c45c88db3f240b909aced501817b66e0", 0),
+    ("zsigmondy --q 2 --m 1 --format json",
+     "6cf21b0b8ec0026bc101ac99b34118b9c10089598c4b93a9e184af1e6228184c", 0),
+    ("zsigmondy --q 3 --m 2 --format json",
+     "d8043909963f4bde438a72d00afaf9e867eddf7edbef03881d3361f6a6e4206e", 0),
+    ("zsigmondy --q 7 --m 2 --format json",
+     "40ade2f85eb63bc4ca58bb4c015e6633d4e160195e1c4c71b7043780470d850b", 0),
+    ("zsigmondy --q 2 --m 6 --format json",
+     "6e6498d3bde451a823a0228ac8024fc1f870ec3190181f846b2c8f8e1d72d2fc", 0),
+    ("zsigmondy --q 3 --m 1 --format json",
+     "939d97941294e5c89c68863ef48ad5f09827836c39fe4b4389199f4956c3ea0a", 0),
+    ("zsigmondy --q 5 --m 2 --format json",
+     "e90dcdb53da7d019a79c2acdbb23209f46f81838b413bfc1b9bdb616b3b7b018", 0),
+    ("zsigmondy --q 53 --m 11 --format json",
+     "e98cb2f1fbaa2adcf34e4190e68cc3c11ed196217180fbc5203470488feb6a48", 0),
+    ("tori --series B/C --n 4 --q 9 --format json",
+     "0d6ced800144502dfbb18d785083f8940c4355d24d2f8f9db813d15187a0f3d6", 0),
 )
 
 
