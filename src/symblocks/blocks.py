@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from .algebra import ExactnessError, factorial_val, is_prime, padic_val
@@ -129,6 +130,19 @@ def is_ehzd(block: BlockData) -> bool:
 # the relative hook formula and its congruence
 
 
+@lru_cache(maxsize=1)
+def _decompose(pi: Partition, p: int) -> tuple[Partition, tuple[Partition, ...], int]:
+    """Validate pi and p, then return core_and_quotient(pi, p).
+
+    Both hook-formula checks read from here.  verify-hook-formula asks them
+    about the same (pi, p) one after the other, so one entry lets the second
+    check reuse the abacus pass of the first.
+    """
+    check_partition(pi)
+    _check_prime(p)
+    return core_and_quotient(pi, p)
+
+
 def relative_hook_degree(pi: Partition, p: int) -> int:
     """Degree of the character of pi computed through its p-core.
 
@@ -140,9 +154,7 @@ def relative_hook_degree(pi: Partition, p: int) -> int:
     >>> relative_hook_degree((3, 1), 2)
     3
     """
-    check_partition(pi)
-    _check_prime(p)
-    core, quotient, w = core_and_quotient(pi, p)
+    core, quotient, w = _decompose(pi, p)
     if w == 0:
         return degree(core)
     c = [p * b + i for i, b in enumerate(runner_bead_counts(core, p))]
@@ -194,9 +206,7 @@ def quotient_congruence(pi: Partition, p: int) -> CongruenceReport:
     >>> (r.ratio, r.lhs, r.rhs, r.holds)
     (Fraction(3, 1), 1, 1, True)
     """
-    check_partition(pi)
-    _check_prime(p)
-    core, quotient, _ = core_and_quotient(pi, p)
+    core, quotient, _ = _decompose(pi, p)
     ratio = Fraction(degree(pi), degree(core))
     rhs = wreath_degree(quotient) % p
     if ratio.denominator % p == 0:

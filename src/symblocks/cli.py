@@ -10,7 +10,9 @@ emitted (a counterexample to one of the checked statements), 2 on usage
 errors and on an --out file that cannot be written, with a single-line
 diagnostic on stderr, 3 on any other exception (an internal check of the
 library failed: an inexact division, a failed Schur evaluation, a block no
-classification case covers), with a single "internal error:" line.
+classification case covers, a ValueError the flags should have ruled out),
+with a single "internal error:" line.  Every bound the library relies on is
+checked here, so only UsageError means status 2.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from math import factorial
 
-from .algebra import is_prime_power, zsigmondy
+from .algebra import is_prime, is_prime_power, zsigmondy
 from .blocks import (
     ClassificationError,
     blocks_an,
@@ -82,8 +84,9 @@ def _parse_primes(text: str) -> tuple[int, ...]:
         values = tuple(int(t) for t in text.split(","))
     except ValueError:
         raise UsageError(f"primes must be a comma list of integers, got {text!r}") from None
-    if not values:
-        raise UsageError("primes list is empty")
+    bad = [v for v in values if not is_prime(v)]
+    if bad:
+        raise UsageError(f"primes must all be prime, got {bad[0]}")
     return values
 
 
@@ -104,6 +107,7 @@ def _checked_int(accept, requirement: str):
 
 _positive_int = _checked_int(lambda v: v >= 1, "at least 1")
 _base_int = _checked_int(lambda v: v >= 2, "at least 2")
+_prime = _checked_int(is_prime, "a prime")
 _prime_power = _checked_int(is_prime_power, "a prime power")
 
 
@@ -160,6 +164,8 @@ def _scan_blocks_worker(key):
 
 def _cmd_scan_blocks(args) -> dict:
     lo, hi = _parse_range(args.n_range)
+    if args.group == "alt" and lo < 2:
+        raise UsageError(f"alt ranges must start at 2 or more, got {args.n_range!r}")
     keys = [(args.group, n, args.p, bool(args.ehzd_only)) for n in range(lo, hi + 1)]
     chunks = _parallel_map(_scan_blocks_worker, keys, args.jobs)
     records = [rec for chunk in chunks for rec in chunk]
@@ -354,6 +360,8 @@ def _cmd_unipotent(args) -> dict:
 
 
 def _cmd_hll_check(args) -> dict:
+    if args.d > args.n:
+        raise UsageError(f"--d must be at most --n, got {args.d} > {args.n}")
     report = hll_check_gl(args.n, args.d)
     records = []
     refutations = []
@@ -448,7 +456,10 @@ def _cmd_speceq(args) -> dict:
 
 
 def _cmd_tori(args) -> dict:
-    entry = tori_entry(args.series, args.n)
+    try:
+        entry = tori_entry(args.series, args.n)
+    except ValueError as exc:  # a rank outside the series, before any work
+        raise UsageError(str(exc)) from None
     report = tori_check(entry, args.q)
     record = {
         "series": entry.series,
@@ -789,7 +800,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--group", choices=("sym", "alt"), required=True)
     p.add_argument("--n-range", required=True, help="inclusive range A..B")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--ehzd-only", action="store_true",
                    help="only blocks whose height-zero degrees agree")
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -817,7 +828,7 @@ def _build_parser() -> _Parser:
         "unipotent", parents=[common],
         help="degree polynomials, optionally with values and collisions",
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--q", type=_prime_power, default=None)
     p.add_argument("--collisions", action="store_true")
     p.set_defaults(handler=_cmd_unipotent)
@@ -826,18 +837,18 @@ def _build_parser() -> _Parser:
         "hll-check", parents=[common],
         help="reduce degree polynomials against their series modulo Phi_d",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.set_defaults(handler=_cmd_hll_check)
 
     p = sub.add_parser(
         "speceq", parents=[common],
         help="enumerate identities n1 = n2 * prod Phi_i(q)^a_i",
     )
-    p.add_argument("--q-max", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--exp-bound", type=int, required=True)
-    p.add_argument("--n-bound", type=int, default=120)
+    p.add_argument("--q-max", type=_base_int, required=True)
+    p.add_argument("--m-max", type=_positive_int, required=True)
+    p.add_argument("--exp-bound", type=_positive_int, required=True)
+    p.add_argument("--n-bound", type=_positive_int, default=120)
     p.set_defaults(handler=_cmd_speceq)
 
     p = sub.add_parser(
@@ -865,7 +876,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         report = args.handler(args)
         _emit(_render(report, args.format), args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

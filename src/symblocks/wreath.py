@@ -23,7 +23,7 @@ from math import comb, factorial
 from typing import Sequence, Union
 
 from .algebra import CycElt, lcm
-from .partitions import Partition, beta_set, degree, partition_from_beta
+from .partitions import Partition, beta_set, degree, enumerate_partitions
 
 Multipartition = tuple[Partition, ...]
 ESymbol = tuple[tuple[int, ...], ...]
@@ -56,8 +56,6 @@ def enumerate_multipartitions(e: int, r: int):
     >>> len(list(enumerate_multipartitions(2, 2)))
     5
     """
-    from .partitions import enumerate_partitions
-
     if e == 0:
         if r == 0:
             yield ()
@@ -91,23 +89,6 @@ def symbol_of(nu: Multipartition) -> ESymbol:
     """
     m = max((len(c) for c in nu), default=0)
     return tuple(beta_set(c, m) for c in nu)
-
-
-def multipartition_of(sym: ESymbol) -> Multipartition:
-    """Inverse of symbol_of (on any representative of the class).
-
-    >>> multipartition_of(((0, 2), (0, 1)))
-    ((1,), ())
-    """
-    check_symbol(sym)
-    return tuple(partition_from_beta(row) for row in sym)
-
-
-def shift_symbol(sym: ESymbol, times: int = 1) -> ESymbol:
-    """Apply the simultaneous shift to every row, `times` times."""
-    for _ in range(times):
-        sym = tuple((0,) + tuple(x + 1 for x in row) for row in sym)
-    return sym
 
 
 def symbol_rank(sym: ESymbol) -> int:
@@ -148,13 +129,6 @@ def symbol_hooks(sym: ESymbol):
                 for t in range(s + 1):
                     if t not in in_j and (s != t or j > i):
                         yield i, j, s - t
-
-
-def linear_symbol(e: int, r: int, i: int) -> ESymbol:
-    """The symbol with (r) in row i and (0) elsewhere (1 <= i <= e)."""
-    if not 1 <= i <= e:
-        raise ValueError("row index out of range")
-    return tuple((r,) if k == i - 1 else (0,) for k in range(e))
 
 
 def wreath_degree(nu: Multipartition) -> int:
@@ -230,26 +204,6 @@ class ParamSpec:
         z = CycElt.root(e)
         u = [z**j for j in range(1, e + 1)]
         return ParamSpec.of(1, u)
-
-
-def case_one_params(q: int, d: int, b: Sequence[int]) -> ParamSpec:
-    """Split-torus parameters (v; u) = (q^d; 1, q^(b_1*d+1), ..., q^(b_(d-1)*d+d-1)).
-
-    b is a tuple of d-1 non-negative integers.  The u exponents are pairwise
-    distinct mod d, so the entries are automatically distinct.
-    """
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if d < 1:
-        raise ValueError("d must be positive")
-    if len(b) != d - 1:
-        raise ValueError(f"need {d - 1} offsets, got {len(b)}")
-    if any(x < 0 for x in b):
-        raise ValueError("offsets must be non-negative")
-    u = [Fraction(1)]
-    for j in range(2, d + 1):
-        u.append(Fraction(q) ** (b[j - 2] * d + j - 1))
-    return ParamSpec(Fraction(q) ** d, tuple(u))
 
 
 def _one_like(x) -> FieldValue:
@@ -363,45 +317,3 @@ def schur_specialize_roots(sym: ESymbol) -> Fraction:
     if isinstance(value, CycElt):
         return value.to_fraction()
     return value
-
-
-def schur_linear(e: int, r: int, i: int, params: ParamSpec) -> FieldValue:
-    """Closed-form Schur value for the linear character attached to row i.
-
-    prod_{k=1}^{r} [ (v-1)/(v^k-1) * prod_{j != i} u_j / (u_j - v^(k-1) u_i) ],
-    evaluated with the same structural order bookkeeping as schur_value.
-    """
-    if not 1 <= i <= e:
-        raise ValueError("row index out of range")
-    v0, u = params.v, params.u
-    if len(u) != e:
-        raise ValueError(f"need {e} u-values, got {len(u)}")
-    if v0 == 0:
-        raise InadmissibleParametersError("v must be nonzero")
-    one = _one_like(v0)
-    order = 0
-    num = _one_like(v0)
-    den = _one_like(v0)
-    ui = u[i - 1]
-    for k in range(1, r + 1):
-        o, val = _eval_factor(1, one, 0, one, v0)
-        order += o
-        num = num * val
-        o, val = _eval_factor(k, one, 0, one, v0)
-        order -= o
-        den = den * val
-        for j in range(e):
-            if j == i - 1:
-                continue
-            num = num * u[j]
-            o, val = _eval_factor(0, u[j], k - 1, ui, v0)
-            if o:
-                raise InadmissibleParametersError(
-                    f"factor u_{j+1} - v^{k-1} u_{i} vanished"
-                )
-            den = den * val
-    if order < 0:
-        raise PoleError(f"total vanishing order {order} < 0")
-    if order > 0:
-        raise PositiveOrderZeroError(f"total vanishing order {order} > 0")
-    return num / den

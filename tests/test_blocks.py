@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import symblocks.blocks as blocks
+from symblocks import cli
 from symblocks.algebra import factorial_val, padic_val
 from symblocks.blocks import (
     ClassificationError,
@@ -165,6 +166,53 @@ def test_congruence_tallies_small_range():
 def test_congruence_weight_zero_is_trivial():
     rep = quotient_congruence((3, 1), 5)
     assert rep.ratio == 1 and rep.holds_plus
+
+
+# ---------------------------------------------------------------------------
+# one abacus pass per (partition, prime) for both checks
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hook_worker_decomposes_each_partition_once(p, monkeypatch):
+    calls = []
+
+    def counting(pi, q):
+        calls.append((pi, q))
+        return core_and_quotient(pi, q)
+
+    relative_hook_degree((1,), p)  # the memo now holds no partition of 10
+    monkeypatch.setattr(blocks, "core_and_quotient", counting)
+    row, _, _ = cli._hook_worker((10, p))
+    assert row["partitions"] == 42
+    assert calls == [(pi, p) for pi in enumerate_partitions(10)]
+
+
+def test_cached_decomposition_gives_the_uncached_values():
+    # the same pi across primes, the congruence before the hook formula
+    calls = [
+        (check, pi, p)
+        for n in range(1, 13)
+        for pi in enumerate_partitions(n)
+        for p in (2, 3, 5, 7)
+        for check in (quotient_congruence, relative_hook_degree)
+    ]
+    blocks._decompose.cache_clear()
+    cached = [check(pi, p) for check, pi, p in calls]
+    assert blocks._decompose.cache_info().hits == len(calls) // 2
+    uncached = []
+    for check, pi, p in calls:
+        blocks._decompose.cache_clear()
+        uncached.append(check(pi, p))
+    assert cached == uncached
+
+
+def test_cached_decomposition_still_validates():
+    assert relative_hook_degree((3, 1), 2) == 3
+    with pytest.raises(ValueError):
+        relative_hook_degree((1, 3), 2)
+    assert quotient_congruence((3, 1), 2).holds
+    with pytest.raises(ValueError):
+        quotient_congruence((3, 1), 4)
 
 
 # ---------------------------------------------------------------------------

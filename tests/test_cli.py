@@ -77,12 +77,34 @@ def test_invalid_values_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-blocks", "--group", "sym", "--n-range", "2..3", "--p", "4"],
+        ["scan-blocks", "--group", "alt", "--n-range", "1..5", "--p", "3"],
+        ["verify-hook-formula", "--n-max", "3", "--primes", "2,4"],
+        ["hll-check", "--n", "3", "--d", "5"],
+        ["hll-check", "--n", "0", "--d", "1"],
+        ["unipotent", "--n", "0"],
+        ["speceq", "--q-max", "1", "--m-max", "2", "--exp-bound", "1"],
+        ["tori", "--series", "E6", "--n", "5", "--q", "2"],
+    ],
+)
+def test_bounds_are_checked_at_the_boundary(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "exc",
     [
         ExactnessError("inexact"),
         SchurEvaluationError("pole"),
         ClassificationError("no case"),
         ZeroDivisionError("division by zero"),
+        ValueError("a library bound was missed"),
     ],
 )
 def test_internal_errors_exit_3(exc, monkeypatch, capsys):

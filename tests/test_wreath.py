@@ -5,22 +5,25 @@ from math import factorial
 
 import pytest
 
+import oracles
 import symblocks.wreath as wreath
+from oracles import (
+    case_one_params,
+    linear_symbol,
+    multipartition_of,
+    schur_linear,
+    shift_symbol,
+)
 from symblocks.partitions import degree, enumerate_partitions, hook_lengths
 from symblocks.wreath import (
     InadmissibleParametersError,
     ParamSpec,
     PoleError,
     SchurEvaluationError,
-    case_one_params,
     check_symbol,
     enumerate_multipartitions,
-    linear_symbol,
-    multipartition_of,
-    schur_linear,
     schur_specialize_roots,
     schur_value,
-    shift_symbol,
     symbol_hooks,
     symbol_of,
     symbol_a,
@@ -31,8 +34,9 @@ from symblocks.wreath import (
 
 
 def test_doctests():
-    result = doctest.testmod(wreath)
-    assert result.failed == 0
+    for module in (wreath, oracles):
+        result = doctest.testmod(module)
+        assert result.failed == 0
 
 
 # ---------------------------------------------------------------------------
