@@ -108,9 +108,11 @@ def trial_factor(n: int) -> dict[int, int]:
 
 
 # The first 13 primes; as Miller-Rabin bases they admit no strong pseudoprime
-# below _MR_BOUND (Sorenson-Webster 2015).
+# below MILLER_RABIN_BOUND (Sorenson-Webster 2015).  At or above the bound
+# is_prime trial-divides, which never finishes for a large prime, so the CLI
+# rejects prime inputs there.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
+MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
@@ -127,7 +129,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    if n >= _MR_BOUND:
+    if n >= MILLER_RABIN_BOUND:
         return trial_factor(n) == {n: 1}
     for p in _MR_BASES:
         if n % p == 0:
@@ -163,22 +165,29 @@ def _iroot(n: int, k: int) -> int:
         r = s
 
 
-def is_prime_power(q: int) -> bool:
-    """True when q = p**k for a prime p and k >= 1.
+def power_base(q: int) -> int:
+    """The least r with q = r**k for some k >= 1, for q >= 2.
 
-    The largest k with q an exact k-th power r**k gives the least such r,
-    and q is a prime power exactly when that r is prime.
+    The largest k with q an exact k-th power r**k gives the least such r.
+
+    >>> power_base(3**40), power_base(6**20), power_base(12)
+    (3, 6, 12)
+    """
+    for k in range(q.bit_length(), 1, -1):
+        r = _iroot(q, k)
+        if r >= 2 and r**k == q:
+            return r
+    return q
+
+
+def is_prime_power(q: int) -> bool:
+    """True when q = p**k for a prime p and k >= 1, that is, when the least
+    base of q is prime.
 
     >>> [q for q in range(2, 30) if is_prime_power(q)]
     [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
     """
-    if q < 2:
-        return False
-    for k in range(q.bit_length(), 1, -1):
-        r = _iroot(q, k)
-        if r >= 2 and r**k == q:
-            return is_prime(r)
-    return is_prime(q)  # k = 1, r = q
+    return q >= 2 and is_prime(power_base(q))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +461,7 @@ def zsigmondy(q: int, m: int) -> ZsigmondyResult:
         return ZsigmondyResult(q, m, 2)
     if val == 1:
         return ZsigmondyResult(q, m, None)
-    if val < _MR_BOUND and is_prime(val):
+    if val < MILLER_RABIN_BOUND and is_prime(val):
         return ZsigmondyResult(q, m, val)
     step = m if m % 2 == 0 else 2 * m
     d = 1 + step

@@ -29,10 +29,9 @@ from .partitions import (
     conjugate,
     core_and_quotient,
     degree,
-    enumerate_partitions,
     format_partition,
-    is_p_core,
     is_self_dual,
+    p_cores,
     runner_bead_counts,
 )
 from .wreath import enumerate_multipartitions, symbol_hooks, symbol_of, wreath_degree
@@ -102,12 +101,9 @@ def blocks_sn(n: int, p: int) -> tuple[BlockData, ...]:
         raise ValueError("n must be at least 1")
     _check_prime(p)
     nfact_val = factorial_val(n, p)
-    cores = []
-    for w in range(n // p + 1):
-        for core in enumerate_partitions(n - p * w):
-            if is_p_core(core, p):
-                cores.append((core, w))
-    cores.sort()
+    cores = sorted(
+        (core, w) for w in range(n // p + 1) for core in p_cores(n - p * w, p)
+    )
     out = []
     for core, w in cores:
         pairs = []

@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from math import factorial
 
-from .algebra import is_prime, is_prime_power, zsigmondy
+from .algebra import MILLER_RABIN_BOUND, is_prime, power_base, zsigmondy
 from .blocks import (
     ClassificationError,
     blocks_an,
@@ -84,10 +84,18 @@ def _parse_primes(text: str) -> tuple[int, ...]:
         values = tuple(int(t) for t in text.split(","))
     except ValueError:
         raise UsageError(f"primes must be a comma list of integers, got {text!r}") from None
-    bad = [v for v in values if not is_prime(v)]
+    bad = [v for v in values if not _provable_prime(v)]
     if bad:
-        raise UsageError(f"primes must all be prime, got {bad[0]}")
+        raise UsageError(
+            f"primes must all be primes below {MILLER_RABIN_BOUND}, got {bad[0]}"
+        )
     return values
+
+
+def _provable_prime(value: int) -> bool:
+    """A prime that is_prime settles by Miller-Rabin; above the bound it would
+    trial-divide for ever."""
+    return value < MILLER_RABIN_BOUND and is_prime(value)
 
 
 def _checked_int(accept, requirement: str):
@@ -107,8 +115,11 @@ def _checked_int(accept, requirement: str):
 
 _positive_int = _checked_int(lambda v: v >= 1, "at least 1")
 _base_int = _checked_int(lambda v: v >= 2, "at least 2")
-_prime = _checked_int(is_prime, "a prime")
-_prime_power = _checked_int(is_prime_power, "a prime power")
+_prime = _checked_int(_provable_prime, f"a prime below {MILLER_RABIN_BOUND}")
+_prime_power = _checked_int(
+    lambda v: v >= 2 and _provable_prime(power_base(v)),
+    f"a power of a prime below {MILLER_RABIN_BOUND}",
+)
 
 
 def _poly_coeffs(poly) -> list[str]:

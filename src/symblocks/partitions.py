@@ -12,12 +12,19 @@ unique partition of 0.  The abacus convention is fixed once and for all:
 Pushing all beads down gives the p-core; the level sequences of the runners
 give the p-quotient.  Adding one bead to every runner leaves both unchanged,
 so the convention is stable under padding.
+
+Two abacus facts replace walks over the Young diagram.  With one bead per
+row, the hooks in the row of bead b are b - c over the gaps c < b, so
+`degree` takes the hook product row by row from the beta-set.  The rows below
+the first row of a p-core form a p-core whose hooks do not involve the first
+row, so `p_cores` grows cores one top row at a time and keeps a row only when
+none of its hooks is divisible by p.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .algebra import ExactnessError, Poly, cyclotomic_poly
 
@@ -123,16 +130,25 @@ def hook_lengths(pi: Partition) -> tuple[int, ...]:
 def degree(pi: Partition) -> int:
     """n! divided by the product of all hook lengths; the division is exact.
 
+    The hook product is taken row by row from the beta-set with one bead
+    per row: the hooks in the row of bead b are b - c over the gaps c < b,
+    so no conjugate partition is built.
+
     >>> degree((2, 2))
     2
     >>> degree((5,))
     1
     """
     n = sum(pi)
-    prod = 1
-    for h in hook_lengths(pi):
-        prod *= h
-    q, r = divmod(factorial(n), prod)
+    beads = set(beta_set(pi, len(pi)))
+    gaps: list[int] = []
+    hooks = 1
+    for x in range(pi[0] + len(pi) if pi else 0):
+        if x in beads:
+            hooks *= prod(x - c for c in gaps)
+        else:
+            gaps.append(x)
+    q, r = divmod(factorial(n), hooks)
     if r:
         raise ExactnessError(f"hook product does not divide {n}! for {pi}")
     return q
@@ -148,10 +164,12 @@ def beta_set(pi: Partition, beads: int) -> tuple[int, ...]:
     >>> beta_set((3, 1), 4)
     (0, 1, 3, 6)
     """
-    if beads < len(pi):
+    pad = beads - len(pi)
+    if pad < 0:
         raise ValueError("bead count smaller than the number of parts")
-    padded = [0] * (beads - len(pi)) + list(reversed(pi))
-    return tuple(part + j for j, part in enumerate(padded))
+    # the zero parts of the padding sit at 0..pad-1
+    rows = [part + j for j, part in enumerate(reversed(pi), pad)]
+    return tuple(range(pad)) + tuple(rows)
 
 
 def partition_from_beta(entries) -> Partition:
@@ -207,6 +225,58 @@ def is_p_core(pi: Partition, p: int) -> bool:
     return all(h % p for h in hook_lengths(pi))
 
 
+@lru_cache(maxsize=None)
+def _cores_below(n: int, top: int, p: int) -> tuple[Partition, ...]:
+    """The p-cores of n with first part at most top, in reverse lex order.
+
+    A top row of length first over the core rest puts its bead at
+    b = first + len(rest), and its hooks are b - c over the gaps c < b of
+    rest's beta-set.  None is divisible by p exactly when rest's runner
+    b mod p is full below b; rest's runners are full from the bottom, so
+    that runner must hold b // p beads.
+    """
+    if n == 0:
+        return ((),)
+    out = []
+    for first in range(min(top, n), 0, -1):
+        for rest in _cores_below(n - first, first, p):
+            b = first + len(rest)
+            runner = b % p
+            on_runner = sum(1 for c in beta_set(rest, len(rest)) if c % p == runner)
+            if on_runner == b // p:
+                out.append((first,) + rest)
+    return tuple(out)
+
+
+def p_cores(m: int, p: int) -> list[Partition]:
+    """The p-cores of m in lexicographic order.
+
+    Grown one top row at a time as enumerate_partitions recurses, keeping a
+    row only when it has no hook divisible by p; for p > m every partition
+    of m is a core.
+
+    >>> p_cores(6, 2)
+    [(3, 2, 1)]
+    >>> p_cores(4, 3)
+    [(2, 1, 1), (3, 1)]
+    >>> p_cores(2, 3)
+    [(1, 1), (2,)]
+    """
+    if m < 0 or p < 1:
+        raise ValueError("need m >= 0 and p >= 1")
+    return sorted(_cores_below(m, m, p))
+
+
+@lru_cache(maxsize=None)
+def _core_bead_counts(core: Partition, p: int) -> tuple[int, ...]:
+    """Beads per runner of a p-core, which sit at the bottom of each runner."""
+    runners = _abacus_levels(core, p)
+    for levels in runners:
+        if levels != list(range(len(levels))):
+            raise ExactnessError(f"{core} is not a {p}-core on the abacus")
+    return tuple(len(levels) for levels in runners)
+
+
 def combine(core: Partition, quotient: tuple[Partition, ...], p: int) -> Partition:
     """Unique partition with the given p-core and p-quotient.
 
@@ -221,21 +291,14 @@ def combine(core: Partition, quotient: tuple[Partition, ...], p: int) -> Partiti
         raise ValueError(f"quotient must have exactly {p} components")
     if not is_p_core(core, p):
         raise ValueError(f"{core} has a hook length divisible by {p}")
-    runners = _abacus_levels(core, p)
-    counts = [len(r) for r in runners]
-    # a core's beads sit at the bottom of each runner
-    for i, levels in enumerate(runners):
-        assert levels == list(range(counts[i]))
+    counts = _core_bead_counts(core, p)
     # pad with full bead rows until every runner can hold its component
-    extra = max(
-        [len(nu) - counts[i] for i, nu in enumerate(quotient)] + [0]
-    )
-    if extra > 0:
-        counts = [c + extra for c in counts]
-    final_beta = []
-    for i, nu in enumerate(quotient):
-        for lvl in beta_set(nu, counts[i]):
-            final_beta.append(i + p * lvl)
+    extra = max([len(nu) - c for nu, c in zip(quotient, counts)] + [0])
+    final_beta = [
+        i + p * lvl
+        for i, nu in enumerate(quotient)
+        for lvl in beta_set(nu, counts[i] + extra)
+    ]
     return partition_from_beta(final_beta)
 
 

@@ -5,14 +5,27 @@ This module keeps what the tests check it against: the inverse of
 `symbol_of`, the simultaneous shift of a symbol, the linear-character
 symbols with their closed-form Schur value `schur_linear`, and the
 split-torus parameter points `case_one_params` they are compared at.
+
+`blocks_sn_by_filter` is the p-block scan that `symblocks.blocks.blocks_sn`
+replaced: it finds cores by testing every partition with `is_p_core` and
+takes each member's degree from its cell-by-cell hook lengths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 from typing import Sequence
 
-from symblocks.partitions import partition_from_beta
+from symblocks.algebra import factorial_val
+from symblocks.blocks import BlockData, BlockLabel, _check_prime, _with_heights
+from symblocks.partitions import (
+    combine,
+    enumerate_partitions,
+    hook_lengths,
+    is_p_core,
+    partition_from_beta,
+)
 from symblocks.wreath import (
     ESymbol,
     FieldValue,
@@ -24,7 +37,36 @@ from symblocks.wreath import (
     _eval_factor,
     _one_like,
     check_symbol,
+    enumerate_multipartitions,
 )
+
+
+def blocks_sn_by_filter(n: int, p: int) -> tuple[BlockData, ...]:
+    """All p-blocks of S_n, with cores found by filtering every partition.
+
+    >>> [b.label.core for b in blocks_sn_by_filter(4, 3)]
+    [(1,), (2, 1, 1), (3, 1)]
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    _check_prime(p)
+    nfact_val = factorial_val(n, p)
+    cores = []
+    for w in range(n // p + 1):
+        for core in enumerate_partitions(n - p * w):
+            if is_p_core(core, p):
+                cores.append((core, w))
+    cores.sort()
+    out = []
+    for core, w in cores:
+        pairs = []
+        for nu in enumerate_multipartitions(p, w):
+            pi = combine(core, nu, p)
+            pairs.append((pi, factorial(n) // prod(hook_lengths(pi))))
+        members, base = _with_heights(pairs, p)
+        label = BlockLabel("sym", n, p, core, w)
+        out.append(BlockData(label, members, nfact_val - base))
+    return tuple(out)
 
 
 def multipartition_of(sym: ESymbol) -> Multipartition:

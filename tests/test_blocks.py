@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import symblocks.blocks as blocks
+from oracles import blocks_sn_by_filter
 from symblocks import cli
 from symblocks.algebra import factorial_val, padic_val
 from symblocks.blocks import (
@@ -33,6 +34,12 @@ def test_doctests():
 
 # ---------------------------------------------------------------------------
 # symmetric group blocks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_blocks_sn_matches_the_filter_oracle(p):
+    for n in range(1, 19):
+        assert blocks_sn(n, p) == blocks_sn_by_filter(n, p), (n, p)
 
 
 def test_principal_block_s4_mod_2():

@@ -66,6 +66,12 @@ def test_invalid_rank_is_reported_not_raised():
         ["zsigmondy", "--q", "1", "--m", "3"],
         ["zsigmondy", "--q", "x", "--m", "3"],
         ["zsigmondy", "--q", "2", "--m", "0"],
+        # 2**89 - 1 is a prime above the Miller-Rabin bound, where is_prime
+        # would trial-divide for ever
+        ["scan-blocks", "--group", "sym", "--n-range", "1..3",
+         "--p", "618970019642690137449562111"],
+        ["tori", "--series", "A", "--n", "2", "--q", "618970019642690137449562111"],
+        ["unipotent", "--n", "3", "--q", str(618970019642690137449562111**2)],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, capsys):
@@ -82,6 +88,7 @@ def test_invalid_values_are_usage_errors(argv, capsys):
         ["scan-blocks", "--group", "sym", "--n-range", "2..3", "--p", "4"],
         ["scan-blocks", "--group", "alt", "--n-range", "1..5", "--p", "3"],
         ["verify-hook-formula", "--n-max", "3", "--primes", "2,4"],
+        ["verify-hook-formula", "--n-max", "3", "--primes", "2,618970019642690137449562111"],
         ["hll-check", "--n", "3", "--d", "5"],
         ["hll-check", "--n", "0", "--d", "1"],
         ["unipotent", "--n", "0"],

@@ -10,11 +10,13 @@ PARENT_RECORDED covers the paths the benchmark does not reach: hll-check at
 d = 1 and d = 2 (rational roots of unity) and at d = 5 and d = 6, verify-wreath
 at field orders 5 and 6, every torus series, speceq, the CSV and table
 renderers, and zsigmondy at m = 1 and m = 2, where no primitive prime exists
-(including the exception (2, 6)), and at a 58-bit prime Phi_11(53).  Its
-digests were recorded from the code before the change that each entry guards
-(the integer-only polynomial substrate, then integer cyclotomic coordinates,
-then the congruence search for Zsigmondy primes), so the change is checked
-against the bytes it had to keep.
+(including the exception (2, 6)), at a 58-bit prime Phi_11(53), and
+scan-blocks at the primes 5, 7 and 13 (the benchmark scans only p = 2 and 3),
+where many blocks have weight 0 and p > n for the smallest n.  Its digests
+were recorded from the code before the change that each entry guards (the
+integer-only polynomial substrate, then integer cyclotomic coordinates, then
+the congruence search for Zsigmondy primes, then cores grown on the abacus),
+so the change is checked against the bytes it had to keep.
 """
 
 import hashlib
@@ -105,6 +107,12 @@ PARENT_RECORDED = (
      "e98cb2f1fbaa2adcf34e4190e68cc3c11ed196217180fbc5203470488feb6a48", 0),
     ("tori --series B/C --n 4 --q 9 --format json",
      "0d6ced800144502dfbb18d785083f8940c4355d24d2f8f9db813d15187a0f3d6", 0),
+    ("scan-blocks --group sym --n-range 1..20 --p 5 --format json",
+     "c8ed5d006ec096e52ced420ddbb7ecea1e6867b6e08f400c64f3d78c8d607ec1", 0),
+    ("scan-blocks --group alt --n-range 2..20 --p 7 --format json",
+     "5e521db62b7a4c6966332466c92b2e57f3edef2ca3c9a3d57636767b7c877f76", 0),
+    ("scan-blocks --group sym --n-range 1..16 --p 13 --format json",
+     "f55e0f746e57fef3bf5c39f638d3ac0c7efeb3daab81efbf8350e0035b50941f", 0),
 )
 
 

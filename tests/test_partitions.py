@@ -1,6 +1,6 @@
 import doctest
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import pytest
 import sympy
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symblocks.partitions as partitions
+from symblocks.algebra import ExactnessError
 from symblocks.partitions import (
     b_statistic,
     beta_set,
@@ -21,6 +22,7 @@ from symblocks.partitions import (
     hook_lengths,
     is_p_core,
     is_self_dual,
+    p_cores,
     parse_partition,
     partition_from_beta,
     runner_bead_counts,
@@ -187,12 +189,10 @@ def test_hook_lengths_cell_oracle():
 
 
 def test_degree_hook_formula_consistency():
-    for n in range(1, 11):
+    # the row-by-row beta-set product against the cell-by-cell hooks
+    for n in range(1, 21):
         for pi in enumerate_partitions(n):
-            prod = 1
-            for h in hook_lengths(pi):
-                prod *= h
-            assert degree(pi) * prod == factorial(n)
+            assert degree(pi) * prod(_hooks_oracle(pi)) == factorial(n)
 
 
 def test_degree_matches_tableau_count():
@@ -236,6 +236,30 @@ def test_core_against_rim_hook_oracle():
                 assert sum(core) + p * weight == n
                 assert is_p_core(core, p)
                 assert sum(sum(c) for c in quotient) == weight
+
+
+def test_p_cores_match_the_filter():
+    # every prime up to 31, so p > m (every partition a core) is covered
+    primes = [p for p in range(2, 32) if sympy.isprime(p)]
+    for m in range(0, 31):
+        pis = list(enumerate_partitions(m))
+        for p in primes:
+            assert p_cores(m, p) == sorted(pi for pi in pis if is_p_core(pi, p)), (m, p)
+
+
+def test_combine_rejects_a_non_core_after_cached_cores():
+    # (2,) has its bead layout cached as a 3-core, (1,) as a 2-core
+    assert combine((2,), ((), (), ()), 3) == (2,)
+    assert combine((1,), ((1,), ()), 2) == (3,)
+    with pytest.raises(ValueError):
+        combine((2,), ((), ()), 2)
+
+
+def test_core_bead_counts_reject_a_non_core():
+    # combine checks is_p_core first; the abacus layout checks again
+    assert partitions._core_bead_counts((2,), 3) == (1, 2, 0)
+    with pytest.raises(ExactnessError):
+        partitions._core_bead_counts((2,), 2)
 
 
 def test_combine_round_trip_exhaustive():
