@@ -34,19 +34,6 @@ class ExactnessError(ArithmeticError):
     """An operation that must be exact (integer or polynomial division) was not."""
 
 
-def as_int(x: Scalar) -> int:
-    """Convert an exact value known to be integral to int.
-
-    >>> as_int(Fraction(6, 2))
-    3
-    """
-    if isinstance(x, int):
-        return x
-    if x.denominator != 1:
-        raise ExactnessError(f"expected an integer, got {x}")
-    return x.numerator
-
-
 def padic_val(n: int, p: int) -> int:
     """Largest k with p**k dividing n.  n must be nonzero.
 
@@ -335,13 +322,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def eval_int(self, x: int) -> int:
-        """Evaluation at an integer for integer-coefficient polynomials."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + as_int(c)
-        return acc
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -386,7 +366,7 @@ def cyclotomic_poly(n: int) -> Poly:
     x + -1
     >>> print(cyclotomic_poly(6))
     x^2 + -1*x + 1
-    >>> cyclotomic_poly(6).eval_int(2) == cyclotomic_poly(2).eval_int(2) == 3
+    >>> cyclotomic_poly(6)(2) == cyclotomic_poly(2)(2) == 3
     True
     """
     if n < 1:
@@ -400,7 +380,7 @@ def cyclotomic_poly(n: int) -> Poly:
 
 def phi_value(i: int, q: int) -> int:
     """Phi_i(q) as an integer."""
-    return cyclotomic_poly(i).eval_int(q)
+    return cyclotomic_poly(i)(q)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,13 @@ from .wreath import enumerate_multipartitions, symbol_hooks, symbol_of, wreath_d
 
 
 class ClassificationError(RuntimeError):
-    """No classification case applies; this is a refutation event."""
+    """No classification case applies to a block.
+
+    From `classify_sym` it is a refutation: the symmetric scan records the
+    block with classification "failure" and exits 1.  From `blocks_an` it is
+    an internal error: the alternating scan does not catch it, so the CLI
+    exits 3 with one `internal error:` line.
+    """
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,28 @@ def _with_heights(degrees_and_parts, p: int):
     return members, base
 
 
+def _cores_and_weights(n: int, p: int) -> list[tuple[Partition, int]]:
+    """Every (core, w) with |core| + p*w = n, in lexicographic core order."""
+    return sorted(
+        (core, w) for w in range(n // p + 1) for core in p_cores(n - p * w, p)
+    )
+
+
+@lru_cache(maxsize=None)
+def _multipartitions(p: int, w: int) -> tuple[tuple[Partition, ...], ...]:
+    return tuple(enumerate_multipartitions(p, w))
+
+
+def _sym_members(core: Partition, w: int, p: int) -> list[tuple[Partition, int]]:
+    """(partition, degree) of each member of the S_n block of core and w,
+    in p-quotient enumeration order."""
+    out = []
+    for nu in _multipartitions(p, w):
+        pi = combine(core, nu, p)
+        out.append((pi, degree(pi)))
+    return out
+
+
 def blocks_sn(n: int, p: int) -> tuple[BlockData, ...]:
     """All p-blocks of S_n, in lexicographic core order.
 
@@ -101,16 +129,9 @@ def blocks_sn(n: int, p: int) -> tuple[BlockData, ...]:
         raise ValueError("n must be at least 1")
     _check_prime(p)
     nfact_val = factorial_val(n, p)
-    cores = sorted(
-        (core, w) for w in range(n // p + 1) for core in p_cores(n - p * w, p)
-    )
     out = []
-    for core, w in cores:
-        pairs = []
-        for nu in enumerate_multipartitions(p, w):
-            pi = combine(core, nu, p)
-            pairs.append((pi, degree(pi)))
-        members, base = _with_heights(pairs, p)
+    for core, w in _cores_and_weights(n, p):
+        members, base = _with_heights(_sym_members(core, w, p), p)
         label = BlockLabel("sym", n, p, core, w)
         out.append(BlockData(label, members, nfact_val - base))
     return tuple(out)
@@ -273,7 +294,7 @@ def classify_sym(block: BlockData) -> SymClassification:
 # alternating groups
 
 
-def _restrict_members(sym_members: tuple[Member, ...]):
+def _restrict_members(sym_members: list[tuple[Partition, int]]):
     """Member (partition, degree) pairs of the covered alternating block.
 
     A conjugate pair contributes one entry under the smaller label (a block
@@ -282,23 +303,60 @@ def _restrict_members(sym_members: tuple[Member, ...]):
     """
     pairs = []
     seen = set()
-    for m in sym_members:
-        lam = m.partition
+    for lam, d in sym_members:
         if lam in seen:
             continue
         lam_c = conjugate(lam)
         if lam == lam_c:
-            if m.degree % 2:
-                raise ExactnessError(
-                    f"self-conjugate {lam} has odd degree {m.degree}"
-                )
-            half = m.degree // 2
-            pairs.append((lam, half))
-            pairs.append((lam, half))
+            if d % 2:
+                raise ExactnessError(f"self-conjugate {lam} has odd degree {d}")
+            pairs.append((lam, d // 2))
+            pairs.append((lam, d // 2))
         else:
             seen.add(lam_c)
-            pairs.append((min(lam, lam_c), m.degree))
+            pairs.append((min(lam, lam_c), d))
     return pairs
+
+
+def _alt_block(
+    n: int, p: int, core: Partition, w: int, sym_members: list[tuple[Partition, int]]
+) -> BlockData:
+    """The classified block of A_n covered by the S_n block of core and w,
+    where core is the smaller of its conjugate pair and sym_members are the
+    (partition, degree) pairs of that S_n block."""
+    label = BlockLabel("alt", n, p, core, w)
+    group_val = factorial_val(n, p) - (1 if p == 2 else 0)
+    if p == 2 and w >= 2:
+        members, base = _with_heights(sym_members, p)
+        return BlockData(label, members, group_val - base, "unclassified", None)
+
+    members, base = _with_heights(_restrict_members(sym_members), p)
+    defect = group_val - base
+    block = BlockData(label, members, defect)
+
+    if p == 2 and w == 1 and (len(members) != 1 or defect != 0):
+        raise ClassificationError(
+            f"unexpected weight-1 restriction at p=2, core "
+            f"{format_partition(core)}, n={n}"
+        )
+    if defect == 0:
+        return replace(block, classification="a")
+    degs = {m.degree for m in members}
+    if p == 3 and w == 1 and is_self_dual(core) and len(degs) == 1:
+        if defect != 1:
+            raise ClassificationError(
+                f"equal-degree weight-1 block with defect {defect} != 1 "
+                f"at core {format_partition(core)}, n={n}"
+            )
+        return replace(block, classification="b")
+    witness = _height_zero_witness(block, lambda x, y: True)
+    if witness is None:
+        raise ClassificationError(
+            f"classification failure: positive-defect block with equal "
+            f"height zero degrees, core={format_partition(core)} "
+            f"n={n} p={p}"
+        )
+    return replace(block, classification="c", witness=witness)
 
 
 def blocks_an(n: int, p: int) -> tuple[BlockData, ...]:
@@ -306,7 +364,7 @@ def blocks_an(n: int, p: int) -> tuple[BlockData, ...]:
 
     For odd p a block is labelled by an unordered pair of conjugate p-cores
     (represented by the lexicographically smaller one) and built by
-    restricting the corresponding symmetric blocks.  Cases: (a) defect 0;
+    restricting the symmetric block of that core.  Cases: (a) defect 0;
     (b) p = 3, weight 1, self-dual core, all degrees equal (cyclic defect
     group of order 3); (c) two height zero degrees differ.  A positive
     defect block with equal height zero degrees outside shape (b) raises
@@ -320,58 +378,11 @@ def blocks_an(n: int, p: int) -> tuple[BlockData, ...]:
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_prime(p)
-    sym = {b.label.core: b for b in blocks_sn(n, p)}
-    group_val = factorial_val(n, p) - (1 if p == 2 else 0)
     out = []
-    done = set()
-    for core in sorted(sym):
-        if core in done:
-            continue
-        core_c = conjugate(core)
-        done.add(core)
-        done.add(core_c)
-        label_core = min(core, core_c)
-        sblock = sym[label_core]
-        w = sblock.label.weight
-        label = BlockLabel("alt", n, p, label_core, w)
-
-        if p == 2 and w >= 2:
-            pairs = [(m.partition, m.degree) for m in sblock.members]
-            members, base = _with_heights(pairs, p)
-            out.append(
-                BlockData(label, members, group_val - base, "unclassified", None)
-            )
-            continue
-
-        members, base = _with_heights(_restrict_members(sblock.members), p)
-        defect = group_val - base
-        block = BlockData(label, members, defect)
-
-        if p == 2 and w == 1 and (len(members) != 1 or defect != 0):
-            raise ClassificationError(
-                f"unexpected weight-1 restriction at p=2, core "
-                f"{format_partition(label_core)}, n={n}"
-            )
-        if defect == 0:
-            out.append(replace(block, classification="a"))
-            continue
-        degs = {m.degree for m in members}
-        if p == 3 and w == 1 and core == core_c and len(degs) == 1:
-            if defect != 1:
-                raise ClassificationError(
-                    f"equal-degree weight-1 block with defect {defect} != 1 "
-                    f"at core {format_partition(label_core)}, n={n}"
-                )
-            out.append(replace(block, classification="b"))
-            continue
-        witness = _height_zero_witness(block, lambda x, y: True)
-        if witness is None:
-            raise ClassificationError(
-                f"classification failure: positive-defect block with equal "
-                f"height zero degrees, core={format_partition(label_core)} "
-                f"n={n} p={p}"
-            )
-        out.append(replace(block, classification="c", witness=witness))
+    for core, w in _cores_and_weights(n, p):
+        if conjugate(core) < core:
+            continue  # its block is the one of the conjugate core
+        out.append(_alt_block(n, p, core, w, _sym_members(core, w, p)))
     return tuple(out)
 
 

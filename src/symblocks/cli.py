@@ -339,7 +339,7 @@ def _cmd_unipotent(args) -> dict:
             "value_at_1": str(degree(entry.partition)),
         }
         if args.q is not None:
-            rec["value_at_q"] = str(entry.poly.eval_int(args.q))
+            rec["value_at_q"] = str(entry.poly(args.q))
         records.append(rec)
     collisions = []
     if args.collisions:
@@ -349,7 +349,7 @@ def _cmd_unipotent(args) -> dict:
                 {
                     "first": format_partition(first),
                     "second": format_partition(second),
-                    "value": str(poly.eval_int(args.q)),
+                    "value": str(poly(args.q)),
                 }
             )
     parameters = {"n": args.n}

@@ -14,11 +14,13 @@ give the p-quotient.  Adding one bead to every runner leaves both unchanged,
 so the convention is stable under padding.
 
 Two abacus facts replace walks over the Young diagram.  With one bead per
-row, the hooks in the row of bead b are b - c over the gaps c < b, so
-`degree` takes the hook product row by row from the beta-set.  The rows below
-the first row of a p-core form a p-core whose hooks do not involve the first
-row, so `p_cores` grows cores one top row at a time and keeps a row only when
-none of its hooks is divisible by p.
+row, the hooks in the row of bead b are b - c over the gaps c < b, so one
+beta-set walk gives `hook_lengths` its multiset and `degree` its product.
+The rows below the first row of a p-core form a p-core whose hooks do not
+involve the first row, so `p_cores` grows cores one top row at a time and
+keeps a row only when none of its hooks is divisible by p.  A partition is a
+p-core exactly when every runner is flush (its beads fill the lowest
+levels), so a core is laid out on the abacus by its runner bead counts alone.
 """
 
 from __future__ import annotations
@@ -108,6 +110,21 @@ def is_self_dual(pi: Partition) -> bool:
     return conjugate(pi) == pi
 
 
+def _row_hooks(pi: Partition):
+    """Yield each bead b of pi's beta-set with one bead per row, together
+    with the gaps c < b; the hooks in the row of b are b - c.
+
+    The gap list is shared between steps and only grows, so read it before
+    asking for the next bead.
+    """
+    gaps: list[int] = []
+    prev = -1
+    for b in beta_set(pi, len(pi)):
+        gaps.extend(range(prev + 1, b))
+        prev = b
+        yield b, gaps
+
+
 @lru_cache(maxsize=None)
 def hook_lengths(pi: Partition) -> tuple[int, ...]:
     """Multiset of hook lengths, sorted descending.
@@ -117,11 +134,7 @@ def hook_lengths(pi: Partition) -> tuple[int, ...]:
     >>> hook_lengths((3, 1))
     (4, 2, 1, 1)
     """
-    conj = conjugate(pi)
-    out = []
-    for i, row in enumerate(pi):
-        for j in range(row):
-            out.append((row - j) + (conj[j] - i) - 1)
+    out = [b - c for b, gaps in _row_hooks(pi) for c in gaps]
     out.sort(reverse=True)
     return tuple(out)
 
@@ -130,9 +143,8 @@ def hook_lengths(pi: Partition) -> tuple[int, ...]:
 def degree(pi: Partition) -> int:
     """n! divided by the product of all hook lengths; the division is exact.
 
-    The hook product is taken row by row from the beta-set with one bead
-    per row: the hooks in the row of bead b are b - c over the gaps c < b,
-    so no conjugate partition is built.
+    The hooks are multiplied in as the beta-set is walked, so no hook list
+    is built.
 
     >>> degree((2, 2))
     2
@@ -140,14 +152,7 @@ def degree(pi: Partition) -> int:
     1
     """
     n = sum(pi)
-    beads = set(beta_set(pi, len(pi)))
-    gaps: list[int] = []
-    hooks = 1
-    for x in range(pi[0] + len(pi) if pi else 0):
-        if x in beads:
-            hooks *= prod(x - c for c in gaps)
-        else:
-            gaps.append(x)
+    hooks = prod(b - c for b, gaps in _row_hooks(pi) for c in gaps)
     q, r = divmod(factorial(n), hooks)
     if r:
         raise ExactnessError(f"hook product does not divide {n}! for {pi}")
@@ -267,16 +272,6 @@ def p_cores(m: int, p: int) -> list[Partition]:
     return sorted(_cores_below(m, m, p))
 
 
-@lru_cache(maxsize=None)
-def _core_bead_counts(core: Partition, p: int) -> tuple[int, ...]:
-    """Beads per runner of a p-core, which sit at the bottom of each runner."""
-    runners = _abacus_levels(core, p)
-    for levels in runners:
-        if levels != list(range(len(levels))):
-            raise ExactnessError(f"{core} is not a {p}-core on the abacus")
-    return tuple(len(levels) for levels in runners)
-
-
 def combine(core: Partition, quotient: tuple[Partition, ...], p: int) -> Partition:
     """Unique partition with the given p-core and p-quotient.
 
@@ -291,7 +286,8 @@ def combine(core: Partition, quotient: tuple[Partition, ...], p: int) -> Partiti
         raise ValueError(f"quotient must have exactly {p} components")
     if not is_p_core(core, p):
         raise ValueError(f"{core} has a hook length divisible by {p}")
-    counts = _core_bead_counts(core, p)
+    # the beads of a core are flush, so their counts place them
+    counts = runner_bead_counts(core, p)
     # pad with full bead rows until every runner can hold its component
     extra = max([len(nu) - c for nu, c in zip(quotient, counts)] + [0])
     final_beta = [
@@ -302,8 +298,13 @@ def combine(core: Partition, quotient: tuple[Partition, ...], p: int) -> Partiti
     return partition_from_beta(final_beta)
 
 
+@lru_cache(maxsize=None)
 def runner_bead_counts(pi: Partition, p: int) -> tuple[int, ...]:
-    """Beads per runner for pi's abacus under the fixed convention."""
+    """Beads per runner for pi's abacus under the fixed convention.
+
+    >>> runner_bead_counts((2,), 3)
+    (1, 2, 0)
+    """
     return tuple(len(r) for r in _abacus_levels(pi, p))
 
 

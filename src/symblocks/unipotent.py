@@ -216,7 +216,7 @@ def degree_collisions(n: int, q: int) -> tuple[tuple[Partition, Partition], ...]
     entries = unipotent_degrees_gl(n)
     by_value: dict[int, list[int]] = {}
     for idx, entry in enumerate(entries):
-        by_value.setdefault(entry.poly.eval_int(q), []).append(idx)
+        by_value.setdefault(entry.poly(q), []).append(idx)
     out = []
     for indices in by_value.values():
         for a in range(len(indices)):
@@ -266,14 +266,6 @@ class SpeceqWitness:
     def divides_bound(self, bound: int = 120) -> bool:
         """True when n1 and n2 both divide the given bound."""
         return bound % self.n1 == 0 and bound % self.n2 == 0
-
-    def verify(self) -> bool:
-        """Recheck the defining identity from scratch."""
-        value = Fraction(self.n1, self.n2)
-        prod = Fraction(1)
-        for i, a in enumerate(self.exponents, start=1):
-            prod *= Fraction(phi_value(i, self.q)) ** a
-        return value == prod and self.exponents[-1] != 0
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -390,7 +382,7 @@ TORI_SERIES = ("A", "2A", "B/C", "D", "2D", "E6", "2E6", "E7")
 
 
 def _x_pow_plus_one(k: int) -> Poly:
-    return Poly.x_power_minus_one(2 * k).exact_div(Poly.x_power_minus_one(k))
+    return Poly.one().shift(k) + Poly.one()
 
 
 def tori_entry(series: str, n: int) -> ToriEntry:
@@ -454,27 +446,6 @@ def tori_entry(series: str, n: int) -> ToriEntry:
     raise ValueError(f"unknown series {series!r}")
 
 
-def tori_all_entries(n_max: int) -> tuple[ToriEntry, ...]:
-    """Every table row with rank up to n_max, classical then exceptional."""
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    out = []
-    for n in range(1, n_max + 1):
-        out.append(tori_entry("A", n))
-    for n in range(2, n_max + 1):
-        out.append(tori_entry("2A", n))
-        out.append(tori_entry("B/C", n))
-    for n in range(4, n_max + 1):
-        out.append(tori_entry("D", n))
-        out.append(tori_entry("2D", n))
-    if n_max >= 6:
-        out.append(tori_entry("E6", 6))
-        out.append(tori_entry("2E6", 6))
-    if n_max >= 7:
-        out.append(tori_entry("E7", 7))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ToriCheckReport:
     """Evaluation of one table row at one q.
@@ -524,8 +495,8 @@ def tori_check(entry: ToriEntry, q: int) -> ToriCheckReport:
     """
     if q < 2:
         raise ValueError("need q >= 2")
-    t1_value = entry.t1.eval_int(q)
-    t2_value = entry.t2.eval_int(q)
+    t1_value = entry.t1(q)
+    t2_value = entry.t2(q)
     z1 = zsigmondy(q, entry.m1)
     z2 = zsigmondy(q, entry.m2)
     divides1 = None if z1.prime is None else t1_value % z1.prime == 0

@@ -9,6 +9,12 @@ split-torus parameter points `case_one_params` they are compared at.
 `blocks_sn_by_filter` is the p-block scan that `symblocks.blocks.blocks_sn`
 replaced: it finds cores by testing every partition with `is_p_core` and
 takes each member's degree from its cell-by-cell hook lengths.
+`blocks_an_by_selection` is the alternating scan that `blocks_an` replaced:
+it builds every symmetric block with `blocks_sn` and keeps the smaller core
+of each conjugate pair.
+
+`tori_all_entries` lists every torus table row up to a rank, and
+`speceq_identity_holds` rechecks a `SpeceqWitness` from scratch.
 """
 
 from __future__ import annotations
@@ -17,15 +23,24 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
 
-from symblocks.algebra import factorial_val
-from symblocks.blocks import BlockData, BlockLabel, _check_prime, _with_heights
+from symblocks.algebra import factorial_val, phi_value
+from symblocks.blocks import (
+    BlockData,
+    BlockLabel,
+    _alt_block,
+    _check_prime,
+    _with_heights,
+    blocks_sn,
+)
 from symblocks.partitions import (
     combine,
+    conjugate,
     enumerate_partitions,
     hook_lengths,
     is_p_core,
     partition_from_beta,
 )
+from symblocks.unipotent import SpeceqWitness, ToriEntry, tori_entry
 from symblocks.wreath import (
     ESymbol,
     FieldValue,
@@ -67,6 +82,60 @@ def blocks_sn_by_filter(n: int, p: int) -> tuple[BlockData, ...]:
         label = BlockLabel("sym", n, p, core, w)
         out.append(BlockData(label, members, nfact_val - base))
     return tuple(out)
+
+
+def blocks_an_by_selection(n: int, p: int) -> tuple[BlockData, ...]:
+    """Blocks of A_n, restricted from every S_n block that blocks_sn builds:
+    of each conjugate pair of cores the block of the smaller one is kept.
+
+    >>> [b.label.core for b in blocks_an_by_selection(4, 3)]
+    [(1,), (2, 1, 1)]
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    sym = {b.label.core: b for b in blocks_sn(n, p)}
+    out = []
+    done = set()
+    for core in sorted(sym):
+        if core in done:
+            continue
+        core_c = conjugate(core)
+        done.add(core)
+        done.add(core_c)
+        sblock = sym[min(core, core_c)]
+        pairs = [(m.partition, m.degree) for m in sblock.members]
+        out.append(_alt_block(n, p, min(core, core_c), sblock.label.weight, pairs))
+    return tuple(out)
+
+
+def tori_all_entries(n_max: int) -> tuple[ToriEntry, ...]:
+    """Every table row with rank up to n_max, classical then exceptional."""
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
+    out = []
+    for n in range(1, n_max + 1):
+        out.append(tori_entry("A", n))
+    for n in range(2, n_max + 1):
+        out.append(tori_entry("2A", n))
+        out.append(tori_entry("B/C", n))
+    for n in range(4, n_max + 1):
+        out.append(tori_entry("D", n))
+        out.append(tori_entry("2D", n))
+    if n_max >= 6:
+        out.append(tori_entry("E6", 6))
+        out.append(tori_entry("2E6", 6))
+    if n_max >= 7:
+        out.append(tori_entry("E7", 7))
+    return tuple(out)
+
+
+def speceq_identity_holds(w: SpeceqWitness) -> bool:
+    """Recheck n1 = n2 * prod Phi_i(q)^a_i with a_m != 0 from scratch."""
+    value = Fraction(w.n1, w.n2)
+    product = Fraction(1)
+    for i, a in enumerate(w.exponents, start=1):
+        product *= Fraction(phi_value(i, w.q)) ** a
+    return value == product and w.exponents[-1] != 0
 
 
 def multipartition_of(sym: ESymbol) -> Multipartition:

@@ -10,6 +10,7 @@ weakened (see the failure messages for the counts and first witnesses).
 import time
 from math import factorial
 
+from oracles import tori_all_entries
 from symblocks.blocks import (
     blocks_an,
     blocks_sn,
@@ -28,7 +29,6 @@ from symblocks.unipotent import (
     dhc_series_gl,
     hll_check_gl,
     speceq_search,
-    tori_all_entries,
     tori_check,
 )
 from symblocks.wreath import (

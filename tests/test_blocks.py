@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import symblocks.blocks as blocks
-from oracles import blocks_sn_by_filter
+from oracles import blocks_an_by_selection, blocks_sn_by_filter
 from symblocks import cli
 from symblocks.algebra import factorial_val, padic_val
 from symblocks.blocks import (
@@ -256,6 +256,12 @@ def test_classify_sym_witness_properties():
 
 # ---------------------------------------------------------------------------
 # alternating group blocks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_blocks_an_matches_the_selection_oracle(p):
+    for n in range(2, 19):
+        assert blocks_an(n, p) == blocks_an_by_selection(n, p), (n, p)
 
 
 def test_alternating_anchors():

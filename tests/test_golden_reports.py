@@ -10,13 +10,16 @@ PARENT_RECORDED covers the paths the benchmark does not reach: hll-check at
 d = 1 and d = 2 (rational roots of unity) and at d = 5 and d = 6, verify-wreath
 at field orders 5 and 6, every torus series, speceq, the CSV and table
 renderers, and zsigmondy at m = 1 and m = 2, where no primitive prime exists
-(including the exception (2, 6)), at a 58-bit prime Phi_11(53), and
+(including the exception (2, 6)), at a 58-bit prime Phi_11(53),
 scan-blocks at the primes 5, 7 and 13 (the benchmark scans only p = 2 and 3),
-where many blocks have weight 0 and p > n for the smallest n.  Its digests
+where many blocks have weight 0 and p > n for the smallest n, the alternating
+scan at p = 2 (unclassified blocks at weight >= 2, one defect zero member at
+weight 1) and at p = 5, and the table renderer with --ehzd-only.  Its digests
 were recorded from the code before the change that each entry guards (the
 integer-only polynomial substrate, then integer cyclotomic coordinates, then
-the congruence search for Zsigmondy primes, then cores grown on the abacus),
-so the change is checked against the bytes it had to keep.
+the congruence search for Zsigmondy primes, then cores grown on the abacus,
+then one block builder for the symmetric and alternating scans), so the
+change is checked against the bytes it had to keep.
 """
 
 import hashlib
@@ -113,6 +116,12 @@ PARENT_RECORDED = (
      "5e521db62b7a4c6966332466c92b2e57f3edef2ca3c9a3d57636767b7c877f76", 0),
     ("scan-blocks --group sym --n-range 1..16 --p 13 --format json",
      "f55e0f746e57fef3bf5c39f638d3ac0c7efeb3daab81efbf8350e0035b50941f", 0),
+    ("scan-blocks --group alt --n-range 2..20 --p 2 --format json",
+     "75829cc3fb5d85b4b2d723fe8b830e2b1ede1b8d2271b729f3f71d086224fb53", 0),
+    ("scan-blocks --group alt --n-range 2..20 --p 5 --format json",
+     "47ca587c2df2f22ae0106d12d9e0829d2ba8d969c1483c3e2e75bf44b8e31ad3", 0),
+    ("scan-blocks --group alt --n-range 2..18 --p 3 --ehzd-only --format table",
+     "66641e2d67beb6d28e42d84268d85342585ce51a905f730ed385beba813f4469", 0),
 )
 
 
