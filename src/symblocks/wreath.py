@@ -13,12 +13,18 @@ singular factor by factor, so evaluation is structural: every factor has the
 shape v^a*x - v^b*y, a factor vanishing at the chosen v contributes exactly
 one order of vanishing with residual (a-b) * v^(a-1) * x, and the total
 order of the quotient must come out to zero.
+
+The factors take few distinct values: a factor v^a*x_i - v^b*x_j that does
+not vanish is v^b times its class v^(a-b)*x_i - x_j, and at v = 1 every
+class is just the row pair x_i - x_j.  So the factors are tallied by class
+first, and each distinct class is raised to its net power once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence, Union
 
@@ -195,8 +201,9 @@ class ParamSpec:
         return ParamSpec(v_n, tuple(u_n))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def roots_of_unity(e: int) -> "ParamSpec":
-        """v = 1 and u_j = zeta_e^j (so u_e = 1), in Q(zeta_e)."""
+        """v = 1 and u_j = zeta_e^j (so u_e = 1), in Q(zeta_e); built once per e."""
         if e == 1:
             return ParamSpec(Fraction(1), (Fraction(1),))
         if e == 2:
@@ -206,37 +213,26 @@ class ParamSpec:
         return ParamSpec.of(1, u)
 
 
-def _one_like(x) -> FieldValue:
-    if isinstance(x, CycElt):
-        return CycElt.from_rational(x.order, 1)
-    return Fraction(1)
-
-
-def _eval_factor(a: int, x, b: int, y, v0):
-    """Order and value/residual of v^a*x - v^b*y at v = v0 (nonzero).
-
-    Returns (order, value): order 0 with the plain value when it does not
-    vanish, order 1 with the first-derivative residual (a-b) * v0^(a-1) * x
-    when it vanishes simply.  A factor that is identically zero in v has no
-    finite order and raises.
-    """
-    val = (v0**a) * x - (v0**b) * y
-    if val != 0:
-        return 0, val
-    if a == b:
-        raise InadmissibleParametersError(
-            "factor vanishes identically in v at these parameters"
-        )
-    return 1, (v0 ** (a - 1)) * x * (a - b)
+def _field_scalar(like: FieldValue, c: int) -> FieldValue:
+    """The integer c in the field of `like`."""
+    if isinstance(like, CycElt):
+        return CycElt.from_rational(like.order, c)
+    return Fraction(c)
 
 
 def schur_value(sym: ESymbol, params: ParamSpec) -> FieldValue:
     """Value of the Schur product f_S at the given parameters.
 
-    Singular parameter points are handled by exact order bookkeeping in v:
-    the vanishing orders of numerator and denominator must cancel, otherwise
-    a PoleError or PositiveOrderZeroError is raised.  A vanishing factor
-    coupling two different rows raises InadmissibleParametersError.
+    Each factor v^a*x_i - v^b*x_j (x = u, and x_e = 1 for the (v - 1)^r
+    factors) is booked, not multiplied.  One that does not vanish counts as
+    v^b times its class (a-b, i, j), taken with i <= j since x_j - x_i is
+    -(x_i - x_j); at v == 1 every class collapses to its row pair.  One that
+    vanishes adds +-1 to the order in v and its residual (a-b) * v^(a-1) *
+    x_i.  The orders must cancel (else PoleError or PositiveOrderZeroError);
+    a vanishing cross-row factor, which covers every factor that could
+    vanish identically in v, raises InadmissibleParametersError.  Each
+    distinct class, power and residual is then multiplied out once, and
+    numerator and denominator are divided once.
     """
     check_symbol(sym)
     e = len(sym)
@@ -250,60 +246,83 @@ def schur_value(sym: ESymbol, params: ParamSpec) -> FieldValue:
     if v0 == 0:
         raise InadmissibleParametersError("v must be nonzero")
 
-    one = _one_like(v0)
-    order = 0
-    num = _one_like(v0)
-    den = _one_like(v0)
-
-    # constant prefactors
+    at_one = v0 == 1
+    x = (*u, _field_scalar(v0, 1))
     sign = -1 if symbol_c(sym) % 2 else 1
-    for ui in u:
-        num = num * ui**r
-    den = den * v0 ** symbol_a(sym)
+    order = 0
+    ratio = [1, 1]  # integer residuals of the numerator and the denominator
+    v_exp = -symbol_a(sym)
+    x_exp = [r] * e + [0]  # the prefactor prod u_i^r; x_e = 1 needs no power
+    classes: dict[tuple[int, int, int], list] = {}  # (d, i, j) -> [value, net]
+    den_zero = False
+
+    def book(a: int, i: int, b: int, j: int, side: int) -> None:
+        """Book v^a*x_i - v^b*x_j into the numerator (side 1) or denominator (-1)."""
+        nonlocal sign, order, v_exp, den_zero
+        if i > j:
+            a, i, b, j = b, j, a, i
+            sign = -sign
+        d = 0 if at_one else a - b
+        entry = classes.get((d, i, j))
+        if entry is None:
+            value = x[i] - x[j] if d == 0 else v0**d * x[i] - x[j]
+            entry = classes[(d, i, j)] = [value, 0]
+        if entry[0] != 0:
+            entry[1] += side
+            v_exp += side * b
+            return
+        if i != j:  # every factor with a == b couples two rows
+            raise InadmissibleParametersError(
+                f"cross-row factor vanished (rows {i+1},{j+1})"
+            )
+        order += side
+        ratio[0 if side > 0 else 1] *= a - b
+        v_exp += side * (a - 1)
+        x_exp[i] += side
+        # a zero residual (x_i = 0) in the denominator; the net x_exp hides it
+        den_zero = den_zero or (side < 0 and x[i] == 0)
+
+    # denominator prefactor prod_{i<j} (u_i - u_j)^m
     for i in range(e):
         for j in range(i + 1, e):
-            den = den * (u[i] - u[j]) ** m
+            for _ in range(m):
+                book(0, i, 0, j, -1)
 
     # numerator: (v-1)^r then the row-pair factors
     for _ in range(r):
-        o, val = _eval_factor(1, one, 0, one, v0)
-        order += o
-        num = num * val
+        book(1, e, 0, e, 1)
     for i in range(e):
         for j in range(i, e):
             for s in sym[i]:
                 for t in sym[j]:
                     if i == j and s <= t:
                         continue
-                    o, val = _eval_factor(s, u[i], t, u[j], v0)
-                    if o and i != j:
-                        raise InadmissibleParametersError(
-                            f"cross-row factor vanished (rows {i+1},{j+1})"
-                        )
-                    order += o
-                    num = num * val
+                    book(s, i, t, j, 1)
 
     # denominator triple product
     for i in range(e):
         for j in range(e):
             for s in sym[i]:
                 for k in range(1, s + 1):
-                    o, val = _eval_factor(k, u[i], 0, u[j], v0)
-                    if o and i != j:
-                        raise InadmissibleParametersError(
-                            f"cross-row factor vanished (rows {i+1},{j+1})"
-                        )
-                    order -= o
-                    den = den * val
+                    book(k, i, 0, j, -1)
 
     if order < 0:
         raise PoleError(f"total vanishing order {order} < 0")
     if order > 0:
         raise PositiveOrderZeroError(f"total vanishing order {order} > 0")
-    if den == 0:
+    if den_zero:
         raise InadmissibleParametersError("denominator vanished")
-    result = num / den
-    return sign * result if sign < 0 else result
+    num = _field_scalar(v0, sign * ratio[0])
+    den = _field_scalar(v0, ratio[1])
+    powers = [*classes.values(), *zip(u, x_exp)]
+    if not at_one:
+        powers.append((v0, v_exp))
+    for value, n in powers:
+        if n > 0:
+            num = num * value**n
+        elif n < 0:
+            den = den * value ** (-n)
+    return num / den
 
 
 def schur_specialize_roots(sym: ESymbol) -> Fraction:

@@ -1,10 +1,13 @@
 """Reference implementations that only the tests use.
 
-The library evaluates Schur products through `symblocks.wreath.schur_value`.
-This module keeps what the tests check it against: the inverse of
-`symbol_of`, the simultaneous shift of a symbol, the linear-character
-symbols with their closed-form Schur value `schur_linear`, and the
-split-torus parameter points `case_one_params` they are compared at.
+The library evaluates Schur products through `symblocks.wreath.schur_value`,
+which tallies the factors by class and multiplies each distinct one once.
+This module keeps what the tests check it against: `schur_value_by_factors`,
+the evaluator it replaced, which multiplies in every factor one at a time
+(each through `_eval_factor`); the inverse of `symbol_of`, the simultaneous
+shift of a symbol, the linear-character symbols with their closed-form
+Schur value `schur_linear`, and the split-torus parameter points
+`case_one_params` they are compared at.
 
 `blocks_sn_by_filter` is the p-block scan that `symblocks.blocks.blocks_sn`
 replaced: it finds cores by testing every partition with `is_p_core` and
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
 
-from symblocks.algebra import factorial_val, phi_value
+from symblocks.algebra import CycElt, factorial_val, phi_value
 from symblocks.blocks import (
     BlockData,
     BlockLabel,
@@ -49,10 +52,11 @@ from symblocks.wreath import (
     ParamSpec,
     PoleError,
     PositiveOrderZeroError,
-    _eval_factor,
-    _one_like,
     check_symbol,
     enumerate_multipartitions,
+    symbol_a,
+    symbol_c,
+    symbol_rank,
 )
 
 
@@ -180,6 +184,107 @@ def case_one_params(q: int, d: int, b: Sequence[int]) -> ParamSpec:
     for j in range(2, d + 1):
         u.append(Fraction(q) ** (b[j - 2] * d + j - 1))
     return ParamSpec(Fraction(q) ** d, tuple(u))
+
+
+def _one_like(x) -> FieldValue:
+    if isinstance(x, CycElt):
+        return CycElt.from_rational(x.order, 1)
+    return Fraction(1)
+
+
+def _eval_factor(a: int, x, b: int, y, v0):
+    """Order and value/residual of v^a*x - v^b*y at v = v0 (nonzero).
+
+    Returns (order, value): order 0 with the plain value when it does not
+    vanish, order 1 with the first-derivative residual (a-b) * v0^(a-1) * x
+    when it vanishes simply.  A factor that is identically zero in v has no
+    finite order and raises.
+    """
+    val = (v0**a) * x - (v0**b) * y
+    if val != 0:
+        return 0, val
+    if a == b:
+        raise InadmissibleParametersError(
+            "factor vanishes identically in v at these parameters"
+        )
+    return 1, (v0 ** (a - 1)) * x * (a - b)
+
+
+def schur_value_by_factors(sym: ESymbol, params: ParamSpec) -> FieldValue:
+    """Value of the Schur product f_S, multiplied out factor by factor.
+
+    This is the evaluator that `symblocks.wreath.schur_value` replaced.
+    Singular parameter points are handled by exact order bookkeeping in v:
+    the vanishing orders of numerator and denominator must cancel, otherwise
+    a PoleError or PositiveOrderZeroError is raised.  A vanishing factor
+    coupling two different rows raises InadmissibleParametersError.
+    """
+    check_symbol(sym)
+    e = len(sym)
+    m = len(sym[0])
+    r = symbol_rank(sym)
+    if r < 0:
+        raise ValueError("symbol has negative rank")
+    v0, u = params.v, params.u
+    if len(u) != e:
+        raise ValueError(f"need {e} u-values, got {len(u)}")
+    if v0 == 0:
+        raise InadmissibleParametersError("v must be nonzero")
+
+    one = _one_like(v0)
+    order = 0
+    num = _one_like(v0)
+    den = _one_like(v0)
+
+    # constant prefactors
+    sign = -1 if symbol_c(sym) % 2 else 1
+    for ui in u:
+        num = num * ui**r
+    den = den * v0 ** symbol_a(sym)
+    for i in range(e):
+        for j in range(i + 1, e):
+            den = den * (u[i] - u[j]) ** m
+
+    # numerator: (v-1)^r then the row-pair factors
+    for _ in range(r):
+        o, val = _eval_factor(1, one, 0, one, v0)
+        order += o
+        num = num * val
+    for i in range(e):
+        for j in range(i, e):
+            for s in sym[i]:
+                for t in sym[j]:
+                    if i == j and s <= t:
+                        continue
+                    o, val = _eval_factor(s, u[i], t, u[j], v0)
+                    if o and i != j:
+                        raise InadmissibleParametersError(
+                            f"cross-row factor vanished (rows {i+1},{j+1})"
+                        )
+                    order += o
+                    num = num * val
+
+    # denominator triple product
+    for i in range(e):
+        for j in range(e):
+            for s in sym[i]:
+                for k in range(1, s + 1):
+                    o, val = _eval_factor(k, u[i], 0, u[j], v0)
+                    if o and i != j:
+                        raise InadmissibleParametersError(
+                            f"cross-row factor vanished (rows {i+1},{j+1})"
+                        )
+                    order -= o
+                    den = den * val
+
+    if order < 0:
+        raise PoleError(f"total vanishing order {order} < 0")
+    if order > 0:
+        raise PositiveOrderZeroError(f"total vanishing order {order} > 0")
+    if den == 0:
+        raise InadmissibleParametersError("denominator vanished")
+    result = num / den
+    return sign * result if sign < 0 else result
 
 
 def schur_linear(e: int, r: int, i: int, params: ParamSpec) -> FieldValue:

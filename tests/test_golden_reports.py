@@ -8,7 +8,8 @@ changes any report byte or exit status fails the suite.
 
 PARENT_RECORDED covers the paths the benchmark does not reach: hll-check at
 d = 1 and d = 2 (rational roots of unity) and at d = 5 and d = 6, verify-wreath
-at field orders 5 and 6, every torus series, speceq, the CSV and table
+at field orders 5 and 6 (up to rank 3) and at ranks 4 and 5 for e <= 3
+(through the table renderer), every torus series, speceq, the CSV and table
 renderers, and zsigmondy at m = 1 and m = 2, where no primitive prime exists
 (including the exception (2, 6)), at a 58-bit prime Phi_11(53),
 scan-blocks at the primes 5, 7 and 13 (the benchmark scans only p = 2 and 3),
@@ -18,8 +19,9 @@ weight 1) and at p = 5, and the table renderer with --ehzd-only.  Its digests
 were recorded from the code before the change that each entry guards (the
 integer-only polynomial substrate, then integer cyclotomic coordinates, then
 the congruence search for Zsigmondy primes, then cores grown on the abacus,
-then one block builder for the symmetric and alternating scans), so the
-change is checked against the bytes it had to keep.
+then one block builder for the symmetric and alternating scans, then Schur
+values tallied by factor class), so the change is checked against the bytes
+it had to keep.
 """
 
 import hashlib
@@ -122,6 +124,10 @@ PARENT_RECORDED = (
      "47ca587c2df2f22ae0106d12d9e0829d2ba8d969c1483c3e2e75bf44b8e31ad3", 0),
     ("scan-blocks --group alt --n-range 2..18 --p 3 --ehzd-only --format table",
      "66641e2d67beb6d28e42d84268d85342585ce51a905f730ed385beba813f4469", 0),
+    ("verify-wreath --e-max 6 --r-max 3 --format json",
+     "7ff1401c53167f873afe0d4b5c59d212f91031fc8607606a3f58233e2b951c37", 0),
+    ("verify-wreath --e-max 3 --r-max 5 --format table",
+     "ed386b2dd4897619db9aa331bd4132a97876cbb62e26c69f524838ff35c68458", 0),
 )
 
 

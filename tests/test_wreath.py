@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import symblocks.wreath as wreath
@@ -12,8 +14,10 @@ from oracles import (
     linear_symbol,
     multipartition_of,
     schur_linear,
+    schur_value_by_factors,
     shift_symbol,
 )
+from symblocks.algebra import CycElt
 from symblocks.partitions import degree, enumerate_partitions, hook_lengths
 from symblocks.wreath import (
     InadmissibleParametersError,
@@ -142,6 +146,27 @@ def test_specialize_roots_anchors():
     assert schur_specialize_roots(symbol_of(((1, 1), ()))) == Fraction(1, 8)
 
 
+def test_roots_of_unity_are_built_once_per_order():
+    assert ParamSpec.roots_of_unity(5) is ParamSpec.roots_of_unity(5)
+    assert ParamSpec.roots_of_unity(5) is not ParamSpec.roots_of_unity(6)
+
+
+def _same_value(got, want):
+    return type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize(
+    "e,r_max", [(1, 5), (2, 5), (3, 5), (4, 3), (5, 3), (6, 3)]
+)
+def test_schur_value_matches_factor_oracle_at_roots(e, r_max):
+    params = ParamSpec.roots_of_unity(e)
+    for r in range(r_max + 1):
+        for nu in enumerate_multipartitions(e, r):
+            for sym in (symbol_of(nu), shift_symbol(symbol_of(nu))):
+                got = schur_value(sym, params)
+                assert _same_value(got, schur_value_by_factors(sym, params)), sym
+
+
 def test_specialize_roots_gives_degrees_exhaustive():
     for e in (1, 2, 3):
         for r in range(0, 4):
@@ -226,3 +251,41 @@ def test_orders_cancel_away_from_roots():
     params = ParamSpec.of(1, (1, 2))
     assert schur_value(((1,), (0,)), params) == 2
     assert schur_value(((0,), (1,)), params) == -1
+
+
+# ---------------------------------------------------------------------------
+# the class tally against the factor-by-factor oracle at general parameters
+
+_SMALL_SYMBOLS = [
+    shift_symbol(symbol_of(nu), k)
+    for e in (1, 2, 3)
+    for r in range(4)
+    for nu in enumerate_multipartitions(e, r)
+    for k in (0, 1)
+]
+_PARAMETERS = st.one_of(
+    st.sampled_from((1, -1)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.builds(CycElt.root, st.sampled_from((3, 4, 6)), st.integers(0, 5)),
+)
+
+
+def _outcome(evaluate, sym, params):
+    try:
+        return evaluate(sym, params)
+    except SchurEvaluationError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sym=st.sampled_from(_SMALL_SYMBOLS), data=st.data())
+def test_schur_value_matches_factor_oracle(sym, data):
+    v = data.draw(_PARAMETERS)
+    u = data.draw(st.lists(_PARAMETERS, min_size=len(sym), max_size=len(sym)))
+    try:
+        params = ParamSpec.of(v, u)
+    except ValueError:
+        assume(False)
+    got = _outcome(schur_value, sym, params)
+    want = _outcome(schur_value_by_factors, sym, params)
+    assert _same_value(got, want)
