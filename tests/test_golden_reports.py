@@ -15,13 +15,16 @@ renderers, and zsigmondy at m = 1 and m = 2, where no primitive prime exists
 scan-blocks at the primes 5, 7 and 13 (the benchmark scans only p = 2 and 3),
 where many blocks have weight 0 and p > n for the smallest n, the alternating
 scan at p = 2 (unclassified blocks at weight >= 2, one defect zero member at
-weight 1) and at p = 5, and the table renderer with --ehzd-only.  Its digests
-were recorded from the code before the change that each entry guards (the
-integer-only polynomial substrate, then integer cyclotomic coordinates, then
-the congruence search for Zsigmondy primes, then cores grown on the abacus,
-then one block builder for the symmetric and alternating scans, then Schur
-values tallied by factor class), so the change is checked against the bytes
-it had to keep.
+weight 1) and at p = 5, the table renderer with --ehzd-only, and
+verify-hook-formula at the primes 11 and 13 (p > n for the smallest n, weight
+0, and quotients with 11 and 13 components) and through the table and CSV
+renderers.  Its digests were recorded from the code before the change that
+each entry guards (the integer-only polynomial substrate, then integer
+cyclotomic coordinates, then the congruence search for Zsigmondy primes, then
+cores grown on the abacus, then one block builder for the symmetric and
+alternating scans, then Schur values tallied by factor class, then the
+relative hook formula from per-quotient hook tables), so the change is
+checked against the bytes it had to keep.
 """
 
 import hashlib
@@ -128,6 +131,12 @@ PARENT_RECORDED = (
      "7ff1401c53167f873afe0d4b5c59d212f91031fc8607606a3f58233e2b951c37", 0),
     ("verify-wreath --e-max 3 --r-max 5 --format table",
      "ed386b2dd4897619db9aa331bd4132a97876cbb62e26c69f524838ff35c68458", 0),
+    ("verify-hook-formula --n-max 22 --primes 2,11,13 --jobs 1 --format json",
+     "c1fdc974e3c51e2f1b3e80cccd73b08abd95a480e071526d6cf8ead189b30542", 1),
+    ("verify-hook-formula --n-max 12 --primes 3,5 --format table",
+     "bedce838efc2f3d7f82bda5446ff1f365dbee20cc0ece4b26603312d63e37f00", 1),
+    ("verify-hook-formula --n-max 12 --primes 2,7 --format csv",
+     "8086af207fd0f5032324ad720ef86c3221d239a635391c04eb0aa8a245f90bc1", 1),
 )
 
 
