@@ -34,6 +34,26 @@ class ExactnessError(ArithmeticError):
     """An operation that must be exact (integer or polynomial division) was not."""
 
 
+def _power(x, n: int):
+    """x**n for n >= 1 by binary square-and-multiply.
+
+    The result starts as the power of the lowest set bit of n, so x**1 makes
+    no product and x**2 one; each higher bit costs one squaring, plus one
+    product when it is set.
+    """
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    out = x
+    n >>= 1
+    while n:
+        x = x * x
+        if n & 1:
+            out = out * x
+        n >>= 1
+    return out
+
+
 def padic_val(n: int, p: int) -> int:
     """Largest k with p**k dividing n.  n must be nonzero.
 
@@ -276,14 +296,9 @@ class Poly:
         return Poly((0,) * k + self.coeffs)
 
     def __pow__(self, n: int) -> "Poly":
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n < 0:
+            raise ValueError(f"negative power {n} of a polynomial")
+        return _power(self, n) if n else Poly.one()
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder by a divisor with leading coefficient +-1."""
@@ -583,14 +598,7 @@ class CycElt:
     def __pow__(self, n: int) -> "CycElt":
         if n < 0:
             return self.inverse() ** (-n)
-        out = CycElt.from_rational(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n) if n else CycElt.from_rational(self.order, 1)
 
     # comparison -------------------------------------------------------
 

@@ -160,13 +160,35 @@ def _decompose(pi: Partition, p: int) -> tuple[Partition, tuple[Partition, ...],
     return core_and_quotient(pi, p)
 
 
+@lru_cache(maxsize=None)
+def _quotient_table(
+    quotient: tuple[Partition, ...],
+) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]:
+    """The symbol hooks of a p-quotient, grouped by row pair, and its
+    wreath-product degree.
+
+    The hooks (i, j, length) of the symbol depend on the quotient alone;
+    the core only enters the hook formula through the offsets c_i - c_j.
+    So both checks share one table per quotient: each row pair (i, j) with
+    its hook lengths, in symbol_hooks order, plus wreath_degree(quotient).
+    """
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for i, j, length in symbol_hooks(symbol_of(quotient)):
+        pairs.setdefault((i, j), []).append(length)
+    table = tuple((i, j, tuple(lengths)) for (i, j), lengths in pairs.items())
+    return table, wreath_degree(quotient)
+
+
 def relative_hook_degree(pi: Partition, p: int) -> int:
     """Degree of the character of pi computed through its p-core.
 
     n!/r! divided by the product over all hooks (i, j, l) of the p-symbol of
     the p-quotient of |p*l + c_i - c_j|, times the degree of the core
-    (r = |core|, c_i = p*b_i + i from the runner bead counts b of the core).
-    Always equals degree(pi).
+    (r = |core|, c_i = p*b_i + i from the runner bead counts b of the core;
+    Olsson 1993, James-Kerber 1981, 2.7).  The hook lengths come from the
+    quotient's cached table, grouped by row pair, so c_i - c_j is taken
+    once per pair.  Always equals degree(pi); a zero factor or an inexact
+    division raises ExactnessError.
 
     >>> relative_hook_degree((3, 1), 2)
     3
@@ -175,10 +197,11 @@ def relative_hook_degree(pi: Partition, p: int) -> int:
     if w == 0:
         return degree(core)
     c = [p * b + i for i, b in enumerate(runner_bead_counts(core, p))]
-    hooks = prod(
-        abs(p * length + c[i] - c[j])
-        for i, j, length in symbol_hooks(symbol_of(quotient))
-    )
+    pairs, _ = _quotient_table(quotient)
+    hooks = 1
+    for i, j, lengths in pairs:
+        d = c[i] - c[j]
+        hooks *= prod([abs(p * length + d) for length in lengths])
     if hooks == 0:
         raise ExactnessError("zero hook factor")
     num = (factorial(sum(pi)) // factorial(sum(core))) * degree(core)
@@ -216,8 +239,9 @@ def quotient_congruence(pi: Partition, p: int) -> CongruenceReport:
 
     The exact ratio degree(pi)/degree(core), reduced mod p where defined, is
     compared with the degree of the wreath-product character of the
-    p-quotient, with either sign.  By the relative hook formula the ratio is
-    n!/r! over the symbol hook product; it is taken from the degrees here.
+    p-quotient (read from the quotient's cached table), with either sign.
+    By the relative hook formula the ratio is n!/r! over the symbol hook
+    product; it is taken from the degrees here.
 
     >>> r = quotient_congruence((3, 1), 2)
     >>> (r.ratio, r.lhs, r.rhs, r.holds)
@@ -225,7 +249,8 @@ def quotient_congruence(pi: Partition, p: int) -> CongruenceReport:
     """
     core, quotient, _ = _decompose(pi, p)
     ratio = Fraction(degree(pi), degree(core))
-    rhs = wreath_degree(quotient) % p
+    _, wreath_deg = _quotient_table(quotient)
+    rhs = wreath_deg % p
     if ratio.denominator % p == 0:
         return CongruenceReport(ratio, None, rhs, False, False)
     lhs = ratio.numerator * pow(ratio.denominator, -1, p) % p

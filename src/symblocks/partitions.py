@@ -197,13 +197,40 @@ def _abacus_levels(pi: Partition, p: int) -> list[list[int]]:
     return runners
 
 
+def _partition_from_ascending(beta) -> Partition:
+    """partition_from_beta for a beta-set already in ascending order.
+
+    The parts b - j of the j-th entry b rise weakly, so the nonzero ones
+    come last and only need reversing.
+    """
+    if not beta or beta[-1] < len(beta):  # every bead at the bottom
+        return ()
+    return tuple(reversed([b - j for j, b in enumerate(beta) if b > j]))
+
+
+@lru_cache(maxsize=None)
+def _flush_core(counts: tuple[int, ...]) -> Partition:
+    """The p-core whose flush runners hold the given bead counts (p = len).
+
+    Runner i fills the levels below counts[i], so the beta-set is placed
+    position by position in ascending order, with no sort.
+    """
+    p = len(counts)
+    return _partition_from_ascending(
+        [b for b in range(p * max(counts)) if b // p < counts[b % p]]
+    )
+
+
 def core_and_quotient(
     pi: Partition, p: int
 ) -> tuple[Partition, tuple[Partition, ...], int]:
     """p-core, p-quotient (one component per runner) and weight of pi.
 
     Any modulus p >= 1 works; with a single runner the core is empty and
-    the quotient is the partition itself.
+    the quotient is the partition itself.  Each runner's levels come off
+    the beta-set in ascending order, so they are read into its quotient
+    component without sorting.  Pushing the beads down leaves each runner
+    flush, so the core is placed from the runner bead counts alone.
 
     >>> core_and_quotient((3, 1), 2)
     ((), ((2,), ()), 2)
@@ -215,12 +242,9 @@ def core_and_quotient(
     if p < 1:
         raise ValueError("need p >= 1")
     runners = _abacus_levels(pi, p)
-    core_beta = [
-        i + p * lvl for i, levels in enumerate(runners) for lvl in range(len(levels))
-    ]
-    core = partition_from_beta(core_beta)
-    quotient = tuple(partition_from_beta(levels) for levels in runners)
-    weight = sum(sum(nu) for nu in quotient)
+    core = _flush_core(tuple(map(len, runners)))
+    quotient = tuple(map(_partition_from_ascending, runners))
+    weight = sum(map(sum, quotient))
     if sum(pi) != sum(core) + p * weight:
         raise ExactnessError("abacus bookkeeping failed")  # pragma: no cover
     return core, quotient, weight

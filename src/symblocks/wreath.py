@@ -22,6 +22,7 @@ first, and each distinct class is raised to its net power once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -121,20 +122,30 @@ def symbol_c(sym: ESymbol) -> int:
 def symbol_hooks(sym: ESymbol):
     """Yield the hooks of the symbol as (i, j, length), rows 0-indexed.
 
-    A hook pairs s in row i with t in {0..s} missing from row j, of length
-    s - t; when s == t it only counts for j > i, so length zero is allowed.
+    A hook pairs s in row i with a gap t <= s of row j (a t in {0..s}
+    missing from row j), of length s - t; t == s only counts for j > i, so
+    length zero is allowed.  Each row's gaps are listed once, in ascending
+    order, so the hooks of s in row i against row j are s minus a prefix of
+    that list: the gaps t < s, and t == s as well when j > i.
 
     >>> list(symbol_hooks(((2,), (0,))))
     [(0, 0, 2), (0, 0, 1), (0, 1, 1), (0, 1, 0)]
     """
     check_symbol(sym)
-    row_sets = [set(row) for row in sym]
+    top = max((row[-1] for row in sym if row), default=-1)
+    gaps = []
+    for row in sym:
+        row_gaps: list[int] = []
+        prev = -1
+        for b in (*row, top + 1):
+            row_gaps.extend(range(prev + 1, b))
+            prev = b
+        gaps.append(row_gaps)
     for i, row in enumerate(sym):
         for s in row:
-            for j, in_j in enumerate(row_sets):
-                for t in range(s + 1):
-                    if t not in in_j and (s != t or j > i):
-                        yield i, j, s - t
+            for j, row_gaps in enumerate(gaps):
+                for t in row_gaps[: bisect_left(row_gaps, s + (j > i))]:
+                    yield i, j, s - t
 
 
 def wreath_degree(nu: Multipartition) -> int:

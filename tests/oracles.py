@@ -16,6 +16,14 @@ takes each member's degree from its cell-by-cell hook lengths.
 it builds every symmetric block with `blocks_sn` and keeps the smaller core
 of each conjugate pair.
 
+The relative hook formula is checked against the paths that
+`symblocks.blocks.relative_hook_degree` replaced: `core_and_quotient_by_sorting`
+reads the core and every quotient component off the abacus through the
+sorting `partition_from_beta`; `symbol_hooks_by_membership` finds the symbol
+hooks by testing every t <= s against each row; and
+`relative_hook_degree_by_symbol_hooks` multiplies |p*l + c_i - c_j| over
+those hooks one at a time, with no per-quotient table.
+
 `tori_all_entries` lists every torus table row up to a rank, and
 `speceq_identity_holds` rechecks a `SpeceqWitness` from scratch.
 """
@@ -26,7 +34,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
 
-from symblocks.algebra import CycElt, factorial_val, phi_value
+from symblocks.algebra import CycElt, ExactnessError, factorial_val, phi_value
 from symblocks.blocks import (
     BlockData,
     BlockLabel,
@@ -36,12 +44,17 @@ from symblocks.blocks import (
     blocks_sn,
 )
 from symblocks.partitions import (
+    Partition,
+    _abacus_levels,
+    check_partition,
     combine,
     conjugate,
+    degree,
     enumerate_partitions,
     hook_lengths,
     is_p_core,
     partition_from_beta,
+    runner_bead_counts,
 )
 from symblocks.unipotent import SpeceqWitness, ToriEntry, tori_entry
 from symblocks.wreath import (
@@ -56,6 +69,7 @@ from symblocks.wreath import (
     enumerate_multipartitions,
     symbol_a,
     symbol_c,
+    symbol_of,
     symbol_rank,
 )
 
@@ -110,6 +124,70 @@ def blocks_an_by_selection(n: int, p: int) -> tuple[BlockData, ...]:
         pairs = [(m.partition, m.degree) for m in sblock.members]
         out.append(_alt_block(n, p, min(core, core_c), sblock.label.weight, pairs))
     return tuple(out)
+
+
+def core_and_quotient_by_sorting(
+    pi: Partition, p: int
+) -> tuple[Partition, tuple[Partition, ...], int]:
+    """p-core, p-quotient and weight, each read off the abacus by sorting.
+
+    >>> core_and_quotient_by_sorting((3, 1), 2)
+    ((), ((2,), ()), 2)
+    """
+    if p < 1:
+        raise ValueError("need p >= 1")
+    runners = _abacus_levels(pi, p)
+    core_beta = [
+        i + p * lvl for i, levels in enumerate(runners) for lvl in range(len(levels))
+    ]
+    core = partition_from_beta(core_beta)
+    quotient = tuple(partition_from_beta(levels) for levels in runners)
+    weight = sum(sum(nu) for nu in quotient)
+    if sum(pi) != sum(core) + p * weight:
+        raise ExactnessError("abacus bookkeeping failed")
+    return core, quotient, weight
+
+
+def symbol_hooks_by_membership(sym: ESymbol):
+    """The hooks (i, j, length) of a symbol, in symbol_hooks order, found
+    by testing every t in {0..s} for membership in row j.
+
+    >>> list(symbol_hooks_by_membership(((2,), (0,))))
+    [(0, 0, 2), (0, 0, 1), (0, 1, 1), (0, 1, 0)]
+    """
+    check_symbol(sym)
+    row_sets = [set(row) for row in sym]
+    for i, row in enumerate(sym):
+        for s in row:
+            for j, in_j in enumerate(row_sets):
+                for t in range(s + 1):
+                    if t not in in_j and (s != t or j > i):
+                        yield i, j, s - t
+
+
+def relative_hook_degree_by_symbol_hooks(pi: Partition, p: int) -> int:
+    """The relative hook formula, multiplied out one symbol hook at a time.
+
+    >>> relative_hook_degree_by_symbol_hooks((3, 1), 2)
+    3
+    """
+    check_partition(pi)
+    _check_prime(p)
+    core, quotient, w = core_and_quotient_by_sorting(pi, p)
+    if w == 0:
+        return degree(core)
+    c = [p * b + i for i, b in enumerate(runner_bead_counts(core, p))]
+    hooks = prod(
+        abs(p * length + c[i] - c[j])
+        for i, j, length in symbol_hooks_by_membership(symbol_of(quotient))
+    )
+    if hooks == 0:
+        raise ExactnessError("zero hook factor")
+    num = (factorial(sum(pi)) // factorial(sum(core))) * degree(core)
+    q, rem = divmod(num, hooks)
+    if rem:
+        raise ExactnessError(f"hook product {hooks} does not divide {num}")
+    return q
 
 
 def tori_all_entries(n_max: int) -> tuple[ToriEntry, ...]:

@@ -106,6 +106,47 @@ def test_divisors_sorted_and_complete():
 
 
 # ---------------------------------------------------------------------------
+# powers
+
+
+# square-and-multiply from the lowest set bit: no product for x**0 and x**1
+POWER_PRODUCTS = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3}
+
+
+@pytest.mark.parametrize("n,products", sorted(POWER_PRODUCTS.items()))
+@pytest.mark.parametrize("cls", [Poly, CycElt])
+def test_power_product_count(cls, n, products, monkeypatch):
+    base = Poly.of(2, 1) if cls is Poly else CycElt.root(7) + 1
+    calls = []
+    plain = cls.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return plain(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    base**n
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_power_is_repeated_multiplication(n):
+    for x in (Poly.of(1, -2, 1), CycElt.root(5) + 2, CycElt.root(4) - 3):
+        one = Poly.one() if isinstance(x, Poly) else CycElt.from_rational(x.order, 1)
+        expected = one
+        for _ in range(n):
+            expected = expected * x
+        assert x**n == expected
+        if isinstance(x, CycElt):
+            assert x**-n * expected == one
+
+
+def test_negative_poly_power_rejected():
+    with pytest.raises(ValueError):
+        Poly.of(1, 1) ** -1
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 
 

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 import symblocks.blocks as blocks
-from oracles import blocks_an_by_selection, blocks_sn_by_filter
+from oracles import (
+    blocks_an_by_selection,
+    blocks_sn_by_filter,
+    core_and_quotient_by_sorting,
+    relative_hook_degree_by_symbol_hooks,
+    shift_symbol,
+    symbol_hooks_by_membership,
+)
 from symblocks import cli
 from symblocks.algebra import factorial_val, padic_val
 from symblocks.blocks import (
@@ -24,6 +31,12 @@ from symblocks.partitions import (
     degree,
     enumerate_partitions,
     is_self_dual,
+)
+from symblocks.wreath import (
+    enumerate_multipartitions,
+    symbol_hooks,
+    symbol_of,
+    wreath_degree,
 )
 
 
@@ -118,6 +131,30 @@ def test_relative_hook_degree_sweep():
         for p in (2, 3, 5, 7):
             for pi in enumerate_partitions(n):
                 assert relative_hook_degree(pi, p) == degree(pi)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_symbol_hooks_match_the_membership_oracle(e):
+    # equal lists in equal order, on minimal and once-shifted symbols
+    for r in range(7):
+        for nu in enumerate_multipartitions(e, r):
+            sym = symbol_of(nu)
+            for s in (sym, shift_symbol(sym)):
+                assert list(symbol_hooks(s)) == list(symbol_hooks_by_membership(s))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_hook_formula_matches_the_symbol_hook_oracle(p):
+    # the per-quotient tables against the per-hook product, and the
+    # congruence's wreath degree against the sorted decomposition
+    for n in range(1, 23):
+        for pi in enumerate_partitions(n):
+            d = relative_hook_degree(pi, p)
+            assert d == relative_hook_degree_by_symbol_hooks(pi, p), (pi, p)
+            core, quotient, _ = core_and_quotient_by_sorting(pi, p)
+            rep = quotient_congruence(pi, p)
+            assert rep.ratio == Fraction(d, degree(core))
+            assert rep.rhs == wreath_degree(quotient) % p
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symblocks.partitions as partitions
+from oracles import (
+    core_and_quotient_by_sorting,
+    relative_hook_degree_by_symbol_hooks,
+)
+from symblocks.blocks import quotient_congruence, relative_hook_degree
 from symblocks.partitions import (
     b_statistic,
     beta_set,
@@ -26,6 +31,7 @@ from symblocks.partitions import (
     partition_from_beta,
     runner_bead_counts,
 )
+from symblocks.wreath import wreath_degree
 
 
 def test_doctests():
@@ -287,6 +293,22 @@ def test_combine_round_trip_property(pi, p):
     core, quotient, weight = core_and_quotient(pi, p)
     assert combine(core, quotient, p) == pi
     assert sum(core) + p * weight == sum(pi)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_core_and_quotient_matches_the_sorting_oracle(p):
+    for n in range(23):
+        for pi in enumerate_partitions(n):
+            assert core_and_quotient(pi, p) == core_and_quotient_by_sorting(pi, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pi=_partitions_strategy(), p=st.sampled_from((2, 3, 5, 7, 11, 13, 41)))
+def test_hook_formula_matches_the_oracles_property(pi, p):
+    core, quotient, weight = core_and_quotient_by_sorting(pi, p)
+    assert core_and_quotient(pi, p) == (core, quotient, weight)
+    assert relative_hook_degree(pi, p) == relative_hook_degree_by_symbol_hooks(pi, p)
+    assert quotient_congruence(pi, p).rhs == wreath_degree(quotient) % p
 
 
 def test_runner_bead_counts_sum():
