@@ -23,8 +23,19 @@ each entry guards (the integer-only polynomial substrate, then integer
 cyclotomic coordinates, then the congruence search for Zsigmondy primes, then
 cores grown on the abacus, then one block builder for the symmetric and
 alternating scans, then Schur values tallied by factor class, then the
-relative hook formula from per-quotient hook tables), so the change is
-checked against the bytes it had to keep.
+relative hook formula from per-quotient hook tables, then one registration
+per subcommand in the CLI), so the change is checked against the bytes it
+had to keep.
+
+The last block pins every subcommand through both the table and the CSV
+renderer: the symmetric scan at p = 3, the alternating scan at p = 2, the
+--ehzd-only table and CSV, verify-hook-formula (exit 1), verify-wreath,
+unipotent without --q, with --q and with --collisions, hll-check at d = 3
+and d = 2 (both exit 1, with FAIL lines), speceq, tori with and without a
+primitive prime, and zsigmondy with and without one.  The collision row of
+unipotent --collisions stays unpinned: no pair with n <= 15 and q in
+{2, 3, 4, 5, 7, 8, 9} has a degree collision, so the pinned run prints
+"no collisions" and a bare CSV header.
 """
 
 import hashlib
@@ -137,6 +148,66 @@ PARENT_RECORDED = (
      "bedce838efc2f3d7f82bda5446ff1f365dbee20cc0ece4b26603312d63e37f00", 1),
     ("verify-hook-formula --n-max 12 --primes 2,7 --format csv",
      "8086af207fd0f5032324ad720ef86c3221d239a635391c04eb0aa8a245f90bc1", 1),
+    ("scan-blocks --group sym --n-range 1..12 --p 3 --format table",
+     "5a548e23eb5b963fbef0f8b40719874b7b96c7c4f235ad293b7e022f7050dc01", 0),
+    ("scan-blocks --group alt --n-range 2..12 --p 2 --format table",
+     "e8f02ed626aa5f6d41b1c53c0329d3c5c78d0c63a41bc3c6b0b53e76dd69de20", 0),
+    ("scan-blocks --group sym --n-range 1..10 --p 2 --ehzd-only --format table",
+     "a788130a58be7bd45304975fb560c9c17281e4a2650d4822c932fab88e6417f2", 0),
+    ("verify-hook-formula --n-max 10 --primes 2,3 --format table",
+     "cd6f4150695725ab28779948af0aef42e364f811e0ea0a38cf92da1fd880d4fd", 1),
+    ("verify-wreath --e-max 3 --r-max 3 --format table",
+     "87c31e3f44da9e6bddc1234a29e37b55ceb1a17be6814b106411c28eb495b8f4", 0),
+    ("unipotent --n 7 --format table",
+     "70834295fc621cfb7113b29c818e3ba27c9f3519a45163d616f35831fa9444f6", 0),
+    ("unipotent --n 7 --q 3 --format table",
+     "2d25d25518f8bfe6360c63a8c605e61f966f7f03058961720aba2b55c4cebeae", 0),
+    ("unipotent --n 6 --q 2 --collisions --format table",
+     "90879280772d2509675b975b3b88e142785466876d96e1317d335224969061bf", 0),
+    ("hll-check --n 9 --d 3 --format table",
+     "039fbb905ac729beffd77fa467f428a43a87f897b5064ae43ab3f88285351903", 1),
+    ("hll-check --n 9 --d 2 --format table",
+     "412753d25140e68c2186a6dc4090c2ace4979a33b59ad6aa54a96a67b4f31990", 1),
+    ("speceq --q-max 7 --m-max 6 --exp-bound 2 --format table",
+     "6e763b65de6ab58a71cbc49e81d5aa7c32e614c74aa79815affd79ea3e2b217e", 0),
+    ("tori --series B/C --n 4 --q 3 --format table",
+     "b024b79eccf533662182bbb92fbb56d47932d057fcdab9894d1fd8fbd71b6cc3", 0),
+    ("tori --series A --n 1 --q 2 --format table",
+     "cd8358a3381f53b715c51b216f9ddcbfc8e679acc5bb06cd35d2d820ae9b5175", 0),
+    ("zsigmondy --q 2 --m 6 --format table",
+     "7a22f2f63e456a0e1b6807cea1d953e7efd218c8c1cc3011d494173445a0037a", 0),
+    ("zsigmondy --q 52 --m 15 --format table",
+     "7171fc9e466257cc3943536f80367c5152463a448b6d2cf77efa53ec251d2a22", 0),
+    ("scan-blocks --group sym --n-range 1..12 --p 3 --format csv",
+     "724f60bed04ea8df06d9d1964c74ecf3ce15f95ba510ea5ae3c21ec53bcef625", 0),
+    ("scan-blocks --group alt --n-range 2..12 --p 2 --format csv",
+     "cad3cfe028504927b86694494945b160d1d6a8075f2180a4cbb5b55063e0b171", 0),
+    ("scan-blocks --group sym --n-range 1..10 --p 2 --ehzd-only --format csv",
+     "c3c825aeeeaf9a423bb3465ff32dcd7151cb0a54b0f4f4380a4735a8a745f90e", 0),
+    ("verify-hook-formula --n-max 10 --primes 2,3 --format csv",
+     "29116bb283a3d915c62bd1e060d354c68de8467d6a2d9bf5be5fbfcad8b1cf7e", 1),
+    ("verify-wreath --e-max 3 --r-max 3 --format csv",
+     "e47ed2bf61b790f32bb30b9d7f2ab3c34feca7b01068824eb382d77e6c6cb08d", 0),
+    ("unipotent --n 7 --format csv",
+     "74912580879dfcf6b24af00dc3e747d3e0879d26dbe006fa77aa8a6b9e5e12d2", 0),
+    ("unipotent --n 7 --q 3 --format csv",
+     "6f5458138327dd8d09f892ff0ae444111a26fdd836ca75d3e3c2d7d969472dcd", 0),
+    ("unipotent --n 6 --q 2 --collisions --format csv",
+     "441a935ae88e8115a4a81612f2f6a9d5b932c48579da0faa9621c821ce5ac63c", 0),
+    ("hll-check --n 9 --d 3 --format csv",
+     "4874acd8564dc8e3abdcc4bb13e8d27c6578186a781d1a0fd3dd46ba83563c8b", 1),
+    ("hll-check --n 9 --d 2 --format csv",
+     "e6a1812db308a34849bfee9b834c3e85a7498767f9519d6c7de98c2ff0b4ca3d", 1),
+    ("speceq --q-max 7 --m-max 6 --exp-bound 2 --format csv",
+     "2262ade37eb8df8851c6ff215a8c176ffba546779a822180da467922e36bce2c", 0),
+    ("tori --series B/C --n 4 --q 3 --format csv",
+     "aff0f08aeba92d5511ed2b681adb8f1deaafa7d707dd180d9ee73f60b48a75ce", 0),
+    ("tori --series A --n 1 --q 2 --format csv",
+     "53e09fd511bc1418a81d9f143bb55bc0dcaff90b57b2d3374d955b6aee40ce23", 0),
+    ("zsigmondy --q 2 --m 6 --format csv",
+     "611110e387918295849c4e2d7dd1b4fd9c360ea061ccbc4c4ebeaf6403e55172", 0),
+    ("zsigmondy --q 52 --m 15 --format csv",
+     "d2579b364e227327f99e484dd2adef4b451fde908499527a64d0dcaf99d54e51", 0),
 )
 
 
