@@ -5,6 +5,15 @@ verbatim and is the source of truth, CSV is a flat projection of its
 records, and the table format is a readable summary of the same data.
 Reruns with identical flags produce byte-identical output.
 
+A subcommand is registered once, by its parser block in `_build_parser`,
+which ends with `set_defaults(handler=..., csv=..., table=...)`: the
+handler computes the report's records, summary and refutations from the
+parsed flags, the CSV projection yields the header and then one row per
+record, and the table renderer yields the table lines.  `main` wraps the
+handler's result in the report envelope: "command" is the subcommand name
+and "parameters" echoes the parsed flags in parser order, all but --format,
+--out and --jobs, leaving out an optional flag that was not given.
+
 Exit status: 0 on success, 1 when at least one refutation record was
 emitted (a counterexample to one of the checked statements), 2 on usage
 errors and on an --out file that cannot be written, with a single-line
@@ -57,6 +66,9 @@ from .wreath import (
 
 EXCEPTION_DETAIL_CAP = 200
 
+# parsed attributes that are not echoed under "parameters"
+_NOT_ECHOED = frozenset({"command", "format", "out", "jobs", "handler", "csv", "table"})
+
 
 class UsageError(Exception):
     """Bad flags or flag combinations; reported on one line, status 2."""
@@ -66,7 +78,13 @@ class UsageError(Exception):
 # small helpers
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+class _Range(tuple):
+    """A parsed --n-range, the pair (A, B); `text` keeps the flag as typed
+    for diagnostics."""
+
+
+def _n_range(text: str) -> _Range:
+    """An argparse type: an inclusive range A..B with 1 <= A <= B."""
     parts = text.split("..")
     if len(parts) != 2:
         raise UsageError(f"range must look like A..B, got {text!r}")
@@ -76,10 +94,13 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"range endpoints must be integers, got {text!r}") from None
     if lo < 1 or hi < lo:
         raise UsageError(f"range must satisfy 1 <= A <= B, got {text!r}")
-    return lo, hi
+    value = _Range((lo, hi))
+    value.text = text
+    return value
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
+def _primes(text: str) -> tuple[int, ...]:
+    """An argparse type: a comma list of distinct provable primes."""
     try:
         values = tuple(int(t) for t in text.split(","))
     except ValueError:
@@ -89,6 +110,9 @@ def _parse_primes(text: str) -> tuple[int, ...]:
         raise UsageError(
             f"primes must all be primes below {MILLER_RABIN_BOUND}, got {bad[0]}"
         )
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise UsageError(f"primes must be distinct, got {repeated[0]} twice")
     return values
 
 
@@ -126,6 +150,16 @@ def _poly_coeffs(poly) -> list[str]:
     return [str(c) for c in poly.coeffs]
 
 
+def _flat(*columns: str, key: str = "records"):
+    """The CSV projection of reports whose report[key] entries carry every
+    column as a field."""
+
+    def project(report: dict) -> list[list]:
+        return [list(columns)] + [[r[c] for c in columns] for r in report[key]]
+
+    return project
+
+
 def _parallel_map(fn, keys, jobs):
     # the fork start method forks every worker up front, so ask for no more
     # workers than there are keys or CPUs this process may run on
@@ -146,7 +180,7 @@ def _parallel_map(fn, keys, jobs):
 
 def _scan_blocks_worker(key):
     group, n, p, ehzd_only = key
-    out = []
+    records = []
     if group == "sym":
         for blk in blocks_sn(n, p):
             try:
@@ -158,8 +192,7 @@ def _scan_blocks_worker(key):
             rec["refutation"] = case == "failure" or (
                 is_ehzd(blk) and blk.label.weight > 0 and case not in ("b", "c")
             )
-            if rec["refutation"] or not ehzd_only or rec["ehzd"]:
-                out.append(rec)
+            records.append(rec)
     else:
         for blk in blocks_an(n, p):
             rec = to_json_record(blk)
@@ -168,27 +201,21 @@ def _scan_blocks_worker(key):
                 and is_ehzd(blk)
                 and blk.classification not in ("b", "unclassified")
             )
-            if rec["refutation"] or not ehzd_only or rec["ehzd"]:
-                out.append(rec)
-    return out
+            records.append(rec)
+    return [r for r in records if r["refutation"] or not ehzd_only or r["ehzd"]]
 
 
 def _cmd_scan_blocks(args) -> dict:
-    lo, hi = _parse_range(args.n_range)
+    lo, hi = args.n_range
     if args.group == "alt" and lo < 2:
-        raise UsageError(f"alt ranges must start at 2 or more, got {args.n_range!r}")
-    keys = [(args.group, n, args.p, bool(args.ehzd_only)) for n in range(lo, hi + 1)]
+        raise UsageError(
+            f"alt ranges must start at 2 or more, got {args.n_range.text!r}"
+        )
+    keys = [(args.group, n, args.p, args.ehzd_only) for n in range(lo, hi + 1)]
     chunks = _parallel_map(_scan_blocks_worker, keys, args.jobs)
     records = [rec for chunk in chunks for rec in chunk]
     refutations = [rec for rec in records if rec["refutation"]]
     return {
-        "command": "scan-blocks",
-        "parameters": {
-            "group": args.group,
-            "n_range": [lo, hi],
-            "p": args.p,
-            "ehzd_only": bool(args.ehzd_only),
-        },
         "records": records,
         "summary": {
             "blocks": len(records),
@@ -197,6 +224,47 @@ def _cmd_scan_blocks(args) -> dict:
         },
         "refutations": refutations,
     }
+
+
+def _csv_scan_blocks(report: dict):
+    yield [
+        "group", "n", "p", "core", "weight", "defect", "ehzd",
+        "classification", "partition", "degree", "height",
+    ]
+    for rec in report["records"]:
+        for m in rec["members"]:
+            yield [
+                rec["group"], rec["n"], rec["p"], rec["core"],
+                rec["weight"], rec["defect"], rec["ehzd"],
+                rec["classification"], m["partition"], m["degree"],
+                m["height"],
+            ]
+
+
+def _table_scan_blocks(report: dict):
+    p = report["parameters"]
+    yield (
+        f"{p['group']} blocks, p={p['p']}, n={p['n_range'][0]}..{p['n_range'][1]}"
+        + (", height-zero-equal only" if p["ehzd_only"] else "")
+    )
+    for rec in report["records"]:
+        hz = ",".join(rec["height_zero_degrees"])
+        wit = ""
+        if rec["witness"]:
+            wit = " witness " + " ".join(
+                f"{w['partition']}:{w['degree']}" for w in rec["witness"]
+            )
+        flag = " REFUTATION" if rec["refutation"] else ""
+        yield (
+            f"n={rec['n']} core={rec['core']} w={rec['weight']} "
+            f"defect={rec['defect']} case={rec['classification']} "
+            f"ehzd={'yes' if rec['ehzd'] else 'no'} hz-degrees={hz}{wit}{flag}"
+        )
+    s = report["summary"]
+    yield (
+        f"blocks {s['blocks']}, height-zero-equal {s['ehzd_blocks']}, "
+        f"refutations {s['refutations']}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +311,13 @@ def _hook_worker(key):
 
 
 def _cmd_verify_hook(args) -> dict:
-    primes = _parse_primes(args.primes)
-    keys = [(n, p) for n in range(1, args.n_max + 1) for p in primes]
+    keys = [(n, p) for n in range(1, args.n_max + 1) for p in args.primes]
     results = _parallel_map(_hook_worker, keys, args.jobs)
     rows = [row for row, _, _ in results]
     equality_failures = [f for _, fs, _ in results for f in fs]
     exceptions = [e for _, _, es in results for e in es]
     shown = exceptions[:EXCEPTION_DETAIL_CAP]
     return {
-        "command": "verify-hook-formula",
-        "parameters": {"n_max": args.n_max, "primes": list(primes)},
         "records": rows,
         "summary": {
             "checks": sum(r["partitions"] for r in rows),
@@ -264,6 +329,21 @@ def _cmd_verify_hook(args) -> dict:
         },
         "refutations": equality_failures + shown,
     }
+
+
+def _table_verify_hook(report: dict):
+    for r in report["records"]:
+        yield (
+            f"n={r['n']} p={r['p']} partitions={r['partitions']} "
+            f"equality-failures={r['equality_failures']} plus={r['plus']} "
+            f"minus={r['minus']} exceptions={r['exceptions']}"
+        )
+    s = report["summary"]
+    yield (
+        f"{s['checks']} checks, {s['equality_failures']} equality failures, "
+        f"sign tally +{s['congruence_plus']}/-{s['congruence_minus']}, "
+        f"{s['congruence_exceptions']} congruence exceptions"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +391,6 @@ def _cmd_verify_wreath(args) -> dict:
         if not r["sum_squares_ok"]
     ]
     return {
-        "command": "verify-wreath",
-        "parameters": {"e_max": args.e_max, "r_max": args.r_max},
         "records": rows,
         "summary": {
             "pairs": len(rows),
@@ -323,6 +401,20 @@ def _cmd_verify_wreath(args) -> dict:
     }
 
 
+def _table_verify_wreath(report: dict):
+    for r in report["records"]:
+        yield (
+            f"e={r['e']} r={r['r']} characters={r['characters']} "
+            f"sum-squares={'ok' if r['sum_squares_ok'] else 'FAIL'} "
+            f"degrees={'ok' if r['degrees_match'] else 'FAIL'}"
+        )
+    s = report["summary"]
+    yield (
+        f"{s['pairs']} pairs, {s['characters']} characters, "
+        f"{s['mismatches']} mismatches"
+    )
+
+
 # ---------------------------------------------------------------------------
 # unipotent
 
@@ -330,40 +422,58 @@ def _cmd_verify_wreath(args) -> dict:
 def _cmd_unipotent(args) -> dict:
     if args.collisions and args.q is None:
         raise UsageError("--collisions requires --q")
-    entries = unipotent_degrees_gl(args.n)
     records = []
-    for entry in entries:
+    value_at_q = {}
+    for entry in unipotent_degrees_gl(args.n):
         rec = {
             "partition": format_partition(entry.partition),
             "coefficients": _poly_coeffs(entry.poly),
             "value_at_1": str(degree(entry.partition)),
         }
         if args.q is not None:
-            rec["value_at_q"] = str(entry.poly(args.q))
+            rec["value_at_q"] = value_at_q[entry.partition] = str(entry.poly(args.q))
         records.append(rec)
     collisions = []
     if args.collisions:
         for first, second in degree_collisions(args.n, args.q):
-            poly = dict((e.partition, e.poly) for e in entries)[first]
             collisions.append(
                 {
                     "first": format_partition(first),
                     "second": format_partition(second),
-                    "value": str(poly(args.q)),
+                    "value": value_at_q[first],
                 }
             )
-    parameters = {"n": args.n}
-    if args.q is not None:
-        parameters["q"] = args.q
-    parameters["collisions"] = bool(args.collisions)
     return {
-        "command": "unipotent",
-        "parameters": parameters,
         "records": records,
         "collisions": collisions,
         "summary": {"partitions": len(records), "collisions": len(collisions)},
         "refutations": [],
     }
+
+
+def _csv_unipotent(report: dict):
+    if report["parameters"]["collisions"]:
+        return _flat("first", "second", "value", key="collisions")(report)
+    value_at_q = ["value_at_q"] if "q" in report["parameters"] else []
+    return [["partition", "coefficients", "value_at_1", *value_at_q]] + [
+        [r["partition"], " ".join(r["coefficients"]), r["value_at_1"]]
+        + [r[c] for c in value_at_q]
+        for r in report["records"]
+    ]
+
+
+def _table_unipotent(report: dict):
+    has_q = "q" in report["parameters"]
+    for r in report["records"]:
+        line = f"{r['partition']} degree={r['value_at_1']}"
+        if has_q:
+            line += f" value={r['value_at_q']}"
+        yield line + " coeffs=" + ",".join(r["coefficients"])
+    if report["parameters"]["collisions"]:
+        for c in report["collisions"]:
+            yield f"collision {c['first']} {c['second']} value={c['value']}"
+        if not report["collisions"]:
+            yield "no collisions"
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +513,6 @@ def _cmd_hll_check(args) -> dict:
             }
         )
     return {
-        "command": "hll-check",
-        "parameters": {"n": args.n, "d": args.d},
         "records": records,
         "summary": {
             "series": len(records),
@@ -413,6 +521,29 @@ def _cmd_hll_check(args) -> dict:
         },
         "refutations": refutations,
     }
+
+
+def _csv_hll_check(report: dict):
+    yield ["core", "weight", "partition", "constant", "expected", "ok", "reason"]
+    for series in report["records"]:
+        for m in series["members"]:
+            yield [
+                series["core"], series["weight"], m["partition"],
+                m["display"], m["expected"], m["ok"], m["reason"] or "",
+            ]
+
+
+def _table_hll_check(report: dict):
+    for series in report["records"]:
+        yield f"series core={series['core']} weight={series['weight']}"
+        for m in series["members"]:
+            status = "ok" if m["ok"] else f"FAIL ({m['reason']})"
+            yield (
+                f"  {m['partition']} constant={m['display']} "
+                f"expected={m['expected']} {status}"
+            )
+    s = report["summary"]
+    yield f"{s['series']} series, {s['members']} members, {s['failures']} failures"
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +580,35 @@ def _cmd_speceq(args) -> dict:
             }
         )
     return {
-        "command": "speceq",
-        "parameters": {
-            "q_max": args.q_max,
-            "m_max": args.m_max,
-            "exp_bound": args.exp_bound,
-            "n_bound": args.n_bound,
-        },
         "records": records,
         "summary": {"witnesses": len(records), "by_m": summary_rows},
         "refutations": [],
     }
+
+
+def _csv_speceq(report: dict):
+    yield ["q", "m", "exponents", "n1", "n2", "part_a", "part_b", "full_support"]
+    for r in report["records"]:
+        yield [
+            r["q"], r["m"], " ".join(str(a) for a in r["exponents"]),
+            r["n1"], r["n2"], r["part_a"], r["part_b"], r["full_support"],
+        ]
+
+
+def _table_speceq(report: dict):
+    for r in report["records"]:
+        tags = [t for t, on in (("a", r["part_a"]), ("b", r["part_b"])) if on]
+        full = " full" if r["full_support"] else ""
+        yield (
+            f"q={r['q']} m={r['m']} a=({','.join(str(x) for x in r['exponents'])}) "
+            f"n1={r['n1']} n2={r['n2']} part={'/'.join(tags)}{full}"
+        )
+    for row in report["summary"]["by_m"]:
+        yield (
+            f"m={row['m']}: part-b q={row['part_b_q']} "
+            f"full-support q={row['part_b_full_support_q']} "
+            f"part-a q={row['part_a_q']}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +642,6 @@ def _cmd_tori(args) -> dict:
         for i in report.failures
     ]
     return {
-        "command": "tori",
-        "parameters": {"series": args.series, "n": args.n, "q": args.q},
         "records": [record],
         "summary": {
             "missing_primes": len(report.missing),
@@ -504,247 +651,57 @@ def _cmd_tori(args) -> dict:
     }
 
 
+def _table_tori(report: dict):
+    r = report["records"][0]
+    yield f"series {r['series']} n={r['n']} q={r['q']}"
+    for i in (1, 2):
+        prime = r[f"l{i}"]
+        if prime is None:
+            tail = "no primitive prime"
+        else:
+            tail = f"l={prime} divides={'yes' if r[f'l{i}_divides'] else 'NO'}"
+        yield f"  T{i} order {r[f't{i}_value']} (m={r[f'm{i}']}): {tail}"
+
+
 # ---------------------------------------------------------------------------
 # zsigmondy
 
 
 def _cmd_zsigmondy(args) -> dict:
-    result = zsigmondy(args.q, args.m)
-    record = {
-        "q": args.q,
-        "m": args.m,
-        "prime": result.prime,
-        "exists": result.prime is not None,
-    }
+    prime = zsigmondy(args.q, args.m).prime
     return {
-        "command": "zsigmondy",
-        "parameters": {"q": args.q, "m": args.m},
-        "records": [record],
-        "summary": {"exists": record["exists"]},
+        "records": [
+            {"q": args.q, "m": args.m, "prime": prime, "exists": prime is not None}
+        ],
+        "summary": {"exists": prime is not None},
         "refutations": [],
     }
 
 
+def _table_zsigmondy(report: dict):
+    r = report["records"][0]
+    if r["prime"] is None:
+        yield f"q={r['q']} m={r['m']}: no primitive prime divisor"
+    else:
+        yield f"q={r['q']} m={r['m']}: {r['prime']}"
+
+
 # ---------------------------------------------------------------------------
-# rendering
+# rendering and output
 
 
-def _render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
-
-
-def _csv_projection(report: dict) -> tuple[list[str], list[list]]:
-    cmd = report["command"]
-    if cmd == "scan-blocks":
-        header = [
-            "group", "n", "p", "core", "weight", "defect", "ehzd",
-            "classification", "partition", "degree", "height",
-        ]
-        rows = []
-        for rec in report["records"]:
-            for m in rec["members"]:
-                rows.append(
-                    [
-                        rec["group"], rec["n"], rec["p"], rec["core"],
-                        rec["weight"], rec["defect"], rec["ehzd"],
-                        rec["classification"], m["partition"], m["degree"],
-                        m["height"],
-                    ]
-                )
-        return header, rows
-    if cmd == "verify-hook-formula":
-        header = ["n", "p", "partitions", "equality_failures", "plus", "minus", "exceptions"]
-        return header, [[r[h] for h in header] for r in report["records"]]
-    if cmd == "verify-wreath":
-        header = ["e", "r", "characters", "sum_squares_ok", "degrees_match"]
-        return header, [[r[h] for h in header] for r in report["records"]]
-    if cmd == "unipotent":
-        if report["parameters"].get("collisions"):
-            header = ["first", "second", "value"]
-            return header, [[r[h] for h in header] for r in report["collisions"]]
-        header = ["partition", "coefficients", "value_at_1"]
-        rows = []
-        has_q = "q" in report["parameters"]
-        if has_q:
-            header = header + ["value_at_q"]
-        for r in report["records"]:
-            row = [r["partition"], " ".join(r["coefficients"]), r["value_at_1"]]
-            if has_q:
-                row.append(r["value_at_q"])
-            rows.append(row)
-        return header, rows
-    if cmd == "hll-check":
-        header = ["core", "weight", "partition", "constant", "expected", "ok", "reason"]
-        rows = []
-        for series in report["records"]:
-            for m in series["members"]:
-                rows.append(
-                    [
-                        series["core"], series["weight"], m["partition"],
-                        m["display"], m["expected"], m["ok"], m["reason"] or "",
-                    ]
-                )
-        return header, rows
-    if cmd == "speceq":
-        header = ["q", "m", "exponents", "n1", "n2", "part_a", "part_b", "full_support"]
-        rows = []
-        for r in report["records"]:
-            rows.append(
-                [
-                    r["q"], r["m"], " ".join(str(a) for a in r["exponents"]),
-                    r["n1"], r["n2"], r["part_a"], r["part_b"], r["full_support"],
-                ]
-            )
-        return header, rows
-    if cmd == "tori":
-        header = [
-            "series", "n", "q", "t1_value", "t2_value", "m1", "m2",
-            "l1", "l2", "l1_divides", "l2_divides",
-        ]
-        return header, [[r[h] for h in header] for r in report["records"]]
-    if cmd == "zsigmondy":
-        header = ["q", "m", "prime", "exists"]
-        return header, [[r[h] for h in header] for r in report["records"]]
-    raise AssertionError(f"no CSV projection for {cmd}")  # pragma: no cover
-
-
-def _render_csv(report: dict) -> str:
-    header, rows = _csv_projection(report)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _render_table(report: dict) -> str:
-    cmd = report["command"]
-    lines = []
-    if cmd == "scan-blocks":
-        p = report["parameters"]
-        lines.append(
-            f"{p['group']} blocks, p={p['p']}, n={p['n_range'][0]}..{p['n_range'][1]}"
-            + (", height-zero-equal only" if p["ehzd_only"] else "")
-        )
-        for rec in report["records"]:
-            hz = ",".join(rec["height_zero_degrees"])
-            wit = ""
-            if rec["witness"]:
-                wit = " witness " + " ".join(
-                    f"{w['partition']}:{w['degree']}" for w in rec["witness"]
-                )
-            flag = " REFUTATION" if rec["refutation"] else ""
-            lines.append(
-                f"n={rec['n']} core={rec['core']} w={rec['weight']} "
-                f"defect={rec['defect']} case={rec['classification']} "
-                f"ehzd={'yes' if rec['ehzd'] else 'no'} hz-degrees={hz}{wit}{flag}"
-            )
-        s = report["summary"]
-        lines.append(
-            f"blocks {s['blocks']}, height-zero-equal {s['ehzd_blocks']}, "
-            f"refutations {s['refutations']}"
-        )
-    elif cmd == "verify-hook-formula":
-        for r in report["records"]:
-            lines.append(
-                f"n={r['n']} p={r['p']} partitions={r['partitions']} "
-                f"equality-failures={r['equality_failures']} plus={r['plus']} "
-                f"minus={r['minus']} exceptions={r['exceptions']}"
-            )
-        s = report["summary"]
-        lines.append(
-            f"{s['checks']} checks, {s['equality_failures']} equality failures, "
-            f"sign tally +{s['congruence_plus']}/-{s['congruence_minus']}, "
-            f"{s['congruence_exceptions']} congruence exceptions"
-        )
-    elif cmd == "verify-wreath":
-        for r in report["records"]:
-            lines.append(
-                f"e={r['e']} r={r['r']} characters={r['characters']} "
-                f"sum-squares={'ok' if r['sum_squares_ok'] else 'FAIL'} "
-                f"degrees={'ok' if r['degrees_match'] else 'FAIL'}"
-            )
-        s = report["summary"]
-        lines.append(
-            f"{s['pairs']} pairs, {s['characters']} characters, "
-            f"{s['mismatches']} mismatches"
-        )
-    elif cmd == "unipotent":
-        has_q = "q" in report["parameters"]
-        for r in report["records"]:
-            line = f"{r['partition']} degree={r['value_at_1']}"
-            if has_q:
-                line += f" value={r['value_at_q']}"
-            line += " coeffs=" + ",".join(r["coefficients"])
-            lines.append(line)
-        if report["parameters"].get("collisions"):
-            if report["collisions"]:
-                for c in report["collisions"]:
-                    lines.append(
-                        f"collision {c['first']} {c['second']} value={c['value']}"
-                    )
-            else:
-                lines.append("no collisions")
-    elif cmd == "hll-check":
-        for series in report["records"]:
-            lines.append(f"series core={series['core']} weight={series['weight']}")
-            for m in series["members"]:
-                status = "ok" if m["ok"] else f"FAIL ({m['reason']})"
-                lines.append(
-                    f"  {m['partition']} constant={m['display']} "
-                    f"expected={m['expected']} {status}"
-                )
-        s = report["summary"]
-        lines.append(
-            f"{s['series']} series, {s['members']} members, {s['failures']} failures"
-        )
-    elif cmd == "speceq":
-        for r in report["records"]:
-            tags = [t for t, on in (("a", r["part_a"]), ("b", r["part_b"])) if on]
-            full = " full" if r["full_support"] else ""
-            lines.append(
-                f"q={r['q']} m={r['m']} a=({','.join(str(x) for x in r['exponents'])}) "
-                f"n1={r['n1']} n2={r['n2']} part={'/'.join(tags)}{full}"
-            )
-        for row in report["summary"]["by_m"]:
-            lines.append(
-                f"m={row['m']}: part-b q={row['part_b_q']} "
-                f"full-support q={row['part_b_full_support_q']} "
-                f"part-a q={row['part_a_q']}"
-            )
-    elif cmd == "tori":
-        r = report["records"][0]
-        lines.append(f"series {r['series']} n={r['n']} q={r['q']}")
-        for i in (1, 2):
-            prime = r[f"l{i}"]
-            div = r[f"l{i}_divides"]
-            if prime is None:
-                tail = "no primitive prime"
-            else:
-                tail = f"l={prime} divides={'yes' if div else 'NO'}"
-            lines.append(f"  T{i} order {r[f't{i}_value']} (m={r[f'm{i}']}): {tail}")
-    elif cmd == "zsigmondy":
-        r = report["records"][0]
-        if r["prime"] is None:
-            lines.append(f"q={r['q']} m={r['m']}: no primitive prime divisor")
-        else:
-            lines.append(f"q={r['q']} m={r['m']}: {r['prime']}")
-    else:  # pragma: no cover
-        raise AssertionError(cmd)
-    return "\n".join(lines) + "\n"
-
-
-def _render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _render_json(report)
-    if fmt == "csv":
-        return _render_csv(report)
-    return _render_table(report)
+def _render(report: dict, args) -> str:
+    if args.format == "json":
+        return json.dumps(report, indent=2) + "\n"
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(args.csv(report))
+        return buf.getvalue()
+    return "\n".join(args.table(report)) + "\n"
 
 
 def _emit(text: str, args) -> None:
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(text)
         return
     path = args.out
@@ -810,21 +767,31 @@ def _build_parser() -> _Parser:
         help="list blocks with degrees, heights and classification",
     )
     p.add_argument("--group", choices=("sym", "alt"), required=True)
-    p.add_argument("--n-range", required=True, help="inclusive range A..B")
+    p.add_argument("--n-range", type=_n_range, required=True,
+                   help="inclusive range A..B")
     p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--ehzd-only", action="store_true",
                    help="only blocks whose height-zero degrees agree")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.set_defaults(handler=_cmd_scan_blocks)
+    p.set_defaults(
+        handler=_cmd_scan_blocks, csv=_csv_scan_blocks, table=_table_scan_blocks
+    )
 
     p = sub.add_parser(
         "verify-hook-formula", parents=[common],
         help="exercise the relative degree formula and its congruence",
     )
     p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--primes", required=True, help="comma list, e.g. 2,3,5,7")
+    p.add_argument("--primes", type=_primes, required=True,
+                   help="comma list of distinct primes, e.g. 2,3,5,7")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.set_defaults(handler=_cmd_verify_hook)
+    p.set_defaults(
+        handler=_cmd_verify_hook,
+        csv=_flat(
+            "n", "p", "partitions", "equality_failures", "plus", "minus", "exceptions",
+        ),
+        table=_table_verify_hook,
+    )
 
     p = sub.add_parser(
         "verify-wreath", parents=[common],
@@ -833,7 +800,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--e-max", type=_positive_int, required=True)
     p.add_argument("--r-max", type=_positive_int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.set_defaults(handler=_cmd_verify_wreath)
+    p.set_defaults(
+        handler=_cmd_verify_wreath,
+        csv=_flat("e", "r", "characters", "sum_squares_ok", "degrees_match"),
+        table=_table_verify_wreath,
+    )
 
     p = sub.add_parser(
         "unipotent", parents=[common],
@@ -842,7 +813,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--q", type=_prime_power, default=None)
     p.add_argument("--collisions", action="store_true")
-    p.set_defaults(handler=_cmd_unipotent)
+    p.set_defaults(handler=_cmd_unipotent, csv=_csv_unipotent, table=_table_unipotent)
 
     p = sub.add_parser(
         "hll-check", parents=[common],
@@ -850,7 +821,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--d", type=_positive_int, required=True)
-    p.set_defaults(handler=_cmd_hll_check)
+    p.set_defaults(handler=_cmd_hll_check, csv=_csv_hll_check, table=_table_hll_check)
 
     p = sub.add_parser(
         "speceq", parents=[common],
@@ -860,7 +831,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--m-max", type=_positive_int, required=True)
     p.add_argument("--exp-bound", type=_positive_int, required=True)
     p.add_argument("--n-bound", type=_positive_int, default=120)
-    p.set_defaults(handler=_cmd_speceq)
+    p.set_defaults(handler=_cmd_speceq, csv=_csv_speceq, table=_table_speceq)
 
     p = sub.add_parser(
         "tori", parents=[common],
@@ -869,7 +840,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--series", choices=TORI_SERIES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=_prime_power, required=True)
-    p.set_defaults(handler=_cmd_tori)
+    p.set_defaults(
+        handler=_cmd_tori,
+        csv=_flat(
+            "series", "n", "q", "t1_value", "t2_value", "m1", "m2",
+            "l1", "l2", "l1_divides", "l2_divides",
+        ),
+        table=_table_tori,
+    )
 
     p = sub.add_parser(
         "zsigmondy", parents=[common],
@@ -877,7 +855,11 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--q", type=_base_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
-    p.set_defaults(handler=_cmd_zsigmondy)
+    p.set_defaults(
+        handler=_cmd_zsigmondy,
+        csv=_flat("q", "m", "prime", "exists"),
+        table=_table_zsigmondy,
+    )
 
     return parser
 
@@ -885,8 +867,16 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        report = args.handler(args)
-        _emit(_render(report, args.format), args)
+        report = {
+            "command": args.command,
+            "parameters": {
+                k: v
+                for k, v in vars(args).items()
+                if k not in _NOT_ECHOED and v is not None
+            },
+            **args.handler(args),
+        }
+        _emit(_render(report, args), args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

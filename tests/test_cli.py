@@ -94,6 +94,8 @@ def test_invalid_values_are_usage_errors(argv, capsys):
         ["unipotent", "--n", "0"],
         ["speceq", "--q-max", "1", "--m-max", "2", "--exp-bound", "1"],
         ["tori", "--series", "E6", "--n", "5", "--q", "2"],
+        # a repeated prime would list every row and exception twice
+        ["verify-hook-formula", "--n-max", "4", "--primes", "2,2"],
     ],
 )
 def test_bounds_are_checked_at_the_boundary(argv, capsys):
@@ -133,6 +135,17 @@ def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write --out {target}:")
     assert captured.err.count("\n") == 1
     assert not target.parent.exists()
+
+
+def test_empty_out_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SYMBLOCKS_OUT_DIR", raising=False)
+    assert cli.main(["zsigmondy", "--q", "2", "--m", "3", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_out_write_keeps_the_existing_file(tmp_path, monkeypatch, capsys):
