@@ -36,6 +36,13 @@ primitive prime, and zsigmondy with and without one.  The collision row of
 unipotent --collisions stays unpinned: no pair with n <= 15 and q in
 {2, 3, 4, 5, 7, 8, 9} has a degree collision, so the pinned run prints
 "no collisions" and a bare CSV header.
+
+PARENT_RECORDED_NO_WITNESS pins the one scan path that exits 1, which no
+command above reaches: with `symblocks.blocks._height_zero_witness`
+patched to find no pair, every positive-weight symmetric block outside
+cases (b) and (c) is a classification failure, and the --ehzd-only scan
+lists it as a refutation in every format.  Its digests were recorded from
+the code before the block builders classified their own blocks.
 """
 
 import hashlib
@@ -44,7 +51,7 @@ from pathlib import Path
 
 import pytest
 
-from symblocks import cli
+from symblocks import blocks, cli
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text(
@@ -213,6 +220,26 @@ PARENT_RECORDED = (
 
 @pytest.mark.parametrize("line,sha256,status", PARENT_RECORDED)
 def test_report_matches_parent_recording(line, sha256, status, capsys):
+    assert cli.main(line.split()) == status
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+PARENT_RECORDED_NO_WITNESS = (
+    ("scan-blocks --group sym --n-range 5..6 --p 3 --ehzd-only --format json",
+     "26cda6fc0c88fe9b798675eb35b5a6f5d2d8ba21c89f176448af9835f6f000a4", 1),
+    ("scan-blocks --group sym --n-range 5..6 --p 3 --ehzd-only --format table",
+     "2ffe2caebf5f970fc1efa65548868a9a4b45f9eb805cb999933d8764d6ec0e6a", 1),
+    ("scan-blocks --group sym --n-range 5..6 --p 3 --ehzd-only --format csv",
+     "d1963e5083d03d50f32385cbbb8b7e3e067b4cfabc3b229adaa11640accfdf97", 1),
+)
+
+
+@pytest.mark.parametrize("line,sha256,status", PARENT_RECORDED_NO_WITNESS)
+def test_refutation_report_matches_parent_recording(
+    line, sha256, status, monkeypatch, capsys
+):
+    monkeypatch.setattr(blocks, "_height_zero_witness", lambda block, accept: None)
     assert cli.main(line.split()) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
