@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -55,7 +55,7 @@ def _power(x, n: int):
 
 
 def padic_val(n: int, p: int) -> int:
-    """Largest k with p**k dividing n.  n must be nonzero.
+    """Largest k with p**k dividing n.  n must be nonzero and p at least 2.
 
     >>> padic_val(24, 2)
     3
@@ -64,6 +64,8 @@ def padic_val(n: int, p: int) -> int:
     """
     if n == 0:
         raise ValueError("p-adic valuation of 0 is undefined")
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     n = abs(n)
     k = 0
     while n % p == 0:
@@ -73,11 +75,13 @@ def padic_val(n: int, p: int) -> int:
 
 
 def factorial_val(n: int, p: int) -> int:
-    """v_p(n!) by the floor-sum formula.
+    """v_p(n!) by the floor-sum formula, for p at least 2.
 
     >>> factorial_val(10, 2)
     8
     """
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     total = 0
     q = p
     while q <= n:
@@ -661,10 +665,6 @@ def _solve_rational(columns, target):
     if any(row[-1] for row in rows[width:]):
         return None
     return tuple(row[-1] for row in rows[:width])
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def field_value_str(x) -> str:

@@ -40,10 +40,10 @@ from .wreath import enumerate_multipartitions, symbol_hooks, symbol_of, wreath_d
 class ClassificationError(RuntimeError):
     """No classification case applies to a block.
 
-    From `classify_sym` it is a refutation: the symmetric scan records the
-    block with classification "failure" and exits 1.  From `blocks_an` it is
-    an internal error: the alternating scan does not catch it, so the CLI
-    exits 3 with one `internal error:` line.
+    `classify_sym` raises it; `blocks_sn` classifies that block "failure", a
+    refutation.  `blocks_an` raises it only for a block of unexpected shape
+    (see `_alt_block`): an internal error, so the CLI exits 3 with one
+    `internal error:` line.
     """
 
 
@@ -118,9 +118,11 @@ def _sym_members(core: Partition, w: int, p: int) -> list[tuple[Partition, int]]
 
 
 def blocks_sn(n: int, p: int) -> tuple[BlockData, ...]:
-    """All p-blocks of S_n, in lexicographic core order.
+    """All p-blocks of S_n, classified by `classify_sym`, in lexicographic
+    core order.
 
-    Each block lists its members in p-quotient enumeration order.
+    Each block lists its members in p-quotient enumeration order.  A block
+    that no case covers is classified "failure", with no witness.
 
     >>> [len(b.members) for b in blocks_sn(3, 3)]
     [3]
@@ -128,13 +130,10 @@ def blocks_sn(n: int, p: int) -> tuple[BlockData, ...]:
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_prime(p)
-    nfact_val = factorial_val(n, p)
-    out = []
-    for core, w in _cores_and_weights(n, p):
-        members, base = _with_heights(_sym_members(core, w, p), p)
-        label = BlockLabel("sym", n, p, core, w)
-        out.append(BlockData(label, members, nfact_val - base))
-    return tuple(out)
+    return tuple(
+        _sym_block(n, p, core, w, _sym_members(core, w, p))
+        for core, w in _cores_and_weights(n, p)
+    )
 
 
 def is_ehzd(block: BlockData) -> bool:
@@ -315,6 +314,21 @@ def classify_sym(block: BlockData) -> SymClassification:
     return SymClassification("d", witness)
 
 
+def _sym_block(
+    n: int, p: int, core: Partition, w: int, sym_members: list[tuple[Partition, int]]
+) -> BlockData:
+    """The classified S_n block of core and w, from its (partition, degree)
+    pairs."""
+    label = BlockLabel("sym", n, p, core, w)
+    members, base = _with_heights(sym_members, p)
+    block = BlockData(label, members, factorial_val(n, p) - base)
+    try:
+        cls = classify_sym(block)
+    except ClassificationError:
+        return replace(block, classification="failure")
+    return replace(block, classification=cls.case, witness=cls.witness)
+
+
 # ---------------------------------------------------------------------------
 # alternating groups
 
@@ -348,7 +362,12 @@ def _alt_block(
 ) -> BlockData:
     """The classified block of A_n covered by the S_n block of core and w,
     where core is the smaller of its conjugate pair and sym_members are the
-    (partition, degree) pairs of that S_n block."""
+    (partition, degree) pairs of that S_n block.
+
+    A p = 2 weight-1 restriction that is not one defect zero member, or an
+    equal-degree p = 3 block of defect other than 1, raises
+    ClassificationError.
+    """
     label = BlockLabel("alt", n, p, core, w)
     group_val = factorial_val(n, p) - (1 if p == 2 else 0)
     if p == 2 and w >= 2:
@@ -376,11 +395,7 @@ def _alt_block(
         return replace(block, classification="b")
     witness = _height_zero_witness(block, lambda x, y: True)
     if witness is None:
-        raise ClassificationError(
-            f"classification failure: positive-defect block with equal "
-            f"height zero degrees, core={format_partition(core)} "
-            f"n={n} p={p}"
-        )
+        return replace(block, classification="failure")
     return replace(block, classification="c", witness=witness)
 
 
@@ -392,8 +407,8 @@ def blocks_an(n: int, p: int) -> tuple[BlockData, ...]:
     restricting the symmetric block of that core.  Cases: (a) defect 0;
     (b) p = 3, weight 1, self-dual core, all degrees equal (cyclic defect
     group of order 3); (c) two height zero degrees differ.  A positive
-    defect block with equal height zero degrees outside shape (b) raises
-    ClassificationError.
+    defect block with equal height zero degrees outside shape (b) is
+    classified "failure", with no witness.
 
     For p = 2 every core is self-dual; weight 0 gives a record with the two
     defect zero constituents, weight 1 a single defect zero member (case a),
@@ -419,8 +434,10 @@ def to_json_record(block: BlockData) -> dict:
     """Flat JSON-ready record for one block.
 
     Degrees are rendered as decimal strings so consumers never round them.
+    "refutation" is true exactly when no classification case covers the
+    block.
     """
-    record = {
+    return {
         "group": block.label.group,
         "n": block.label.n,
         "p": block.label.p,
@@ -446,5 +463,5 @@ def to_json_record(block: BlockData) -> dict:
             {"partition": format_partition(m.partition), "degree": str(m.degree)}
             for m in block.witness
         ],
+        "refutation": block.classification == "failure",
     }
-    return record

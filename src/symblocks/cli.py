@@ -18,9 +18,10 @@ Exit status: 0 on success, 1 when at least one refutation record was
 emitted (a counterexample to one of the checked statements), 2 on usage
 errors and on an --out file that cannot be written, with a single-line
 diagnostic on stderr, 3 on any other exception (an internal check of the
-library failed: an inexact division, a failed Schur evaluation, a block no
-classification case covers, a ValueError the flags should have ruled out),
-with a single "internal error:" line.  Every bound the library relies on is
+library failed: an inexact division, a failed Schur evaluation, a block of
+unexpected shape, a ValueError the flags should have ruled out), with a
+single "internal error:" line.  A block that no classification case covers
+is a refutation, for either group.  Every bound the library relies on is
 checked here, so only UsageError means status 2.
 """
 
@@ -33,16 +34,12 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from math import factorial
 
 from .algebra import MILLER_RABIN_BOUND, is_prime, power_base, zsigmondy
 from .blocks import (
-    ClassificationError,
     blocks_an,
     blocks_sn,
-    classify_sym,
-    is_ehzd,
     quotient_congruence,
     relative_hook_degree,
     to_json_record,
@@ -180,28 +177,8 @@ def _parallel_map(fn, keys, jobs):
 
 def _scan_blocks_worker(key):
     group, n, p, ehzd_only = key
-    records = []
-    if group == "sym":
-        for blk in blocks_sn(n, p):
-            try:
-                cls = classify_sym(blk)
-                case, wit = cls.case, cls.witness
-            except ClassificationError:
-                case, wit = "failure", None
-            rec = to_json_record(replace(blk, classification=case, witness=wit))
-            rec["refutation"] = case == "failure" or (
-                is_ehzd(blk) and blk.label.weight > 0 and case not in ("b", "c")
-            )
-            records.append(rec)
-    else:
-        for blk in blocks_an(n, p):
-            rec = to_json_record(blk)
-            rec["refutation"] = (
-                blk.defect > 0
-                and is_ehzd(blk)
-                and blk.classification not in ("b", "unclassified")
-            )
-            records.append(rec)
+    build = blocks_sn if group == "sym" else blocks_an
+    records = [to_json_record(blk) for blk in build(n, p)]
     return [r for r in records if r["refutation"] or not ehzd_only or r["ehzd"]]
 
 

@@ -183,9 +183,7 @@ def partition_from_beta(entries) -> Partition:
     >>> partition_from_beta((0, 1, 3, 6))
     (3, 1)
     """
-    ent = sorted(entries)
-    parts = [e - j for j, e in enumerate(ent)]
-    return tuple(x for x in reversed(parts) if x > 0)
+    return _partition_from_ascending(sorted(entries))
 
 
 def _abacus_levels(pi: Partition, p: int) -> list[list[int]]:

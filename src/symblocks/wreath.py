@@ -26,10 +26,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence, Union
 
-from .algebra import CycElt, lcm
+from .algebra import CycElt
 from .partitions import Partition, beta_set, degree, enumerate_partitions
 
 Multipartition = tuple[Partition, ...]

@@ -11,7 +11,8 @@ Schur value `schur_linear`, and the split-torus parameter points
 
 `blocks_sn_by_filter` is the p-block scan that `symblocks.blocks.blocks_sn`
 replaced: it finds cores by testing every partition with `is_p_core` and
-takes each member's degree from its cell-by-cell hook lengths.
+takes each member's degree from its cell-by-cell hook lengths, then builds
+and classifies each block with the library's `_sym_block`.
 `blocks_an_by_selection` is the alternating scan that `blocks_an` replaced:
 it builds every symmetric block with `blocks_sn` and keeps the smaller core
 of each conjugate pair.
@@ -34,13 +35,12 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
 
-from symblocks.algebra import CycElt, ExactnessError, factorial_val, phi_value
+from symblocks.algebra import CycElt, ExactnessError, phi_value
 from symblocks.blocks import (
     BlockData,
-    BlockLabel,
     _alt_block,
     _check_prime,
-    _with_heights,
+    _sym_block,
     blocks_sn,
 )
 from symblocks.partitions import (
@@ -83,7 +83,6 @@ def blocks_sn_by_filter(n: int, p: int) -> tuple[BlockData, ...]:
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_prime(p)
-    nfact_val = factorial_val(n, p)
     cores = []
     for w in range(n // p + 1):
         for core in enumerate_partitions(n - p * w):
@@ -96,9 +95,7 @@ def blocks_sn_by_filter(n: int, p: int) -> tuple[BlockData, ...]:
         for nu in enumerate_multipartitions(p, w):
             pi = combine(core, nu, p)
             pairs.append((pi, factorial(n) // prod(hook_lengths(pi))))
-        members, base = _with_heights(pairs, p)
-        label = BlockLabel("sym", n, p, core, w)
-        out.append(BlockData(label, members, nfact_val - base))
+        out.append(_sym_block(n, p, core, w, pairs))
     return tuple(out)
 
 

@@ -47,6 +47,14 @@ def test_padic_val_rejects_zero():
         padic_val(0, 3)
 
 
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_valuations_reject_a_base_below_2(p):
+    with pytest.raises(ValueError):
+        padic_val(5, p)
+    with pytest.raises(ValueError):
+        factorial_val(5, p)
+
+
 def test_factorial_val_against_digit_sum():
     # Legendre: the exact power of p in n! is (n - digit sum of n base p) / (p - 1)
     for p in (2, 3, 5, 7, 11):

@@ -370,6 +370,31 @@ def test_alternating_p2_conventions():
     assert w0.defect == 0
 
 
+def test_alternating_block_no_case_covers_is_a_failure():
+    # two height zero members of equal degree in a defect-1 block at p = 5
+    b = blocks._alt_block(5, 5, (), 1, [((5,), 1), ((4, 1), 1)])
+    assert b.classification == "failure"
+    assert b.defect == 1 and b.witness is None
+    rec = to_json_record(b)
+    assert rec["ehzd"] is True and rec["refutation"] is True
+
+
+def test_blocks_sn_carries_the_classify_sym_case():
+    for n in range(1, 13):
+        for p in (2, 3, 5):
+            for b in blocks_sn(n, p):
+                c = classify_sym(b)
+                assert (b.classification, b.witness) == (c.case, c.witness)
+                assert to_json_record(b)["refutation"] is False
+
+
+def test_symmetric_block_no_case_covers_is_a_failure(monkeypatch):
+    monkeypatch.setattr(blocks, "_height_zero_witness", lambda block, accept: None)
+    b = {x.label.core: x for x in blocks_sn(6, 3)}[()]
+    assert b.classification == "failure" and b.witness is None
+    assert to_json_record(b)["refutation"] is True
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

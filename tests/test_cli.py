@@ -227,6 +227,39 @@ def test_alternating_classification_failure_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: ClassificationError:")
 
 
+@pytest.mark.parametrize("group,p,count", [("sym", "3", 3), ("alt", "5", 2)])
+def test_uncovered_blocks_are_refutations(group, p, count, monkeypatch, capsys):
+    # a witness search that finds nothing leaves positive-weight blocks
+    # outside the equal-degree cases uncovered
+    monkeypatch.setattr(
+        "symblocks.blocks._height_zero_witness", lambda block, accept: None
+    )
+    argv = ["scan-blocks", "--group", group, "--n-range", "5..6", "--p", p,
+            "--format", "json"]
+    assert cli.main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    refutations = [rec for rec in doc["records"] if rec["refutation"]]
+    assert refutations == doc["refutations"]
+    assert len(refutations) == doc["summary"]["refutations"] == count
+    for rec in doc["records"]:
+        assert rec["refutation"] == (rec["classification"] == "failure")
+    for rec in refutations:
+        assert rec["witness"] is None
+    assert cli.main(argv + ["--ehzd-only"]) == 1
+    assert json.loads(capsys.readouterr().out)["refutations"] == refutations
+
+
+@pytest.mark.parametrize("group", ["sym", "alt"])
+@pytest.mark.parametrize("p", ["2", "3", "5"])
+def test_scanned_blocks_are_no_refutations(group, p, capsys):
+    argv = ["scan-blocks", "--group", group, "--n-range", "2..14", "--p", p,
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["records"]
+    assert not any(rec["refutation"] for rec in doc["records"])
+
+
 def test_scan_blocks_json_schema():
     r = run("scan-blocks", "--group", "sym", "--n-range", "3..4", "--p", "3",
             "--format", "json")
