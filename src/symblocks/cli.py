@@ -33,7 +33,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 
 from .algebra import MILLER_RABIN_BOUND, is_prime, power_base, zsigmondy
@@ -167,6 +166,9 @@ def _parallel_map(fn, keys, jobs):
     workers = min(jobs, len(keys), cpus)
     if workers <= 1:
         return [fn(k) for k in keys]
+    # imported here so that serial runs skip loading multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, keys))
 

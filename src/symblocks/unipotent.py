@@ -5,8 +5,9 @@ The pieces here all run in exact arithmetic:
 * degree polynomials Deg attached to partitions, with Deg(1) recovering the
   ordinary character degree;
 * the grouping of partitions of n into series by d-core, for any modulus d;
-* a congruence check that reduces each degree polynomial against its series
-  base modulo the d-th cyclotomic polynomial and compares the constant with
+* a congruence check that takes the ratio of each degree polynomial to its
+  series base at a primitive d-th root of unity, from a tally of hook
+  residues mod d with no polynomial built, and compares that constant with
   a wreath product degree;
 * a search for pairs of distinct degree polynomials that collide at a given
   integer argument;
@@ -21,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, prod
 
 from .algebra import (
     CycElt,
+    ExactnessError,
     Poly,
     ZsigmondyResult,
     cyclotomic_poly,
@@ -36,9 +38,11 @@ from .algebra import (
 )
 from .partitions import (
     Partition,
+    b_statistic,
     core_and_quotient,
     enumerate_partitions,
     gl_degree_poly,
+    hook_lengths,
 )
 from .wreath import wreath_degree
 
@@ -137,14 +141,25 @@ class HllReport:
 
 
 def hll_check_gl(n: int, d: int) -> HllReport:
-    """Reduce every degree polynomial against its series base modulo Phi_d.
+    """Compare each member's degree ratio to its series base at a primitive
+    d-th root of unity with the wreath degree of its d-quotient.
 
-    In the series with core mu, both Deg(pi) and Deg(mu) are divisible by
-    Phi_d exactly floor(|mu|/d) times.  After stripping that power, the
-    ratio of values at a primitive d-th root of unity is tested for being
-    a rational integer whose absolute value equals the wreath degree of
-    the d-quotient of pi.  Members violating any of the three conditions
-    are reported with the failing condition named.
+    In the series with core mu (|mu| = r, weight w), the ratio of degree
+    polynomials is
+
+        Deg(pi)/Deg(mu) = x^(b(pi) - b(mu)) * prod_{r<k<=n}(x^k - 1)
+                          * prod_{h in H(mu)}(x^h - 1) / prod_{h in H(pi)}(x^h - 1).
+
+    Its value at a primitive d-th root of unity zeta is read off the hook
+    residues, with no polynomial built.  A factor x^m - 1 with d not
+    dividing m is zeta^(m mod d) - 1, booked under its residue.  A factor
+    with d | m vanishes to first order, as m * zeta^-1 * (x - zeta).  There
+    are w of them above the line (the k in (r, n] that d divides) and w
+    below (the hooks of pi that d divides; mu, a d-core, has none), so they
+    balance and leave the rational prod k / prod h.  The ratio at zeta is
+    tested for being a rational integer whose absolute value equals the
+    wreath degree of the d-quotient of pi.  Members violating any of the
+    three conditions are reported with the failing condition named.
 
     >>> rep = hll_check_gl(2, 2)
     >>> [(m.partition, str(m.constant)) for m in rep.series[0].members]
@@ -154,48 +169,72 @@ def hll_check_gl(n: int, d: int) -> HllReport:
         raise ValueError("need n >= 1")
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
-    phi = cyclotomic_poly(d)
-    zeta = CycElt.root(d)
+    roots = [CycElt.root(d, j) for j in range(d)]
+    # factors[j]: zeta^j - 1, the value of x^m - 1 at zeta for m = j mod d,
+    # and its inverse
+    factors = [None] + [(z - 1, (z - 1).inverse()) for z in roots[1:]]
     series_reports = []
     for core, members in dhc_series_gl(n, d):
         r = sum(core)
-        strip = r // d
-        base = gl_degree_poly(core)
-        for _ in range(strip):
-            base = base.exact_div(phi)
-        base_inv = base(zeta).inverse()
         weight = (n - r) // d
+        core_b = b_statistic(core)
+        # above[j]: factors x^m - 1 above the line (m = k in (r, n] or a hook
+        # of the core) with m = j mod d
+        above = [0] * d
+        for m in (*range(r + 1, n + 1), *hook_lengths(core)):
+            above[m % d] += 1
+        if above[0] != weight:
+            raise ExactnessError(f"the {d}-core {core} has a hook that {d} divides")
+        k_prod = prod(range((r // d + 1) * d, n + 1, d))
         member_reports = []
         for pi in members:
             _, quotient, _ = core_and_quotient(pi, d)
-            reduced = gl_degree_poly(pi)
-            for _ in range(strip):
-                reduced = reduced.exact_div(phi)
-            value = reduced(zeta) * base_inv
-            expected = wreath_degree(quotient)
-            constant: Fraction | None = None
-            reason: str | None = None
-            if not value.is_rational():
-                reason = "constant is not rational"
-            else:
-                constant = value.to_fraction()
-                if constant.denominator != 1:
-                    reason = "constant is not an integer"
-                elif abs(constant) != expected:
-                    reason = "absolute value differs from the wreath degree"
-            member_reports.append(
-                HllMemberReport(
-                    partition=pi,
-                    quotient=quotient,
-                    constant=constant,
-                    constant_str=field_value_str(value),
-                    expected=expected,
-                    ok=reason is None,
-                    reason=reason,
+            net = above.copy()
+            vanishing = []
+            for h in hook_lengths(pi):
+                if h % d:
+                    net[h % d] -= 1
+                else:
+                    vanishing.append(h)
+            if len(vanishing) != weight:
+                raise ExactnessError(
+                    f"{pi} has {len(vanishing)} hooks that {d} divides, not {weight}"
                 )
-            )
+            value = roots[(b_statistic(pi) - core_b) % d]
+            for j, e in enumerate(net[1:], start=1):
+                if e:
+                    up, down = factors[j]
+                    value = value * (up ** e if e > 0 else down ** -e)
+            value = value * Fraction(k_prod, prod(vanishing))
+            member_reports.append(_hll_member(pi, quotient, value))
         series_reports.append(HllSeriesReport(core, weight, tuple(member_reports)))
     return HllReport(n, d, tuple(series_reports))
+
+
+def _hll_member(
+    pi: Partition, quotient: tuple[Partition, ...], value
+) -> HllMemberReport:
+    """Judge the ratio `value` at zeta of one member pi against its wreath degree."""
+    expected = wreath_degree(quotient)
+    constant: Fraction | None = None
+    reason: str | None = None
+    if not value.is_rational():
+        reason = "constant is not rational"
+    else:
+        constant = value.to_fraction()
+        if constant.denominator != 1:
+            reason = "constant is not an integer"
+        elif abs(constant) != expected:
+            reason = "absolute value differs from the wreath degree"
+    return HllMemberReport(
+        partition=pi,
+        quotient=quotient,
+        constant=constant,
+        constant_str=field_value_str(value),
+        expected=expected,
+        ok=reason is None,
+        reason=reason,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,12 @@ hooks by testing every t <= s against each row; and
 `relative_hook_degree_by_symbol_hooks` multiplies |p*l + c_i - c_j| over
 those hooks one at a time, with no per-quotient table.
 
+`hll_check_gl_by_stripping` is the series check that
+`symblocks.unipotent.hll_check_gl` replaced: it builds the degree polynomial
+of every member and of its series base, divides Phi_d out of both
+floor(|core|/d) times with `Poly.exact_div`, and takes their ratio at a
+primitive d-th root of unity.
+
 `tori_all_entries` lists every torus table row up to a rank, and
 `speceq_identity_holds` rechecks a `SpeceqWitness` from scratch.
 """
@@ -35,7 +41,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
 
-from symblocks.algebra import CycElt, ExactnessError, phi_value
+from symblocks.algebra import CycElt, ExactnessError, cyclotomic_poly, phi_value
 from symblocks.blocks import (
     BlockData,
     _alt_block,
@@ -49,14 +55,24 @@ from symblocks.partitions import (
     check_partition,
     combine,
     conjugate,
+    core_and_quotient,
     degree,
     enumerate_partitions,
+    gl_degree_poly,
     hook_lengths,
     is_p_core,
     partition_from_beta,
     runner_bead_counts,
 )
-from symblocks.unipotent import SpeceqWitness, ToriEntry, tori_entry
+from symblocks.unipotent import (
+    HllReport,
+    HllSeriesReport,
+    SpeceqWitness,
+    ToriEntry,
+    _hll_member,
+    dhc_series_gl,
+    tori_entry,
+)
 from symblocks.wreath import (
     ESymbol,
     FieldValue,
@@ -185,6 +201,37 @@ def relative_hook_degree_by_symbol_hooks(pi: Partition, p: int) -> int:
     if rem:
         raise ExactnessError(f"hook product {hooks} does not divide {num}")
     return q
+
+
+def hll_check_gl_by_stripping(n: int, d: int) -> HllReport:
+    """`hll_check_gl` by polynomial arithmetic: strip Phi_d, then evaluate.
+
+    In the series with core mu, both Deg(pi) and Deg(mu) are divisible by
+    Phi_d exactly floor(|mu|/d) times; after stripping that power, their
+    ratio at a primitive d-th root of unity is the member's constant.  Each
+    stripped polynomial is evaluated at zeta as its residue mod Phi_d.
+    """
+    phi = cyclotomic_poly(d)
+    series_reports = []
+    for core, members in dhc_series_gl(n, d):
+        r = sum(core)
+        strip = r // d
+        base = gl_degree_poly(core)
+        for _ in range(strip):
+            base = base.exact_div(phi)
+        base_inv = CycElt.from_poly(d, base).inverse()
+        member_reports = []
+        for pi in members:
+            _, quotient, _ = core_and_quotient(pi, d)
+            reduced = gl_degree_poly(pi)
+            for _ in range(strip):
+                reduced = reduced.exact_div(phi)
+            value = CycElt.from_poly(d, reduced) * base_inv
+            member_reports.append(_hll_member(pi, quotient, value))
+        series_reports.append(
+            HllSeriesReport(core, (n - r) // d, tuple(member_reports))
+        )
+    return HllReport(n, d, tuple(series_reports))
 
 
 def tori_all_entries(n_max: int) -> tuple[ToriEntry, ...]:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import stat
@@ -205,7 +206,7 @@ def test_jobs_are_capped_by_keys_and_cpus(monkeypatch, capsys):
     argv += ["--format", "json"]
     assert cli.main(argv + ["--jobs", "1"]) == 0
     serial = capsys.readouterr().out
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli.main(argv + ["--jobs", "64"]) == 0
@@ -215,6 +216,17 @@ def test_jobs_are_capped_by_keys_and_cpus(monkeypatch, capsys):
     one_key = ["verify-wreath", "--e-max", "1", "--r-max", "1", "--jobs", "64"]
     assert cli.main(one_key) == 0
     assert requested == [2]
+
+
+def test_serial_runs_do_not_import_the_process_pool():
+    probe = (
+        "import sys, symblocks.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert r.stdout == "False\n"
 
 
 def test_alternating_classification_failure_exits_3(monkeypatch, capsys):

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 import symblocks.unipotent as unipotent
-from oracles import speceq_identity_holds, tori_all_entries
+from oracles import (
+    hll_check_gl_by_stripping,
+    speceq_identity_holds,
+    tori_all_entries,
+)
+from symblocks.algebra import ExactnessError
 from symblocks.partitions import (
     core_and_quotient,
     degree,
@@ -185,6 +190,40 @@ def test_hll_census_small_range():
     assert failures == 85
     # every recorded failure is a clean unit-versus-degree mismatch
     assert reasons == {"absolute value differs from the wreath degree"}
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(n, d) for n in range(1, 13) for d in range(1, n + 1)]
+    + [(16, 4), (18, 2), (14, 5), (13, 7)],
+)
+def test_hll_matches_stripping_oracle(n, d):
+    assert hll_check_gl(n, d) == hll_check_gl_by_stripping(n, d)
+
+
+def test_hll_builds_no_degree_polynomial(monkeypatch):
+    expected = {nd: hll_check_gl_by_stripping(*nd) for nd in ((12, 4), (11, 6))}
+
+    def refuse(pi):
+        raise AssertionError(f"gl_degree_poly({pi}) on the check path")
+
+    monkeypatch.setattr(unipotent, "gl_degree_poly", refuse)
+    for (n, d), report in expected.items():
+        assert hll_check_gl(n, d) == report
+
+
+def test_hll_unbalanced_vanishing_factors_raise(monkeypatch):
+    real = unipotent.hook_lengths
+    # a 2-core with a hook that 2 divides
+    monkeypatch.setattr(unipotent, "hook_lengths", lambda pi: real(pi) + (2,))
+    with pytest.raises(ExactnessError, match="core"):
+        hll_check_gl(4, 2)
+    # a member that lost a hook that 2 divides
+    monkeypatch.setattr(
+        unipotent, "hook_lengths", lambda pi: real(pi)[sum(pi) > 1 :]
+    )
+    with pytest.raises(ExactnessError, match="hooks that 2 divides"):
+        hll_check_gl(4, 2)
 
 
 def test_hll_validation():
