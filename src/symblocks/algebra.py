@@ -16,7 +16,9 @@ that bound `is_prime` falls back to `trial_factor`, so no answer rests on an
 unproven test. Primitive prime divisors are found by Bang's congruence without
 factoring Phi_m(q): for m > 2 every prime factor of Phi_m(q) is primitive
 except l, the largest prime of m, which divides it at most once, and each
-primitive one is 1 mod m (1 mod 2m for odd m).
+primitive one is 1 mod m (1 mod 2m for odd m). A cofactor at or above the
+bound that passes the Miller-Rabin bases is refused with `UnprovenPrimeError`:
+the test only decides to refuse, it never picks the prime reported.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ Scalar = Union[int, Fraction]
 
 class ExactnessError(ArithmeticError):
     """An operation that must be exact (integer or polynomial division) was not."""
+
+
+class UnprovenPrimeError(ArithmeticError):
+    """A number at or above MILLER_RABIN_BOUND passed the Miller-Rabin bases:
+    probably prime, but neither proven prime nor within reach of trial division."""
 
 
 def _power(x, n: int):
@@ -142,6 +149,12 @@ def is_prime(n: int) -> bool:
         return False
     if n >= MILLER_RABIN_BOUND:
         return trial_factor(n) == {n: 1}
+    return _passes_miller_rabin(n)
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """True when n >= 2 is a base or a strong probable prime to every base
+    in _MR_BASES; a proof of primality only below MILLER_RABIN_BOUND."""
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -406,6 +419,12 @@ def phi_value(i: int, q: int) -> int:
 # primitive prime divisors
 
 
+# The series whose pair of maximal tori `unipotent.tori_entry` tabulates for
+# the primitive prime checks; kept here, beside the search those checks run,
+# so that the CLI offers them without loading `unipotent`.
+TORI_SERIES = ("A", "2A", "B/C", "D", "2D", "E6", "2E6", "E7")
+
+
 @dataclass(frozen=True)
 class ZsigmondyResult:
     """Outcome of the primitive-prime-divisor search for q**m - 1.
@@ -433,7 +452,9 @@ def zsigmondy(q: int, m: int) -> ZsigmondyResult:
     cofactor itself if Miller-Rabin proves it prime, else the first
     d = 1 + k*s that divides it, which is prime because its prime factors
     would be smaller terms of the same progression.  Phi_m(q) is never
-    factored in full.
+    factored in full.  A cofactor at or above MILLER_RABIN_BOUND that passes
+    the Miller-Rabin bases raises UnprovenPrimeError, since proving it prime
+    by the congruence search would step d to its square root.
 
     >>> zsigmondy(2, 4).prime
     5
@@ -460,8 +481,16 @@ def zsigmondy(q: int, m: int) -> ZsigmondyResult:
         return ZsigmondyResult(q, m, 2)
     if val == 1:
         return ZsigmondyResult(q, m, None)
-    if val < MILLER_RABIN_BOUND and is_prime(val):
-        return ZsigmondyResult(q, m, val)
+    if val < MILLER_RABIN_BOUND:
+        if is_prime(val):
+            return ZsigmondyResult(q, m, val)
+    elif _passes_miller_rabin(val):
+        # most likely prime, and then the loop below would step d to its
+        # square root; a composite val fails and is searched as below
+        raise UnprovenPrimeError(
+            f"the cofactor {val} of Phi_{m}({q}) is a probable prime at or above "
+            f"{MILLER_RABIN_BOUND}, where no proof is available"
+        )
     step = m if m % 2 == 0 else 2 * m
     d = 1 + step
     while d * d <= val:

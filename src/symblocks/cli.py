@@ -14,50 +14,37 @@ handler's result in the report envelope: "command" is the subcommand name
 and "parameters" echoes the parsed flags in parser order, all but --format,
 --out and --jobs, leaving out an optional flag that was not given.
 
+Only `algebra` is imported at module level.  Each handler and pool worker
+imports the layers it runs, and `_render` the module of its format, so a
+process loads no layer its subcommand does not use; a handler that hands
+work to a pool imports its layer first, and the forked workers inherit it.
+
 Exit status: 0 on success, 1 when at least one refutation record was
 emitted (a counterexample to one of the checked statements), 2 on usage
-errors and on an --out file that cannot be written, with a single-line
-diagnostic on stderr, 3 on any other exception (an internal check of the
-library failed: an inexact division, a failed Schur evaluation, a block of
+errors, on an --out file that cannot be written and on a primitive prime
+search refused for an unproven prime, with a single-line diagnostic on
+stderr, 3 on any other exception (an internal check of the library
+failed: an inexact division, a failed Schur evaluation, a block of
 unexpected shape, a ValueError the flags should have ruled out), with a
 single "internal error:" line.  A block that no classification case covers
 is a refutation, for either group.  Every bound the library relies on is
-checked here, so only UsageError means status 2.
+checked here, so only UsageError and the library's UnprovenPrimeError, a
+refusal before any search runs, mean status 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from math import factorial
 
-from .algebra import MILLER_RABIN_BOUND, is_prime, power_base, zsigmondy
-from .blocks import (
-    blocks_an,
-    blocks_sn,
-    quotient_congruence,
-    relative_hook_degree,
-    to_json_record,
-)
-from .partitions import degree, enumerate_partitions, format_partition
-from .unipotent import (
+from .algebra import (
+    MILLER_RABIN_BOUND,
     TORI_SERIES,
-    degree_collisions,
-    hll_check_gl,
-    speceq_search,
-    tori_check,
-    tori_entry,
-    unipotent_degrees_gl,
-)
-from .wreath import (
-    enumerate_multipartitions,
-    schur_specialize_roots,
-    symbol_of,
-    wreath_degree,
+    UnprovenPrimeError,
+    is_prime,
+    power_base,
+    zsigmondy,
 )
 
 EXCEPTION_DETAIL_CAP = 200
@@ -178,6 +165,8 @@ def _parallel_map(fn, keys, jobs):
 
 
 def _scan_blocks_worker(key):
+    from .blocks import blocks_an, blocks_sn, to_json_record
+
     group, n, p, ehzd_only = key
     build = blocks_sn if group == "sym" else blocks_an
     records = [to_json_record(blk) for blk in build(n, p)]
@@ -190,6 +179,8 @@ def _cmd_scan_blocks(args) -> dict:
         raise UsageError(
             f"alt ranges must start at 2 or more, got {args.n_range.text!r}"
         )
+    from . import blocks  # noqa: F401  (loaded before a pool forks its workers)
+
     keys = [(args.group, n, args.p, args.ehzd_only) for n in range(lo, hi + 1)]
     chunks = _parallel_map(_scan_blocks_worker, keys, args.jobs)
     records = [rec for chunk in chunks for rec in chunk]
@@ -251,6 +242,9 @@ def _table_scan_blocks(report: dict):
 
 
 def _hook_worker(key):
+    from .blocks import quotient_congruence, relative_hook_degree
+    from .partitions import degree, enumerate_partitions, format_partition
+
     n, p = key
     equality_failures = []
     exceptions = []
@@ -290,6 +284,8 @@ def _hook_worker(key):
 
 
 def _cmd_verify_hook(args) -> dict:
+    from . import blocks  # noqa: F401  (loaded before a pool forks its workers)
+
     keys = [(n, p) for n in range(1, args.n_max + 1) for p in args.primes]
     results = _parallel_map(_hook_worker, keys, args.jobs)
     rows = [row for row, _, _ in results]
@@ -330,6 +326,16 @@ def _table_verify_hook(report: dict):
 
 
 def _wreath_worker(key):
+    from math import factorial
+
+    from .partitions import format_partition
+    from .wreath import (
+        enumerate_multipartitions,
+        schur_specialize_roots,
+        symbol_of,
+        wreath_degree,
+    )
+
     e, r = key
     order = e**r * factorial(r)
     sum_squares = 0
@@ -360,6 +366,8 @@ def _wreath_worker(key):
 
 
 def _cmd_verify_wreath(args) -> dict:
+    from . import wreath  # noqa: F401  (loaded before a pool forks its workers)
+
     keys = [(e, r) for e in range(1, args.e_max + 1) for r in range(1, args.r_max + 1)]
     results = _parallel_map(_wreath_worker, keys, args.jobs)
     rows = [row for row, _ in results]
@@ -401,6 +409,9 @@ def _table_verify_wreath(report: dict):
 def _cmd_unipotent(args) -> dict:
     if args.collisions and args.q is None:
         raise UsageError("--collisions requires --q")
+    from .partitions import degree, format_partition
+    from .unipotent import degree_collisions, unipotent_degrees_gl
+
     records = []
     value_at_q = {}
     for entry in unipotent_degrees_gl(args.n):
@@ -462,6 +473,9 @@ def _table_unipotent(report: dict):
 def _cmd_hll_check(args) -> dict:
     if args.d > args.n:
         raise UsageError(f"--d must be at most --n, got {args.d} > {args.n}")
+    from .partitions import format_partition
+    from .unipotent import hll_check_gl
+
     report = hll_check_gl(args.n, args.d)
     records = []
     refutations = []
@@ -530,6 +544,8 @@ def _table_hll_check(report: dict):
 
 
 def _cmd_speceq(args) -> dict:
+    from .unipotent import speceq_search
+
     witnesses = speceq_search(args.q_max, args.m_max, args.exp_bound, args.n_bound)
     records = []
     for w in witnesses:
@@ -595,6 +611,8 @@ def _table_speceq(report: dict):
 
 
 def _cmd_tori(args) -> dict:
+    from .unipotent import tori_check, tori_entry
+
     try:
         entry = tori_entry(args.series, args.n)
     except ValueError as exc:  # a rank outside the series, before any work
@@ -671,8 +689,13 @@ def _table_zsigmondy(report: dict):
 
 def _render(report: dict, args) -> str:
     if args.format == "json":
+        import json
+
         return json.dumps(report, indent=2) + "\n"
     if args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(args.csv(report))
         return buf.getvalue()
@@ -856,7 +879,7 @@ def main(argv: list[str] | None = None) -> int:
             **args.handler(args),
         }
         _emit(_render(report, args), args)
-    except UsageError as exc:
+    except (UsageError, UnprovenPrimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, prod
 
+from .algebra import TORI_SERIES  # noqa: F401  (the series tori_entry accepts)
 from .algebra import (
     CycElt,
     ExactnessError,
@@ -87,11 +88,22 @@ def dhc_series_gl(n: int, d: int) -> tuple[tuple[Partition, tuple[Partition, ...
         raise ValueError("need n >= 1")
     if d < 1:
         raise ValueError("need d >= 1")
-    groups: dict[Partition, list[Partition]] = {}
+    return tuple(
+        (core, tuple(pi for pi, _ in members))
+        for core, members in _series_with_quotients(n, d)
+    )
+
+
+def _series_with_quotients(
+    n: int, d: int
+) -> list[tuple[Partition, list[tuple[Partition, tuple[Partition, ...]]]]]:
+    """(core, [(pi, d-quotient of pi), ...]) pairs sorted by core, members
+    in enumeration order; each partition is decomposed once."""
+    groups: dict[Partition, list[tuple[Partition, tuple[Partition, ...]]]] = {}
     for pi in enumerate_partitions(n):
-        core, _, _ = core_and_quotient(pi, d)
-        groups.setdefault(core, []).append(pi)
-    return tuple((core, tuple(ms)) for core, ms in sorted(groups.items()))
+        core, quotient, _ = core_and_quotient(pi, d)
+        groups.setdefault(core, []).append((pi, quotient))
+    return sorted(groups.items())
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +186,7 @@ def hll_check_gl(n: int, d: int) -> HllReport:
     # and its inverse
     factors = [None] + [(z - 1, (z - 1).inverse()) for z in roots[1:]]
     series_reports = []
-    for core, members in dhc_series_gl(n, d):
+    for core, members in _series_with_quotients(n, d):
         r = sum(core)
         weight = (n - r) // d
         core_b = b_statistic(core)
@@ -187,8 +199,7 @@ def hll_check_gl(n: int, d: int) -> HllReport:
             raise ExactnessError(f"the {d}-core {core} has a hook that {d} divides")
         k_prod = prod(range((r // d + 1) * d, n + 1, d))
         member_reports = []
-        for pi in members:
-            _, quotient, _ = core_and_quotient(pi, d)
+        for pi, quotient in members:
             net = above.copy()
             vanishing = []
             for h in hook_lengths(pi):
@@ -415,9 +426,6 @@ class ToriEntry:
     t2: Poly
     m1: int
     m2: int
-
-
-TORI_SERIES = ("A", "2A", "B/C", "D", "2D", "E6", "2E6", "E7")
 
 
 def _x_pow_plus_one(k: int) -> Poly:

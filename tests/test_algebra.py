@@ -1,5 +1,8 @@
 import doctest
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from symblocks.algebra import (
     CycElt,
     ExactnessError,
     Poly,
+    UnprovenPrimeError,
     cyclotomic_poly,
     divisors,
     factorial_val,
@@ -310,6 +314,31 @@ def test_square_of_the_largest_prime_of_m_is_an_internal_error(monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ExactnessError:")
+
+
+def test_a_probable_prime_cofactor_above_the_bound_is_refused(capsys):
+    # Phi_127(2) = 2**127 - 1 is prime, but above the Miller-Rabin bound no
+    # test here proves it, and the search would step d toward its square root
+    with pytest.raises(UnprovenPrimeError, match=str(2**127 - 1)):
+        zsigmondy(2, 127)
+    argv = ["zsigmondy", "--q", "2", "--m", "127"]
+    r = subprocess.run(
+        [sys.executable, "-m", "symblocks", *argv],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == r.stderr
+
+
+def test_a_composite_cofactor_above_the_bound_is_still_searched():
+    # 2**83 - 1 = 167 * 57912614113275649087721 fails the Miller-Rabin bases
+    assert phi_value(83, 2) >= algebra.MILLER_RABIN_BOUND
+    assert zsigmondy(2, 83).prime == 167
 
 
 def test_zsigmondy_absence_classification():

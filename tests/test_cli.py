@@ -229,11 +229,73 @@ def test_serial_runs_do_not_import_the_process_pool():
     assert r.stdout == "False\n"
 
 
+# what a fresh process has loaded once cli.main has run one subcommand
+_LOADED_AFTER_MAIN = """
+import sys
+from symblocks import cli
+cli.main(sys.argv[1:])
+print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (["zsigmondy", "--q", "2", "--m", "6"], ["symblocks.algebra"],
+         ["symblocks.blocks", "symblocks.partitions", "symblocks.wreath",
+          "symblocks.unipotent"]),
+        (["hll-check", "--n", "6", "--d", "2"], ["symblocks.unipotent"],
+         ["symblocks.blocks"]),
+        (["scan-blocks", "--group", "sym", "--n-range", "1..4", "--p", "2"],
+         ["symblocks.blocks"], ["symblocks.unipotent"]),
+    ],
+)
+def test_a_subcommand_loads_only_the_layers_it_runs(argv, loaded, absent):
+    r = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    modules = set(r.stderr.split())
+    assert set(loaded) <= modules
+    # the table format renders without json or csv
+    assert modules.isdisjoint(absent + ["json", "csv"])
+
+
+_LAYERS_AT_FORK = """
+import sys
+from symblocks import cli
+real = cli._parallel_map
+def spy(fn, keys, jobs):
+    print(" ".join(sorted(sys.modules)), file=sys.stderr)
+    return real(fn, keys, jobs)
+cli._parallel_map = spy
+cli.main(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, layer",
+    [
+        (["scan-blocks", "--group", "alt", "--n-range", "2..5", "--p", "3"],
+         "symblocks.blocks"),
+        (["verify-hook-formula", "--n-max", "4", "--primes", "2,3"],
+         "symblocks.blocks"),
+        (["verify-wreath", "--e-max", "2", "--r-max", "2"], "symblocks.wreath"),
+    ],
+)
+def test_a_pool_forks_with_its_layer_loaded(argv, layer):
+    r = subprocess.run(
+        [sys.executable, "-c", _LAYERS_AT_FORK, *argv, "--jobs", "2"],
+        capture_output=True, text=True, check=True,
+    )
+    assert layer in r.stderr.split()
+
+
 def test_alternating_classification_failure_exits_3(monkeypatch, capsys):
     def fail(n, p):
         raise ClassificationError(f"no case covers a block of A_{n} at p={p}")
 
-    monkeypatch.setattr(cli, "blocks_an", fail)
+    monkeypatch.setattr("symblocks.blocks.blocks_an", fail)
     argv = ["scan-blocks", "--group", "alt", "--n-range", "5..5", "--p", "3"]
     assert cli.main(argv) == 3
     assert capsys.readouterr().err.startswith("internal error: ClassificationError:")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import symblocks.unipotent as unipotent
+from symblocks import algebra, cli
 from oracles import (
     hll_check_gl_by_stripping,
     speceq_identity_holds,
@@ -226,6 +227,20 @@ def test_hll_unbalanced_vanishing_factors_raise(monkeypatch):
         hll_check_gl(4, 2)
 
 
+def test_hll_decomposes_each_member_once(monkeypatch):
+    calls = []
+    real = unipotent.core_and_quotient
+
+    def counting(pi, d):
+        calls.append((pi, d))
+        return real(pi, d)
+
+    monkeypatch.setattr(unipotent, "core_and_quotient", counting)
+    hll_check_gl(12, 4)
+    assert len(calls) == 77
+    assert sorted(calls) == sorted((pi, 4) for pi in enumerate_partitions(12))
+
+
 def test_hll_validation():
     with pytest.raises(ValueError):
         hll_check_gl(3, 4)
@@ -392,6 +407,15 @@ def test_tori_all_entries_inventory():
     assert by_series["E6"] == [6]
     assert by_series["2E6"] == [6]
     assert by_series["E7"] == [7]
+
+
+def test_tori_series_are_one_tuple_for_the_table_and_the_cli():
+    # algebra holds it, so that the CLI offers the series without unipotent
+    assert TORI_SERIES is algebra.TORI_SERIES
+    assert tuple(dict.fromkeys(e.series for e in tori_all_entries(8))) == TORI_SERIES
+    command = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    series = next(a for a in command.choices["tori"]._actions if a.dest == "series")
+    assert series.choices is TORI_SERIES
 
 
 def test_tori_check_report():
