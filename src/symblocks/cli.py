@@ -165,12 +165,16 @@ def _parallel_map(fn, keys, jobs):
 
 
 def _scan_blocks_worker(key):
-    from .blocks import blocks_an, blocks_sn, to_json_record
+    from .blocks import blocks_an, blocks_sn, is_ehzd, to_json_record
 
     group, n, p, ehzd_only = key
     build = blocks_sn if group == "sym" else blocks_an
-    records = [to_json_record(blk) for blk in build(n, p)]
-    return [r for r in records if r["refutation"] or not ehzd_only or r["ehzd"]]
+    # a refutation is listed even under --ehzd-only
+    return [
+        to_json_record(blk)
+        for blk in build(n, p)
+        if not ehzd_only or blk.classification == "failure" or is_ehzd(blk)
+    ]
 
 
 def _cmd_scan_blocks(args) -> dict:
@@ -687,11 +691,51 @@ def _table_zsigmondy(report: dict):
 # rendering and output
 
 
+def _json(value, indent: str, quote) -> str:
+    """The text json.dumps(value, indent=2) gives at this depth, for the
+    report's own types: dict with str keys, list or tuple, str, bool, int
+    and None; quote is json's C encode_basestring_ascii.  Each container
+    joins its children's texts.  Any other type, a float or a Fraction say,
+    raises TypeError, so no inexact number can reach a report."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for k, v in value.items():
+            # most leaves are str or int: write them here, saving a call
+            if type(v) is str:
+                text = quote(v)
+            elif type(v) is int:
+                text = int.__repr__(v)
+            else:
+                text = _json(v, inner, quote)
+            items.append(quote(k) + ": " + text)
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [quote(v) if type(v) is str else _json(v, inner, quote) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, str):
+        return quote(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _render(report: dict, args) -> str:
     if args.format == "json":
-        import json
+        from json.encoder import encode_basestring_ascii
 
-        return json.dumps(report, indent=2) + "\n"
+        return _json(report, "", encode_basestring_ascii) + "\n"
     if args.format == "csv":
         import csv
         import io

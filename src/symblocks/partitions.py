@@ -68,7 +68,7 @@ def format_partition(pi: Partition) -> str:
     >>> format_partition(())
     '[]'
     """
-    return "[" + ",".join(str(x) for x in pi) + "]"
+    return "[" + ",".join(map(str, pi)) + "]"
 
 
 def enumerate_partitions(n: int, max_part: int | None = None):
@@ -91,18 +91,21 @@ def enumerate_partitions(n: int, max_part: int | None = None):
 
 
 def conjugate(pi: Partition) -> Partition:
-    """Transpose of the Young diagram.
+    """Transpose of the Young diagram, read off the differences between
+    consecutive parts in O(|pi|).
 
     >>> conjugate((3, 1))
     (2, 1, 1)
     >>> conjugate(conjugate((5, 3, 3, 1))) == (5, 3, 3, 1)
     True
     """
-    if not pi:
-        return ()
-    out = []
-    for j in range(1, pi[0] + 1):
-        out.append(sum(1 for part in pi if part >= j))
+    out: list[int] = []
+    below = 0
+    # the columns from below + 1 to a part of row i (1-indexed) have height i
+    for i in range(len(pi), 0, -1):
+        part = pi[i - 1]
+        out += [i] * (part - below)
+        below = part
     return tuple(out)
 
 
@@ -177,15 +180,6 @@ def beta_set(pi: Partition, beads: int) -> tuple[int, ...]:
     return tuple(range(pad)) + tuple(rows)
 
 
-def partition_from_beta(entries) -> Partition:
-    """Recover the partition from any finite set of distinct non-negative ints.
-
-    >>> partition_from_beta((0, 1, 3, 6))
-    (3, 1)
-    """
-    return _partition_from_ascending(sorted(entries))
-
-
 def _abacus_levels(pi: Partition, p: int) -> list[list[int]]:
     """Bead levels per runner under the fixed bead-count convention."""
     m = -(-len(pi) // p) * p
@@ -196,7 +190,7 @@ def _abacus_levels(pi: Partition, p: int) -> list[list[int]]:
 
 
 def _partition_from_ascending(beta) -> Partition:
-    """partition_from_beta for a beta-set already in ascending order.
+    """The partition of a beta-set given in ascending order.
 
     The parts b - j of the j-th entry b rise weakly, so the nonzero ones
     come last and only need reversing.
@@ -297,7 +291,9 @@ def p_cores(m: int, p: int) -> list[Partition]:
 def combine(core: Partition, quotient: tuple[Partition, ...], p: int) -> Partition:
     """Unique partition with the given p-core and p-quotient.
 
-    Inverse of core_and_quotient under the fixed convention.
+    Inverse of core_and_quotient under the fixed convention.  Every call
+    checks that there are p components and that core is a p-core.  The
+    beads of all runners are collected into one list and sorted once.
 
     >>> combine((), ((2,), ()), 2)
     (3, 1)
@@ -312,12 +308,18 @@ def combine(core: Partition, quotient: tuple[Partition, ...], p: int) -> Partiti
     counts = runner_bead_counts(core, p)
     # pad with full bead rows until every runner can hold its component
     extra = max([len(nu) - c for nu, c in zip(quotient, counts)] + [0])
-    final_beta = [
-        i + p * lvl
-        for i, nu in enumerate(quotient)
-        for lvl in beta_set(nu, counts[i] + extra)
-    ]
-    return partition_from_beta(final_beta)
+    beads: list[int] = []
+    for i, (nu, c) in enumerate(zip(quotient, counts)):
+        # runner i holds the beta-set of nu with c + extra beads, at
+        # i + p * level: the padding beads, then one bead per part from the
+        # last row up
+        b = i + p * (c + extra - len(nu))
+        beads += range(i, b, p)
+        for part in reversed(nu):
+            beads.append(b + p * part)
+            b += p
+    beads.sort()
+    return _partition_from_ascending(beads)
 
 
 @lru_cache(maxsize=None)

@@ -31,6 +31,14 @@ of every member and of its series base, divides Phi_d out of both
 floor(|core|/d) times with `Poly.exact_div`, and takes their ratio at a
 primitive d-th root of unity.
 
+`conjugate_by_counting` is the transpose that
+`symblocks.partitions.conjugate` replaced: it counts the parts that reach
+each column.  `combine_by_components` is the inverse of
+`core_and_quotient` that `symblocks.partitions.combine` replaced: it builds
+each runner's beta-set as a tuple with `beta_set` and recovers the
+partition from all the beads with `partition_from_beta`, which sorts any
+beta-set; the library only reads beta-sets it builds in ascending order.
+
 `tori_all_entries` lists every torus table row up to a rank, and
 `speceq_identity_holds` rechecks a `SpeceqWitness` from scratch.
 """
@@ -52,6 +60,8 @@ from symblocks.blocks import (
 from symblocks.partitions import (
     Partition,
     _abacus_levels,
+    _partition_from_ascending,
+    beta_set,
     check_partition,
     combine,
     conjugate,
@@ -61,7 +71,6 @@ from symblocks.partitions import (
     gl_degree_poly,
     hook_lengths,
     is_p_core,
-    partition_from_beta,
     runner_bead_counts,
 )
 from symblocks.unipotent import (
@@ -88,6 +97,15 @@ from symblocks.wreath import (
     symbol_of,
     symbol_rank,
 )
+
+
+def partition_from_beta(entries) -> Partition:
+    """Recover the partition from any finite set of distinct non-negative ints.
+
+    >>> partition_from_beta((0, 1, 3, 6))
+    (3, 1)
+    """
+    return _partition_from_ascending(sorted(entries))
 
 
 def blocks_sn_by_filter(n: int, p: int) -> tuple[BlockData, ...]:
@@ -159,6 +177,40 @@ def core_and_quotient_by_sorting(
     if sum(pi) != sum(core) + p * weight:
         raise ExactnessError("abacus bookkeeping failed")
     return core, quotient, weight
+
+
+def conjugate_by_counting(pi: Partition) -> Partition:
+    """Transpose of the Young diagram: column j holds the parts >= j.
+
+    >>> conjugate_by_counting((3, 1))
+    (2, 1, 1)
+    """
+    if not pi:
+        return ()
+    return tuple(sum(1 for part in pi if part >= j) for j in range(1, pi[0] + 1))
+
+
+def combine_by_components(
+    core: Partition, quotient: tuple[Partition, ...], p: int
+) -> Partition:
+    """The partition with the given p-core and p-quotient, from one beta-set
+    tuple per runner.
+
+    >>> combine_by_components((), ((2,), ()), 2)
+    (3, 1)
+    """
+    if len(quotient) != p:
+        raise ValueError(f"quotient must have exactly {p} components")
+    if not is_p_core(core, p):
+        raise ValueError(f"{core} has a hook length divisible by {p}")
+    counts = runner_bead_counts(core, p)
+    extra = max([len(nu) - c for nu, c in zip(quotient, counts)] + [0])
+    final_beta = [
+        i + p * lvl
+        for i, nu in enumerate(quotient)
+        for lvl in beta_set(nu, counts[i] + extra)
+    ]
+    return partition_from_beta(final_beta)
 
 
 def symbol_hooks_by_membership(sym: ESymbol):

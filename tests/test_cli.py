@@ -1,13 +1,17 @@
+import argparse
 import concurrent.futures
 import json
 import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from symblocks import cli
+from symblocks import blocks, cli
 from symblocks.algebra import ExactnessError
 from symblocks.blocks import ClassificationError
 from symblocks.wreath import SchurEvaluationError
@@ -126,6 +130,83 @@ def test_internal_errors_exit_3(exc, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "handler, argv, inexact",
+    [
+        ("_cmd_zsigmondy", ["zsigmondy", "--q", "2", "--m", "3"], 0.5),
+        ("_cmd_unipotent", ["unipotent", "--n", "3"], Fraction(1, 3)),
+    ],
+)
+def test_an_inexact_number_in_a_record_exits_3(
+    handler, argv, inexact, monkeypatch, tmp_path, capsys
+):
+    real = getattr(cli, handler)
+
+    def with_inexact(args):
+        report = real(args)
+        report["records"][0]["value"] = inexact
+        return report
+
+    monkeypatch.setattr(cli, handler, with_inexact)
+    argv = argv + ["--format", "json"]
+    expected = (
+        f"internal error: TypeError: Object of type {type(inexact).__name__} "
+        "is not JSON serializable\n"
+    )
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == ("", expected)
+    target = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(target)]) == 3
+    assert capsys.readouterr() == ("", expected)
+    assert list(tmp_path.iterdir()) == []
+
+
+# report-shaped values: every type the JSON writer takes, and strings that
+# need escapes (quotes, backslashes, control, non-ASCII, astral, a lone
+# surrogate)
+_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\té中\U0001f600\ud800'))
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**64)),
+    _TEXT,
+)
+_REPORT_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(children).map(cli._Range),
+        st.dictionaries(_TEXT, children),
+    ),
+    max_leaves=40,
+)
+_JSON = argparse.Namespace(format="json")
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_REPORT_VALUES)
+@example(value={})
+@example(value=[])
+@example(value={"a": {}, "b": [], "c": (), "d": [[], {}]})
+@example(value={"t": True, "f": False, "n": None, "big": 2**70, "neg": -(2**70)})
+@example(value={"range": cli._Range((2, 26)), "s": '"\\\x01é\U0001f600'})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._render(value, _JSON) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, float("nan"), Fraction(1, 2), {1: "a"}, {"a": {1}}, [b"x"]]
+)
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._render({"records": [value]}, _JSON)
 
 
 def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
@@ -370,6 +451,26 @@ def test_scan_blocks_ehzd_filter():
     assert doc["records"]
     for rec in doc["records"]:
         assert rec["ehzd"] or rec.get("refutation")
+
+
+def test_ehzd_only_builds_records_for_the_kept_blocks_only(monkeypatch, capsys):
+    built = []
+    real = blocks.to_json_record
+
+    def counting(block):
+        built.append(block)
+        return real(block)
+
+    monkeypatch.setattr(blocks, "to_json_record", counting)
+    argv = ["scan-blocks", "--group", "sym", "--n-range", "1..10", "--p", "2",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    scanned = len(json.loads(capsys.readouterr().out)["records"])
+    assert len(built) == scanned
+    built.clear()
+    assert cli.main(argv + ["--ehzd-only"]) == 0
+    kept = json.loads(capsys.readouterr().out)["records"]
+    assert 0 < len(built) == len(kept) < scanned
 
 
 def test_scan_blocks_csv_projection():

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 import symblocks.partitions as partitions
 from oracles import (
+    combine_by_components,
+    conjugate_by_counting,
     core_and_quotient_by_sorting,
+    partition_from_beta,
     relative_hook_degree_by_symbol_hooks,
 )
 from symblocks.blocks import quotient_congruence, relative_hook_degree
@@ -28,7 +31,6 @@ from symblocks.partitions import (
     is_self_dual,
     p_cores,
     parse_partition,
-    partition_from_beta,
     runner_bead_counts,
 )
 from symblocks.wreath import wreath_degree
@@ -155,10 +157,11 @@ def test_parse_rejects_malformed(bad):
 
 
 def test_conjugate_involution_and_duals():
-    for n in range(1, 15):
+    for n in range(15):
         count = 0
         for pi in enumerate_partitions(n):
             cj = conjugate(pi)
+            assert cj == conjugate_by_counting(pi)
             assert conjugate(cj) == pi
             assert sum(cj) == n
             if is_self_dual(pi):
@@ -256,8 +259,12 @@ def test_combine_rejects_a_non_core_after_cached_cores():
     # (2,) has its bead layout cached as a 3-core, (1,) as a 2-core
     assert combine((2,), ((), (), ()), 3) == (2,)
     assert combine((1,), ((1,), ()), 2) == (3,)
-    with pytest.raises(ValueError):
-        combine((2,), ((), ()), 2)
+    # both checks run on every call, a repeated one included
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            combine((2,), ((), ()), 2)
+        with pytest.raises(ValueError):
+            combine((1,), ((), (), ()), 2)
 
 
 def test_runner_bead_counts_of_a_core():
@@ -271,6 +278,7 @@ def test_combine_round_trip_exhaustive():
             for pi in enumerate_partitions(n):
                 core, quotient, _ = core_and_quotient(pi, p)
                 assert combine(core, quotient, p) == pi
+                assert combine_by_components(core, quotient, p) == pi
 
 
 @st.composite
@@ -290,8 +298,9 @@ def _partitions_strategy(draw):
 @settings(max_examples=200, deadline=None)
 @given(pi=_partitions_strategy(), p=st.sampled_from((2, 3, 5, 7, 11)))
 def test_combine_round_trip_property(pi, p):
+    assert conjugate(pi) == conjugate_by_counting(pi)
     core, quotient, weight = core_and_quotient(pi, p)
-    assert combine(core, quotient, p) == pi
+    assert combine(core, quotient, p) == combine_by_components(core, quotient, p) == pi
     assert sum(core) + p * weight == sum(pi)
 
 
