@@ -10,15 +10,15 @@ coefficient 1 or -1, so integer quotients stay integral. Any other divisor, and
 any division that should be exact but is not, raises `ExactnessError` instead
 of truncating, so a failed divisibility claim never yields a wrong value.
 
-Primality is deterministic Miller-Rabin with the prime bases 2..41, proven
-correct below 3317044064679887385961981 (Sorenson-Webster 2015); at or above
-that bound `is_prime` falls back to `trial_factor`, so no answer rests on an
-unproven test. Primitive prime divisors are found by Bang's congruence without
-factoring Phi_m(q): for m > 2 every prime factor of Phi_m(q) is primitive
-except l, the largest prime of m, which divides it at most once, and each
-primitive one is 1 mod m (1 mod 2m for odd m). A cofactor at or above the
-bound that passes the Miller-Rabin bases is refused with `UnprovenPrimeError`:
-the test only decides to refuse, it never picks the prime reported.
+Primality is decided in one place, `is_prime`: Miller-Rabin with the prime
+bases 2..41 at every size. A failed base proves n composite; passing every
+base proves n prime below 3317044064679887385961981 (Sorenson-Webster 2015),
+and at or above that bound raises `UnprovenPrimeError`, so no answer rests on
+an unproven test and none waits on trial division. Primitive prime divisors
+are found by Bang's congruence without factoring Phi_m(q): for m > 2 every
+prime factor of Phi_m(q) is primitive except l, the largest prime of m, which
+divides it at most once, and each primitive one is 1 mod m (1 mod 2m for odd
+m). A cofactor that `is_prime` refuses is refused by `zsigmondy` too.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class ExactnessError(ArithmeticError):
 
 class UnprovenPrimeError(ArithmeticError):
     """A number at or above MILLER_RABIN_BOUND passed the Miller-Rabin bases:
-    probably prime, but neither proven prime nor within reach of trial division."""
+    probably prime, but not proven prime, so never reported as one."""
 
 
 def _power(x, n: int):
@@ -126,35 +126,31 @@ def trial_factor(n: int) -> dict[int, int]:
 
 
 # The first 13 primes; as Miller-Rabin bases they admit no strong pseudoprime
-# below MILLER_RABIN_BOUND (Sorenson-Webster 2015).  At or above the bound
-# is_prime trial-divides, which never finishes for a large prime, so the CLI
-# rejects prime inputs there.
+# below MILLER_RABIN_BOUND (Sorenson-Webster 2015).  At or above the bound a
+# number that passes them all is only probably prime, and is_prime refuses it.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check.
+    """Deterministic primality check by Miller-Rabin with the prime bases 2..41.
 
-    Below 3317044064679887385961981 this is Miller-Rabin with the prime bases
-    2..41, proven to admit no strong pseudoprime there; at or above it, n is
-    factored by `trial_factor`.
+    A base that fails proves n composite at any size.  Passing every base
+    proves n prime below 3317044064679887385961981, where these bases admit no
+    strong pseudoprime; at or above it, n is only probably prime, and
+    UnprovenPrimeError is raised instead of an answer.
 
     >>> [k for k in range(2, 20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     >>> is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
     False
+    >>> is_prime(2**89 - 1)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+        ...
+    symblocks.algebra.UnprovenPrimeError: 618970019642690137449562111 passes ...
     """
     if n < 2:
         return False
-    if n >= MILLER_RABIN_BOUND:
-        return trial_factor(n) == {n: 1}
-    return _passes_miller_rabin(n)
-
-
-def _passes_miller_rabin(n: int) -> bool:
-    """True when n >= 2 is a base or a strong probable prime to every base
-    in _MR_BASES; a proof of primality only below MILLER_RABIN_BOUND."""
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -172,6 +168,11 @@ def _passes_miller_rabin(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MILLER_RABIN_BOUND:
+        raise UnprovenPrimeError(
+            f"{n} passes the Miller-Rabin bases, but at or above "
+            f"{MILLER_RABIN_BOUND} that proves nothing"
+        )
     return True
 
 
@@ -449,12 +450,11 @@ def zsigmondy(q: int, m: int) -> ZsigmondyResult:
     for odd m.  So once l is divided out (for m = 2 the 2s; for m = 1 an even
     q - 1 gives 2), every prime factor of the cofactor is 1 mod s, with s = m
     for even m and 2m for odd m.  The answer is its least prime factor: the
-    cofactor itself if Miller-Rabin proves it prime, else the first
+    cofactor itself if `is_prime` proves it prime, else the first
     d = 1 + k*s that divides it, which is prime because its prime factors
     would be smaller terms of the same progression.  Phi_m(q) is never
-    factored in full.  A cofactor at or above MILLER_RABIN_BOUND that passes
-    the Miller-Rabin bases raises UnprovenPrimeError, since proving it prime
-    by the congruence search would step d to its square root.
+    factored in full.  A cofactor that `is_prime` refuses raises its
+    UnprovenPrimeError before any search.
 
     >>> zsigmondy(2, 4).prime
     5
@@ -481,16 +481,8 @@ def zsigmondy(q: int, m: int) -> ZsigmondyResult:
         return ZsigmondyResult(q, m, 2)
     if val == 1:
         return ZsigmondyResult(q, m, None)
-    if val < MILLER_RABIN_BOUND:
-        if is_prime(val):
-            return ZsigmondyResult(q, m, val)
-    elif _passes_miller_rabin(val):
-        # most likely prime, and then the loop below would step d to its
-        # square root; a composite val fails and is searched as below
-        raise UnprovenPrimeError(
-            f"the cofactor {val} of Phi_{m}({q}) is a probable prime at or above "
-            f"{MILLER_RABIN_BOUND}, where no proof is available"
-        )
+    if is_prime(val):
+        return ZsigmondyResult(q, m, val)
     step = m if m % 2 == 0 else 2 * m
     d = 1 + step
     while d * d <= val:
@@ -666,11 +658,9 @@ class CycElt:
         if target_order % self.order != 0:
             raise ValueError("target order must be a multiple of the current order")
         step = target_order // self.order
-        zk = Poly.x() ** step
-        acc = Poly.zero()
-        for c in reversed(self.coords):
-            acc = acc * zk + Poly.of(c)
-        return CycElt.from_poly(target_order, acc)
+        cs = [0] * (step * (len(self.coords) - 1) + 1)
+        cs[::step] = self.coords
+        return CycElt.from_poly(target_order, Poly.of(*cs))
 
     def __repr__(self) -> str:
         return f"CycElt(order={self.order}, coords={self.coords})"

@@ -100,8 +100,9 @@ def _primes(text: str) -> tuple[int, ...]:
 
 
 def _provable_prime(value: int) -> bool:
-    """A prime that is_prime settles by Miller-Rabin; above the bound it would
-    trial-divide for ever."""
+    """A prime that is_prime proves.  At or above the bound is_prime refuses
+    a probable prime with UnprovenPrimeError; the bound is checked first, so
+    such a flag gets argparse's usage message instead."""
     return value < MILLER_RABIN_BOUND and is_prime(value)
 
 
@@ -736,6 +737,8 @@ def _render(report: dict, args) -> str:
         from json.encoder import encode_basestring_ascii
 
         return _json(report, "", encode_basestring_ascii) + "\n"
+    # the JSON writer's type check, unquoted: no format prints an inexact number
+    _json(report, "", str)
     if args.format == "csv":
         import csv
         import io

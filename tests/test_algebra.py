@@ -101,6 +101,13 @@ def test_primality_without_trial_division(monkeypatch):
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
         assert not sympy.isprime(n)
         assert not is_prime(n), n
+    # above the bound a failed base still proves n composite ...
+    assert not is_prime(3000000000013 * 10000000000037)
+    # ... while passing every base proves nothing: 2**89 - 1 is prime, and
+    # the bound itself is 1287836182261 * 2575672364521
+    for n in (2**89 - 1, algebra.MILLER_RABIN_BOUND):
+        with pytest.raises(UnprovenPrimeError, match=str(n)):
+            is_prime(n)
 
 
 def test_prime_power_detection():

@@ -14,7 +14,7 @@ from oracles import (
     symbol_hooks_by_membership,
 )
 from symblocks import cli
-from symblocks.algebra import factorial_val, padic_val
+from symblocks.algebra import UnprovenPrimeError, factorial_val, padic_val
 from symblocks.blocks import (
     ClassificationError,
     blocks_an,
@@ -120,6 +120,13 @@ def test_invalid_inputs():
         blocks_sn(0, 2)
     with pytest.raises(ValueError):
         blocks_an(1, 3)
+    # 2**89 - 1 is prime, but above the Miller-Rabin bound is_prime proves
+    # nothing, so the library refuses it before any work starts
+    p = 2**89 - 1
+    with pytest.raises(UnprovenPrimeError, match=str(p)):
+        blocks_sn(3, p)
+    with pytest.raises(UnprovenPrimeError, match=str(p)):
+        relative_hook_degree((1,), p)
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,8 @@ def test_invalid_rank_is_reported_not_raised():
         ["zsigmondy", "--q", "1", "--m", "3"],
         ["zsigmondy", "--q", "x", "--m", "3"],
         ["zsigmondy", "--q", "2", "--m", "0"],
-        # 2**89 - 1 is a prime above the Miller-Rabin bound, where is_prime
-        # would trial-divide for ever
+        # 2**89 - 1 is a prime above the Miller-Rabin bound, which is_prime
+        # refuses to prove
         ["scan-blocks", "--group", "sym", "--n-range", "1..3",
          "--p", "618970019642690137449562111"],
         ["tori", "--series", "A", "--n", "2", "--q", "618970019642690137449562111"],
@@ -132,6 +132,7 @@ def test_internal_errors_exit_3(exc, monkeypatch, capsys):
     assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize(
     "handler, argv, inexact",
     [
@@ -140,7 +141,7 @@ def test_internal_errors_exit_3(exc, monkeypatch, capsys):
     ],
 )
 def test_an_inexact_number_in_a_record_exits_3(
-    handler, argv, inexact, monkeypatch, tmp_path, capsys
+    handler, argv, inexact, fmt, monkeypatch, tmp_path, capsys
 ):
     real = getattr(cli, handler)
 
@@ -150,14 +151,14 @@ def test_an_inexact_number_in_a_record_exits_3(
         return report
 
     monkeypatch.setattr(cli, handler, with_inexact)
-    argv = argv + ["--format", "json"]
+    argv = argv + ["--format", fmt]
     expected = (
         f"internal error: TypeError: Object of type {type(inexact).__name__} "
         "is not JSON serializable\n"
     )
     assert cli.main(argv) == 3
     assert capsys.readouterr() == ("", expected)
-    target = tmp_path / "report.json"
+    target = tmp_path / f"report.{fmt}"
     assert cli.main(argv + ["--out", str(target)]) == 3
     assert capsys.readouterr() == ("", expected)
     assert list(tmp_path.iterdir()) == []
