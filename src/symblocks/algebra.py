@@ -23,11 +23,10 @@ m). A cofactor that `is_prime` refuses is refused by `zsigmondy` too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Union
+from typing import NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -225,12 +224,12 @@ def _strip(coeffs: list[Scalar]) -> tuple[Scalar, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
 class Poly:
     """A univariate polynomial with exact coefficients, kept as given.
 
     Coefficients are stored low degree first; the zero polynomial has an
-    empty coefficient tuple.
+    empty coefficient tuple.  A Poly is immutable (`cyclotomic_poly` hands
+    out cached ones) and equals only another Poly.
 
     >>> p = Poly.of(-1, 0, 1)   # x^2 - 1
     >>> p.degree
@@ -241,7 +240,31 @@ class Poly:
     4
     """
 
-    coeffs: tuple[Scalar, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Scalar, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of Poly")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of Poly")
+
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slot through __setattr__
+        return Poly, (self.coeffs,)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"Poly(coeffs={self.coeffs!r})"
 
     @staticmethod
     def of(*cs: Scalar) -> "Poly":
@@ -426,8 +449,7 @@ def phi_value(i: int, q: int) -> int:
 TORI_SERIES = ("A", "2A", "B/C", "D", "2D", "E6", "2E6", "E7")
 
 
-@dataclass(frozen=True)
-class ZsigmondyResult:
+class ZsigmondyResult(NamedTuple):
     """Outcome of the primitive-prime-divisor search for q**m - 1.
 
     `prime` is the smallest prime dividing q**m - 1 but no q**i - 1 with

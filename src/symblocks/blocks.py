@@ -16,10 +16,10 @@ partitions restrict to the same character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from typing import NamedTuple
 
 from .algebra import ExactnessError, factorial_val, is_prime, padic_val
 from .partitions import (
@@ -47,8 +47,7 @@ class ClassificationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class BlockLabel:
+class BlockLabel(NamedTuple):
     group: str  # "sym" or "alt"
     n: int
     p: int
@@ -56,15 +55,13 @@ class BlockLabel:
     weight: int
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(NamedTuple):
     partition: Partition
     degree: int
     height: int
 
 
-@dataclass(frozen=True)
-class BlockData:
+class BlockData(NamedTuple):
     label: BlockLabel
     members: tuple[Member, ...]
     defect: int
@@ -212,8 +209,7 @@ def relative_hook_degree(pi: Partition, p: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Mod-p comparison of the degree ratio with the quotient wreath degree.
 
     ratio is the exact value of degree(pi)/degree(core); it is not always an
@@ -260,8 +256,7 @@ def quotient_congruence(pi: Partition, p: int) -> CongruenceReport:
 # classification
 
 
-@dataclass(frozen=True)
-class SymClassification:
+class SymClassification(NamedTuple):
     case: str  # one of "a", "b", "c", "d"
     witness: tuple[Member, Member] | None
 
@@ -325,8 +320,8 @@ def _sym_block(
     try:
         cls = classify_sym(block)
     except ClassificationError:
-        return replace(block, classification="failure")
-    return replace(block, classification=cls.case, witness=cls.witness)
+        return block._replace(classification="failure")
+    return block._replace(classification=cls.case, witness=cls.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +379,7 @@ def _alt_block(
             f"{format_partition(core)}, n={n}"
         )
     if defect == 0:
-        return replace(block, classification="a")
+        return block._replace(classification="a")
     degs = {m.degree for m in members}
     if p == 3 and w == 1 and is_self_dual(core) and len(degs) == 1:
         if defect != 1:
@@ -392,11 +387,11 @@ def _alt_block(
                 f"equal-degree weight-1 block with defect {defect} != 1 "
                 f"at core {format_partition(core)}, n={n}"
             )
-        return replace(block, classification="b")
+        return block._replace(classification="b")
     witness = _height_zero_witness(block, lambda x, y: True)
     if witness is None:
-        return replace(block, classification="failure")
-    return replace(block, classification="c", witness=witness)
+        return block._replace(classification="failure")
+    return block._replace(classification="c", witness=witness)
 
 
 def blocks_an(n: int, p: int) -> tuple[BlockData, ...]:

@@ -694,10 +694,11 @@ def _table_zsigmondy(report: dict):
 
 def _json(value, indent: str, quote) -> str:
     """The text json.dumps(value, indent=2) gives at this depth, for the
-    report's own types: dict with str keys, list or tuple, str, bool, int
-    and None; quote is json's C encode_basestring_ascii.  Each container
-    joins its children's texts.  Any other type, a float or a Fraction say,
-    raises TypeError, so no inexact number can reach a report."""
+    report's own types: dict with str keys, list, tuple or _Range, str,
+    bool, int and None; quote is json's C encode_basestring_ascii.  Each
+    container joins its children's texts.  Any other type, a float, a
+    Fraction or a library record (a tuple subclass) say, raises TypeError,
+    so no inexact number or unrendered record can reach a report."""
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -713,7 +714,7 @@ def _json(value, indent: str, quote) -> str:
                 text = _json(v, inner, quote)
             items.append(quote(k) + ": " + text)
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple, _Range):
         if not value:
             return "[]"
         inner = indent + "  "

@@ -19,10 +19,10 @@ The pieces here all run in exact arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, prod
+from typing import NamedTuple
 
 from .algebra import TORI_SERIES  # noqa: F401  (the series tori_entry accepts)
 from .algebra import (
@@ -34,7 +34,6 @@ from .algebra import (
     field_value_str,
     is_prime_power,
     phi_value,
-    trial_factor,
     zsigmondy,
 )
 from .partitions import (
@@ -52,8 +51,7 @@ from .wreath import wreath_degree
 # degree polynomials
 
 
-@dataclass(frozen=True)
-class DegreePolyEntry:
+class DegreePolyEntry(NamedTuple):
     """One partition of n together with its degree polynomial."""
 
     partition: Partition
@@ -110,8 +108,7 @@ def _series_with_quotients(
 # cyclotomic reduction of degree polynomials against their series base
 
 
-@dataclass(frozen=True)
-class HllMemberReport:
+class HllMemberReport(NamedTuple):
     """Outcome of reducing one member against its series base.
 
     `constant` is the rational value of the reduced ratio at a primitive
@@ -129,15 +126,13 @@ class HllMemberReport:
     reason: str | None
 
 
-@dataclass(frozen=True)
-class HllSeriesReport:
+class HllSeriesReport(NamedTuple):
     core: Partition
     weight: int
     members: tuple[HllMemberReport, ...]
 
 
-@dataclass(frozen=True)
-class HllReport:
+class HllReport(NamedTuple):
     n: int
     d: int
     series: tuple[HllSeriesReport, ...]
@@ -282,8 +277,7 @@ def degree_collisions(n: int, q: int) -> tuple[tuple[Partition, Partition], ...]
 # multiplicative identities between cyclotomic values
 
 
-@dataclass(frozen=True)
-class SpeceqWitness:
+class SpeceqWitness(NamedTuple):
     """One identity n1 = n2 * prod_{i<=m} Phi_i(q)^a_i with a_m != 0.
 
     The pair (n1, n2) is kept coprime (the minimal instance; every other
@@ -322,10 +316,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-def _strip_primes(n: int, primes: tuple[int, ...]) -> int:
-    for p in primes:
-        while n % p == 0:
-            n //= p
+def _strip_primes(n: int, m: int) -> int:
+    """n >= 1 with every prime factor of m divided out, by repeated gcd;
+    m is never factored."""
+    while (g := gcd(n, m)) > 1:
+        n //= g
     return n
 
 
@@ -348,14 +343,13 @@ def speceq_search(
     """
     if q_max < 2 or m_max < 1 or exp_bound < 1 or n_bound < 1:
         raise ValueError("bounds must be positive")
-    strip = tuple(sorted({2, *trial_factor(n_bound)}))
     out: list[SpeceqWitness] = []
     exponent_range = range(-exp_bound, exp_bound + 1)
     for q in range(2, q_max + 1):
         if not is_prime_power(q):
             continue
         values = [phi_value(i, q) for i in range(1, m_max + 1)]
-        residues = [_strip_primes(v, strip) for v in values]
+        residues = [_strip_primes(v, 2 * n_bound) for v in values]
         active = [i for i in range(m_max) if values[i] != 1]
         if q == 2:
             out.append(SpeceqWitness(q=2, m=1, exponents=(1,), n1=1, n2=1))
@@ -412,8 +406,7 @@ def speceq_search(
 # torus orders and primitive prime divisors
 
 
-@dataclass(frozen=True)
-class ToriEntry:
+class ToriEntry(NamedTuple):
     """Orders of two maximal tori for one series, as cyclotomic products.
 
     m1 and m2 are the arguments for the primitive prime divisor attached
@@ -493,8 +486,7 @@ def tori_entry(series: str, n: int) -> ToriEntry:
     raise ValueError(f"unknown series {series!r}")
 
 
-@dataclass(frozen=True)
-class ToriCheckReport:
+class ToriCheckReport(NamedTuple):
     """Evaluation of one table row at one q.
 
     divides1/divides2 are None when the primitive prime does not exist

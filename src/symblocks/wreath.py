@@ -23,11 +23,10 @@ first, and each distinct class is raised to its net power once.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .algebra import CycElt
 from .partitions import Partition, beta_set, degree, enumerate_partitions
@@ -190,8 +189,7 @@ def normalize_field_values(values: Sequence) -> tuple[FieldValue, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     """A specialization point (v; u_1, ..., u_e), all in one field.
 
     Entries of u must be pairwise distinct; per-symbol admissibility (no

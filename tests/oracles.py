@@ -41,6 +41,9 @@ beta-set; the library only reads beta-sets it builds in ascending order.
 
 `tori_all_entries` lists every torus table row up to a rank, and
 `speceq_identity_holds` rechecks a `SpeceqWitness` from scratch.
+`strip_primes_by_list` is the prime stripping that
+`symblocks.unipotent._strip_primes` replaced: it divides out each prime of
+a list, which `speceq_search` took from `trial_factor(n_bound)`.
 """
 
 from __future__ import annotations
@@ -314,6 +317,14 @@ def speceq_identity_holds(w: SpeceqWitness) -> bool:
     for i, a in enumerate(w.exponents, start=1):
         product *= Fraction(phi_value(i, w.q)) ** a
     return value == product and w.exponents[-1] != 0
+
+
+def strip_primes_by_list(n: int, primes: tuple[int, ...]) -> int:
+    """n with every prime of the list divided out."""
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
 
 
 def multipartition_of(sym: ESymbol) -> Multipartition:

@@ -1,5 +1,4 @@
 import doctest
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -409,7 +408,7 @@ def test_symmetric_block_no_case_covers_is_a_failure(monkeypatch):
 def test_json_record_shape():
     b = blocks_sn(4, 2)[0]
     c = classify_sym(b)
-    rec = to_json_record(replace(b, classification=c.case, witness=c.witness))
+    rec = to_json_record(b._replace(classification=c.case, witness=c.witness))
     assert rec["group"] == "sym" and rec["n"] == 4 and rec["p"] == 2
     assert rec["core"] == "[]" and rec["weight"] == 2 and rec["defect"] == 3
     assert sorted(m["degree"] for m in rec["members"]) == ["1", "1", "2", "3", "3"]

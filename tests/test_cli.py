@@ -164,6 +164,25 @@ def test_an_inexact_number_in_a_record_exits_3(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_a_record_left_in_a_report_exits_3(fmt, monkeypatch, capsys):
+    # records are tuple subclasses; the writer must not pass one off as a list
+    real = cli._cmd_scan_blocks
+
+    def with_record(args):
+        report = real(args)
+        report["records"][0]["members"][0] = blocks.Member((1,), 1, 0)
+        return report
+
+    monkeypatch.setattr(cli, "_cmd_scan_blocks", with_record)
+    argv = ["scan-blocks", "--group", "sym", "--n-range", "1..1", "--p", "2",
+            "--format", fmt]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: TypeError: Object of type Member is not JSON serializable\n"
+
+
 # report-shaped values: every type the JSON writer takes, and strings that
 # need escapes (quotes, backslashes, control, non-ASCII, astral, a lone
 # surrogate)
@@ -320,6 +339,16 @@ print(" ".join(sorted(sys.modules)), file=sys.stderr)
 """
 
 
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What the bare interpreter on this host has loaded before any import."""
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+        capture_output=True, text=True, check=True,
+    )
+    return set(r.stdout.split())
+
+
 @pytest.mark.parametrize(
     "argv, loaded, absent",
     [
@@ -330,9 +359,19 @@ print(" ".join(sorted(sys.modules)), file=sys.stderr)
          ["symblocks.blocks"]),
         (["scan-blocks", "--group", "sym", "--n-range", "1..4", "--p", "2"],
          ["symblocks.blocks"], ["symblocks.unipotent"]),
+        (["verify-hook-formula", "--n-max", "4", "--primes", "2,3"],
+         ["symblocks.blocks"], ["symblocks.unipotent"]),
+        (["verify-wreath", "--e-max", "2", "--r-max", "2"], ["symblocks.wreath"],
+         ["symblocks.blocks", "symblocks.unipotent"]),
+        (["unipotent", "--n", "4", "--q", "2"], ["symblocks.unipotent"],
+         ["symblocks.blocks"]),
+        (["speceq", "--q-max", "4", "--m-max", "2", "--exp-bound", "1"],
+         ["symblocks.unipotent"], ["symblocks.blocks"]),
+        (["tori", "--series", "A", "--n", "2", "--q", "2"], ["symblocks.unipotent"],
+         ["symblocks.blocks"]),
     ],
 )
-def test_a_subcommand_loads_only_the_layers_it_runs(argv, loaded, absent):
+def test_a_subcommand_loads_only_the_layers_it_runs(argv, loaded, absent, bare_modules):
     r = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
         capture_output=True, text=True, check=True,
@@ -341,6 +380,8 @@ def test_a_subcommand_loads_only_the_layers_it_runs(argv, loaded, absent):
     assert set(loaded) <= modules
     # the table format renders without json or csv
     assert modules.isdisjoint(absent + ["json", "csv"])
+    # records are NamedTuples: no process pays for dataclasses and inspect
+    assert modules & {"dataclasses", "inspect"} <= bare_modules
 
 
 _LAYERS_AT_FORK = """

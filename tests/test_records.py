@@ -1,0 +1,107 @@
+"""The library's value records: immutable, compared and hashed by value, and
+picklable, as `--jobs` pool workers need."""
+
+import pickle
+
+import pytest
+
+from symblocks.algebra import Poly, cyclotomic_poly, zsigmondy
+from symblocks.blocks import blocks_sn, classify_sym, quotient_congruence
+from symblocks.unipotent import (
+    hll_check_gl,
+    speceq_search,
+    tori_check,
+    tori_entry,
+    unipotent_degrees_gl,
+)
+from symblocks.wreath import ParamSpec
+
+
+def _records():
+    block = blocks_sn(4, 2)[0]
+    hll = hll_check_gl(6, 2)
+    tori = tori_entry("B/C", 2)
+    return [
+        zsigmondy(2, 6),
+        block.label,
+        block.members[0],
+        block,
+        classify_sym(block),
+        quotient_congruence((6, 1, 1), 3),
+        unipotent_degrees_gl(3)[1],
+        hll.series[0].members[0],
+        hll.series[0],
+        hll,
+        speceq_search(5, 2, 2)[0],
+        tori,
+        tori_check(tori, 3),
+        ParamSpec.roots_of_unity(3),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_record_compares_and_hashes_by_value(record):
+    copy = type(record)(*record)
+    assert copy is not record
+    assert copy == record and hash(copy) == hash(record)
+    first = record._fields[0]
+    assert record._replace(**{first: None}) != record
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_record_field_cannot_be_assigned(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_record_survives_pickle(record):
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record)
+    assert back == record and hash(back) == hash(record)
+
+
+def test_poly_equality_hash_and_repr():
+    p = Poly.of(-1, 0, 1)
+    assert p == Poly((-1, 0, 1)) and p != Poly.of(-1, 1)
+    # a Poly equals only a Poly, never its coefficient tuple
+    assert p != (-1, 0, 1) and (-1, 0, 1) != p
+    assert hash(p) == hash(((-1, 0, 1),))
+    assert repr(p) == "Poly(coeffs=(-1, 0, 1))"
+    assert repr(Poly.zero()) == "Poly(coeffs=())"
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: 3 * Poly.x(),
+        lambda: Poly.x() < Poly.one(),
+        lambda: Poly.x()[0],
+        lambda: len(Poly.x()),
+        lambda: list(Poly.x()),
+    ],
+    ids=["int times poly", "order", "index", "len", "iterate"],
+)
+def test_poly_is_not_a_tuple(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_poly_is_immutable():
+    p = cyclotomic_poly(6)
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    with pytest.raises(AttributeError):
+        p.other = 1
+    assert p.coeffs == (1, -1, 1) and cyclotomic_poly(6) == Poly.of(1, -1, 1)
+
+
+def test_poly_survives_pickle():
+    p = cyclotomic_poly(12)
+    back = pickle.loads(pickle.dumps(p))
+    assert type(back) is Poly and back == p and hash(back) == hash(p)

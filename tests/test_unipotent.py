@@ -1,4 +1,6 @@
 import doctest
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,10 @@ from symblocks import algebra, cli
 from oracles import (
     hll_check_gl_by_stripping,
     speceq_identity_holds,
+    strip_primes_by_list,
     tori_all_entries,
 )
-from symblocks.algebra import ExactnessError
+from symblocks.algebra import ExactnessError, is_prime_power, phi_value, trial_factor
 from symblocks.partitions import (
     core_and_quotient,
     degree,
@@ -306,6 +309,32 @@ def test_speceq_witnesses_verify():
         assert speceq_identity_holds(w)
         assert w.exponents[w.m - 1] != 0
         assert w.n1 > 0 and w.n2 > 0
+
+
+def test_strip_primes_matches_the_prime_list():
+    values = [
+        phi_value(i, q)
+        for q in range(2, 10)
+        if is_prime_power(q)
+        for i in range(1, 13)
+    ]
+    for n_bound in range(1, 2001):
+        primes = tuple(sorted({2, *trial_factor(n_bound)}))
+        for v in values:
+            assert unipotent._strip_primes(v, 2 * n_bound) == strip_primes_by_list(
+                v, primes
+            ), (v, n_bound)
+
+
+def test_speceq_does_not_factor_a_large_n_bound():
+    # 2**61 - 1 is prime: trial division would run to its square root, 1.5e9
+    argv = ["speceq", "--q-max", "2", "--m-max", "1", "--exp-bound", "1",
+            "--n-bound", str(2**61 - 1)]
+    r = subprocess.run(
+        [sys.executable, "-m", "symblocks", *argv], capture_output=True, text=True,
+        timeout=10,
+    )
+    assert r.returncode == 0, r.stderr
 
 
 def test_speceq_frozen_sets():
