@@ -224,7 +224,24 @@ def _strip(coeffs: list[Scalar]) -> tuple[Scalar, ...]:
     return tuple(coeffs)
 
 
-class Poly:
+class _Frozen:
+    """Refuses assignment; a subclass sets its __slots__, listed in the order
+    its __init__ takes them, through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slots through __setattr__
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Poly(_Frozen):
     """A univariate polynomial with exact coefficients, kept as given.
 
     Coefficients are stored low degree first; the zero polynomial has an
@@ -244,16 +261,6 @@ class Poly:
 
     def __init__(self, coeffs: tuple[Scalar, ...]):
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of Poly")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of Poly")
-
-    def __reduce__(self):
-        # pickle and copy would otherwise restore the slot through __setattr__
-        return Poly, (self.coeffs,)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -277,10 +284,6 @@ class Poly:
     @staticmethod
     def one() -> "Poly":
         return Poly.of(1)
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly.of(0, 1)
 
     @staticmethod
     def x_power_minus_one(n: int) -> "Poly":
@@ -523,14 +526,14 @@ def _cyc_degree(order: int) -> int:
     return cyclotomic_poly(order).degree
 
 
-class CycElt:
+class CycElt(_Frozen):
     """An element of the cyclotomic field Q(zeta_order).
 
     Stored as the coordinate vector of its residue modulo the order-th
     cyclotomic polynomial, so the representation is a field: every nonzero
     element has an inverse.  Coordinates are kept as given: `int` coordinates
     stay `int` under +, -, * and **, and only `inverse`, `/` and `to_fraction`
-    make a `Fraction`.
+    make a `Fraction`.  A CycElt is immutable, as a Poly is.
 
     >>> z = CycElt.root(3)
     >>> z ** 3 == 1
@@ -547,8 +550,8 @@ class CycElt:
         d = _cyc_degree(order)
         if len(coords) != d:
             raise ValueError(f"need exactly {d} coordinates for order {order}")
-        self.order = order
-        self.coords = coords
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coords", coords)
 
     # construction -----------------------------------------------------
 
@@ -565,7 +568,7 @@ class CycElt:
     @staticmethod
     def root(order: int, k: int = 1) -> "CycElt":
         """zeta_order ** k."""
-        return CycElt.from_poly(order, Poly.x() ** (k % order))
+        return CycElt.from_poly(order, Poly.one().shift(k % order))
 
     # predicates -------------------------------------------------------
 

@@ -61,12 +61,7 @@ class UsageError(Exception):
 # small helpers
 
 
-class _Range(tuple):
-    """A parsed --n-range, the pair (A, B); `text` keeps the flag as typed
-    for diagnostics."""
-
-
-def _n_range(text: str) -> _Range:
+def _n_range(text: str) -> tuple[int, int]:
     """An argparse type: an inclusive range A..B with 1 <= A <= B."""
     parts = text.split("..")
     if len(parts) != 2:
@@ -77,9 +72,7 @@ def _n_range(text: str) -> _Range:
         raise UsageError(f"range endpoints must be integers, got {text!r}") from None
     if lo < 1 or hi < lo:
         raise UsageError(f"range must satisfy 1 <= A <= B, got {text!r}")
-    value = _Range((lo, hi))
-    value.text = text
-    return value
+    return lo, hi
 
 
 def _primes(text: str) -> tuple[int, ...]:
@@ -181,9 +174,7 @@ def _scan_blocks_worker(key):
 def _cmd_scan_blocks(args) -> dict:
     lo, hi = args.n_range
     if args.group == "alt" and lo < 2:
-        raise UsageError(
-            f"alt ranges must start at 2 or more, got {args.n_range.text!r}"
-        )
+        raise UsageError(f"alt ranges must start at 2 or more, got '{lo}..{hi}'")
     from . import blocks  # noqa: F401  (loaded before a pool forks its workers)
 
     keys = [(args.group, n, args.p, args.ehzd_only) for n in range(lo, hi + 1)]
@@ -694,7 +685,7 @@ def _table_zsigmondy(report: dict):
 
 def _json(value, indent: str, quote) -> str:
     """The text json.dumps(value, indent=2) gives at this depth, for the
-    report's own types: dict with str keys, list, tuple or _Range, str,
+    report's own types: dict with str keys, list, tuple, str,
     bool, int and None; quote is json's C encode_basestring_ascii.  Each
     container joins its children's texts.  Any other type, a float, a
     Fraction or a library record (a tuple subclass) say, raises TypeError,
@@ -714,7 +705,7 @@ def _json(value, indent: str, quote) -> str:
                 text = _json(v, inner, quote)
             items.append(quote(k) + ": " + text)
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if type(value) in (list, tuple, _Range):
+    if type(value) in (list, tuple):
         if not value:
             return "[]"
         inner = indent + "  "
@@ -800,7 +791,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="symblocks", description=__doc__)
+    parser = _Parser(
+        prog="symblocks",
+        description="Exact scans behind the equal-height-zero-degree results: "
+        "blocks of symmetric and alternating groups, wreath-product degrees, "
+        "and the unipotent degrees, cyclotomic identities and primitive prime "
+        "divisors of the Lie-type groups.  Exit status: 0 when nothing is "
+        "refuted, 1 when a refutation is found, 2 on a usage error, 3 on an "
+        "internal error.",
+    )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("table", "json", "csv"), default="table",

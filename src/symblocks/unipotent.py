@@ -307,7 +307,7 @@ class SpeceqWitness(NamedTuple):
         """True when n1 and n2 are both powers of two."""
         return _is_power_of_two(self.n1) and _is_power_of_two(self.n2)
 
-    def divides_bound(self, bound: int = 120) -> bool:
+    def divides_bound(self, bound: int) -> bool:
         """True when n1 and n2 both divide the given bound."""
         return bound % self.n1 == 0 and bound % self.n2 == 0
 
@@ -357,19 +357,8 @@ def speceq_search(
         while changed:
             changed = False
             for i in list(active):
-                if residues[i] == 1:
-                    continue
-                others = 1
-                for j in active:
-                    if j != i:
-                        others *= residues[j]
-                left = residues[i]
-                while left > 1:
-                    g = gcd(left, others)
-                    if g == 1:
-                        break
-                    left //= g
-                if left > 1:
+                others = prod(residues[j] for j in active if j != i)
+                if _strip_primes(residues[i], others) > 1:
                     active.remove(i)
                     changed = True
         for vec in iter_product(exponent_range, repeat=len(active)):

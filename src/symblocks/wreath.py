@@ -217,9 +217,7 @@ class ParamSpec(NamedTuple):
             return ParamSpec(Fraction(1), (Fraction(1),))
         if e == 2:
             return ParamSpec(Fraction(1), (Fraction(-1), Fraction(1)))
-        z = CycElt.root(e)
-        u = [z**j for j in range(1, e + 1)]
-        return ParamSpec.of(1, u)
+        return ParamSpec.of(1, [CycElt.root(e, j) for j in range(1, e + 1)])
 
 
 def _field_scalar(like: FieldValue, c: int) -> FieldValue:
@@ -247,8 +245,6 @@ def schur_value(sym: ESymbol, params: ParamSpec) -> FieldValue:
     e = len(sym)
     m = len(sym[0])
     r = symbol_rank(sym)
-    if r < 0:
-        raise ValueError("symbol has negative rank")
     v0, u = params.v, params.u
     if len(u) != e:
         raise ValueError(f"need {e} u-values, got {len(u)}")

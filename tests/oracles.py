@@ -44,15 +44,24 @@ beta-set; the library only reads beta-sets it builds in ascending order.
 `strip_primes_by_list` is the prime stripping that
 `symblocks.unipotent._strip_primes` replaced: it divides out each prime of
 a list, which `speceq_search` took from `trial_factor(n_bound)`.
+`speceq_search_unpinned` is `speceq_search` without its pinning: it tries
+every exponent vector over all the factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 from typing import Sequence
 
-from symblocks.algebra import CycElt, ExactnessError, cyclotomic_poly, phi_value
+from symblocks.algebra import (
+    CycElt,
+    ExactnessError,
+    cyclotomic_poly,
+    is_prime_power,
+    phi_value,
+)
 from symblocks.blocks import (
     BlockData,
     _alt_block,
@@ -325,6 +334,39 @@ def strip_primes_by_list(n: int, primes: tuple[int, ...]) -> int:
         while n % p == 0:
             n //= p
     return n
+
+
+def speceq_search_unpinned(
+    q_max: int, m_max: int, exp_bound: int, n_bound: int
+) -> tuple[SpeceqWitness, ...]:
+    """The witnesses of `speceq_search`, from every exponent vector over all
+    m_max factors, with none pinned to zero first.
+
+    Phi_1(2) = 1 changes no product, so, as in the library, the identity
+    1 = 1 at q = 2 is kept once, with exponent 1, and no other vector gives
+    that factor a nonzero exponent.
+    """
+    out = []
+    for q in range(2, q_max + 1):
+        if not is_prime_power(q):
+            continue
+        values = [phi_value(i, q) for i in range(1, m_max + 1)]
+        if q == 2:
+            out.append(SpeceqWitness(q=2, m=1, exponents=(1,), n1=1, n2=1))
+        for vec in product(range(-exp_bound, exp_bound + 1), repeat=m_max):
+            if not any(vec) or any(a and v == 1 for a, v in zip(vec, values)):
+                continue
+            ratio = Fraction(
+                prod(v**a for a, v in zip(vec, values) if a > 0),
+                prod(v**-a for a, v in zip(vec, values) if a < 0),
+            )
+            n1, n2 = ratio.numerator, ratio.denominator
+            powers_of_two = n1 & (n1 - 1) == 0 and n2 & (n2 - 1) == 0
+            if powers_of_two or (n_bound % n1 == 0 and n_bound % n2 == 0):
+                m = max(i for i, a in enumerate(vec, start=1) if a)
+                out.append(SpeceqWitness(q, m, vec[:m], n1, n2))
+    out.sort(key=lambda w: (w.q, w.m, w.exponents))
+    return tuple(out)
 
 
 def multipartition_of(sym: ESymbol) -> Multipartition:

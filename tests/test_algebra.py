@@ -1,4 +1,3 @@
-import doctest
 import random
 import subprocess
 import sys
@@ -28,11 +27,6 @@ from symblocks.algebra import (
     trial_factor,
     zsigmondy,
 )
-
-
-def test_doctests():
-    result = doctest.testmod(algebra)
-    assert result.failed == 0
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +368,13 @@ def test_root_of_unity_relations():
         for j in range(e):
             total = total + z**j
         assert total.is_zero()
+
+
+def test_root_is_the_power_of_the_primitive_root():
+    for e in range(1, 13):
+        z = CycElt.root(e)
+        for k in range(3 * e):
+            assert CycElt.root(e, k) == z**k, (e, k)
 
 
 def test_cyc_inverse_and_division():

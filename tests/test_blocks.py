@@ -1,4 +1,3 @@
-import doctest
 from fractions import Fraction
 
 import pytest
@@ -37,11 +36,6 @@ from symblocks.wreath import (
     symbol_of,
     wreath_degree,
 )
-
-
-def test_doctests():
-    result = doctest.testmod(blocks)
-    assert result.failed == 0
 
 
 # ---------------------------------------------------------------------------

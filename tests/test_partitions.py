@@ -1,4 +1,3 @@
-import doctest
 from functools import lru_cache
 from math import factorial, prod
 
@@ -7,7 +6,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import symblocks.partitions as partitions
 from oracles import (
     combine_by_components,
     conjugate_by_counting,
@@ -34,11 +32,6 @@ from symblocks.partitions import (
     runner_bead_counts,
 )
 from symblocks.wreath import wreath_degree
-
-
-def test_doctests():
-    result = doctest.testmod(partitions)
-    assert result.failed == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The library's value records: immutable, compared and hashed by value, and
 picklable, as `--jobs` pool workers need."""
 
+import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
-from symblocks.algebra import Poly, cyclotomic_poly, zsigmondy
+from symblocks.algebra import CycElt, Poly, cyclotomic_poly, zsigmondy
 from symblocks.blocks import blocks_sn, classify_sym, quotient_congruence
 from symblocks.unipotent import (
     hll_check_gl,
@@ -14,7 +16,7 @@ from symblocks.unipotent import (
     tori_entry,
     unipotent_degrees_gl,
 )
-from symblocks.wreath import ParamSpec
+from symblocks.wreath import ParamSpec, schur_specialize_roots, symbol_of
 
 
 def _records():
@@ -77,11 +79,11 @@ def test_poly_equality_hash_and_repr():
 @pytest.mark.parametrize(
     "op",
     [
-        lambda: 3 * Poly.x(),
-        lambda: Poly.x() < Poly.one(),
-        lambda: Poly.x()[0],
-        lambda: len(Poly.x()),
-        lambda: list(Poly.x()),
+        lambda: 3 * Poly.of(0, 1),
+        lambda: Poly.of(0, 1) < Poly.one(),
+        lambda: Poly.of(0, 1)[0],
+        lambda: len(Poly.of(0, 1)),
+        lambda: list(Poly.of(0, 1)),
     ],
     ids=["int times poly", "order", "index", "len", "iterate"],
 )
@@ -105,3 +107,25 @@ def test_poly_survives_pickle():
     p = cyclotomic_poly(12)
     back = pickle.loads(pickle.dumps(p))
     assert type(back) is Poly and back == p and hash(back) == hash(p)
+
+
+def test_cyc_elt_is_immutable():
+    root = ParamSpec.roots_of_unity(3).u[0]
+    with pytest.raises(AttributeError):
+        root.coords = (0, 0)
+    with pytest.raises(AttributeError):
+        root.order = 6
+    with pytest.raises(AttributeError):
+        del root.coords
+    with pytest.raises(AttributeError):
+        root.other = 1
+    assert root == CycElt.root(3) and ParamSpec.roots_of_unity(3).u[0] is root
+    sym = symbol_of(((1,), (1,), ()))
+    assert schur_specialize_roots(sym) == Fraction(1, 9)
+
+
+def test_cyc_elt_survives_pickle_and_copy():
+    z = CycElt.root(12, 5)
+    for back in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+        assert type(back) is CycElt and back is not z
+        assert back == z and hash(back) == hash(z)

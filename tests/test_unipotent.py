@@ -1,4 +1,3 @@
-import doctest
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +9,7 @@ from symblocks import algebra, cli
 from oracles import (
     hll_check_gl_by_stripping,
     speceq_identity_holds,
+    speceq_search_unpinned,
     strip_primes_by_list,
     tori_all_entries,
 )
@@ -31,11 +31,6 @@ from symblocks.unipotent import (
     unipotent_degrees_gl,
 )
 from symblocks.blocks import blocks_sn
-
-
-def test_doctests():
-    result = doctest.testmod(unipotent)
-    assert result.failed == 0
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +319,21 @@ def test_strip_primes_matches_the_prime_list():
             assert unipotent._strip_primes(v, 2 * n_bound) == strip_primes_by_list(
                 v, primes
             ), (v, n_bound)
+
+
+# m_max = 6 at n_bound = 1 is the first case where pinning a factor whose
+# value keeps a prime, without asking whether another factor cancels it,
+# loses witnesses: Phi_2(2) = Phi_6(2) = 3
+@pytest.mark.parametrize(
+    "m_max,exp_bound", [(m, b) for m in range(1, 6) for b in (1, 2)] + [(6, 1)]
+)
+def test_speceq_pinning_loses_no_witness(m_max, exp_bound):
+    for n_bound in (1, 12, 120, 2310):
+        unpinned = speceq_search_unpinned(16, m_max, exp_bound, n_bound)
+        for q_max in (2, 9, 16):
+            assert speceq_search(q_max, m_max, exp_bound, n_bound) == tuple(
+                w for w in unpinned if w.q <= q_max
+            ), (q_max, n_bound)
 
 
 def test_speceq_does_not_factor_a_large_n_bound():

@@ -1,4 +1,3 @@
-import doctest
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -7,8 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import oracles
-import symblocks.wreath as wreath
 from oracles import (
     case_one_params,
     linear_symbol,
@@ -35,12 +32,6 @@ from symblocks.wreath import (
     symbol_rank,
     wreath_degree,
 )
-
-
-def test_doctests():
-    for module in (wreath, oracles):
-        result = doctest.testmod(module)
-        assert result.failed == 0
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +140,13 @@ def test_specialize_roots_anchors():
 def test_roots_of_unity_are_built_once_per_order():
     assert ParamSpec.roots_of_unity(5) is ParamSpec.roots_of_unity(5)
     assert ParamSpec.roots_of_unity(5) is not ParamSpec.roots_of_unity(6)
+
+
+def test_roots_of_unity_are_the_powers_of_zeta():
+    for e in range(3, 9):
+        params = ParamSpec.roots_of_unity(e)
+        assert params.v == 1
+        assert params.u == tuple(CycElt.root(e, j) for j in range(1, e + 1))
 
 
 def _same_value(got, want):
