@@ -3,12 +3,15 @@
 Everything here is exact. `Poly` coefficients and `CycElt` coordinates (vectors
 modulo the monic n-th cyclotomic polynomial) are kept as given, so integer
 polynomials and cyclotomic integers stay `int` through sums, products and powers.
-A `fractions.Fraction` is made only by `_solve_rational`, the one exact division
-(`CycElt.inverse`, `/`, `hash`), and by `CycElt.to_fraction`, the boundary to
-rational callers. Polynomials are divided only by divisors with leading
-coefficient 1 or -1, so integer quotients stay integral. Any other divisor, and
-any division that should be exact but is not, raises `ExactnessError` instead
-of truncating, so a failed divisibility claim never yields a wrong value.
+A `fractions.Fraction` is made only by the one exact division, the inverse's
+division by its rational norm (`CycElt.inverse` and `/`), by `CycElt.__hash__`,
+and by `CycElt.to_fraction`, the boundary to rational callers. The field needs
+no linear algebra: inverse, embedding and hash each go through one Galois
+substitution zeta -> zeta**k. Polynomials are divided only by divisors with
+leading coefficient 1 or -1, so integer quotients stay integral. Any other
+divisor, and any division that should be exact but is not, raises
+`ExactnessError` instead of truncating, so a failed divisibility claim never
+yields a wrong value.
 
 Primality is decided in one place, `is_prime`: Miller-Rabin with the prime
 bases 2..41 at every size. A failed base proves n composite; passing every
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Union
 
 Scalar = Union[int, Fraction]
@@ -526,14 +529,23 @@ def _cyc_degree(order: int) -> int:
     return cyclotomic_poly(order).degree
 
 
+@lru_cache(maxsize=None)
+def _units(order: int) -> tuple[int, ...]:
+    """The a in 1..order prime to order, 1 first: zeta -> zeta**a are the
+    Galois automorphisms sigma_a of Q(zeta_order)."""
+    return tuple(a for a in range(1, order + 1) if gcd(a, order) == 1)
+
+
 class CycElt(_Frozen):
     """An element of the cyclotomic field Q(zeta_order).
 
     Stored as the coordinate vector of its residue modulo the order-th
     cyclotomic polynomial, so the representation is a field: every nonzero
     element has an inverse.  Coordinates are kept as given: `int` coordinates
-    stay `int` under +, -, * and **, and only `inverse`, `/` and `to_fraction`
-    make a `Fraction`.  A CycElt is immutable, as a Poly is.
+    stay `int` under +, -, *, ** and `embed`, and only `inverse`, `/`, `hash`
+    and `to_fraction` make a `Fraction`.  `embed`, `inverse` and `hash` are
+    built on one substitution zeta -> zeta**k (`_substitute`).  A CycElt is
+    immutable, as a Poly is.
 
     >>> z = CycElt.root(3)
     >>> z ** 3 == 1
@@ -628,13 +640,17 @@ class CycElt(_Frozen):
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElt":
-        """Multiplicative inverse: the y = sum_j y_j zeta**j with self * y == 1."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the norm (Cohen, A Course in Computational Algebraic Number
+        Theory, 4.3).  The norm x * prod_(a != 1) sigma_a(x) is rational, so
+        the inverse makes one Fraction division per coordinate."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        d = _cyc_degree(self.order)
-        columns = [(self * CycElt.root(self.order, j)).coords for j in range(d)]
-        one = CycElt.from_rational(self.order, 1)
-        return CycElt(self.order, _solve_rational(columns, one.coords))
+        rest = CycElt.from_rational(self.order, 1)
+        for a in _units(self.order)[1:]:
+            rest = rest * self._substitute(a, self.order)
+        norm = (self * rest).to_fraction()
+        return CycElt(self.order, tuple(Fraction(c) / norm for c in rest.coords))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -666,49 +682,29 @@ class CycElt(_Frozen):
         return NotImplemented
 
     def __hash__(self):
-        # x == x.embed(k), so hash x in the least field Q(zeta_m) holding it:
-        # the fields holding x are closed under intersection, so m is the
-        # first divisor of the order whose embedded power basis spans x.
-        for m in divisors(self.order):
-            basis = [
-                CycElt.root(m, j).embed(self.order).coords
-                for j in range(_cyc_degree(m))
-            ]
-            coords = _solve_rational(basis, self.coords)
-            if coords is not None:
-                return hash(coords[0]) if m == 1 else hash((m, coords))
+        # The trace over Q divided by the degree is the same in every field
+        # holding x, and is x itself when x is rational, so x and x.embed(k)
+        # hash alike, and a rational x hashes as its int or Fraction.
+        units = _units(self.order)
+        trace = sum(self._substitute(a, self.order).coords[0] for a in units)
+        return hash(Fraction(trace, len(units)))
+
+    def _substitute(self, k: int, target: int) -> "CycElt":
+        """Image under zeta_order -> zeta_target ** k: coordinate j moves to
+        exponent k*j mod target, reduced once mod Phi_target."""
+        cs = [0] * target
+        for j, c in enumerate(self.coords):
+            cs[k * j % target] += c
+        return CycElt.from_poly(target, Poly.of(*cs))
 
     def embed(self, target_order: int) -> "CycElt":
         """Image under zeta_order -> zeta_target ** (target/order)."""
         if target_order % self.order != 0:
             raise ValueError("target order must be a multiple of the current order")
-        step = target_order // self.order
-        cs = [0] * (step * (len(self.coords) - 1) + 1)
-        cs[::step] = self.coords
-        return CycElt.from_poly(target_order, Poly.of(*cs))
+        return self._substitute(target_order // self.order, target_order)
 
     def __repr__(self) -> str:
         return f"CycElt(order={self.order}, coords={self.coords})"
-
-
-def _solve_rational(columns, target):
-    """Exact y with sum_j y_j * columns[j] == target, or None if there is none.
-
-    The columns must be linearly independent.  Rows become Fractions first,
-    so integer input never divides to a float.
-    """
-    rows = [[Fraction(x) for x in row] for row in zip(*columns, target)]
-    width = len(columns)
-    for c in range(width):
-        pivot = next(k for k in range(c, len(rows)) if rows[k][c])
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for k, row in enumerate(rows):
-            if k != c and row[c]:
-                rows[k] = [a - row[c] * b for a, b in zip(row, rows[c])]
-    if any(row[-1] for row in rows[width:]):
-        return None
-    return tuple(row[-1] for row in rows[:width])
 
 
 def field_value_str(x) -> str:

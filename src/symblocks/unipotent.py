@@ -179,7 +179,7 @@ def hll_check_gl(n: int, d: int) -> HllReport:
     roots = [CycElt.root(d, j) for j in range(d)]
     # factors[j]: zeta^j - 1, the value of x^m - 1 at zeta for m = j mod d,
     # and its inverse
-    factors = [None] + [(z - 1, (z - 1).inverse()) for z in roots[1:]]
+    factors = [None] + [(f, f.inverse()) for f in (z - 1 for z in roots[1:])]
     series_reports = []
     for core, members in _series_with_quotients(n, d):
         r = sum(core)

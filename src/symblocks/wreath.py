@@ -177,9 +177,7 @@ def normalize_field_values(values: Sequence) -> tuple[FieldValue, ...]:
     orders = [v.order for v in values if isinstance(v, CycElt)]
     if not orders:
         return tuple(Fraction(v) for v in values)
-    L = 1
-    for o in orders:
-        L = lcm(L, o)
+    L = lcm(*orders)
     out = []
     for v in values:
         if isinstance(v, CycElt):

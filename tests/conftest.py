@@ -1,6 +1,18 @@
-"""Shared pytest hooks: one summary line per acceptance criterion."""
+"""Shared pytest hooks: one summary line per acceptance criterion.
 
+Importing this module also prepends the checkout's `src` to PYTHONPATH, so
+the `python -m symblocks` processes that tests start import the same package
+as the tests do, with no install and no PYTHONPATH set by hand.
+"""
+
+import os
 import re
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 CRITERIA = {
     1: "relative degree formula matches the hook length formula",

@@ -46,6 +46,11 @@ beta-set; the library only reads beta-sets it builds in ascending order.
 a list, which `speceq_search` took from `trial_factor(n_bound)`.
 `speceq_search_unpinned` is `speceq_search` without its pinning: it tries
 every exponent vector over all the factors.
+
+`cyc_inverse_by_elimination` is the inverse that `CycElt.inverse` replaced:
+it solves x * y == 1 for the coordinates of y by Gaussian elimination over
+Fractions, where the library multiplies the other Galois conjugates of x and
+divides by the norm.
 """
 
 from __future__ import annotations
@@ -554,3 +559,27 @@ def schur_linear(e: int, r: int, i: int, params: ParamSpec) -> FieldValue:
     if order > 0:
         raise PositiveOrderZeroError(f"total vanishing order {order} > 0")
     return num / den
+
+
+def cyc_inverse_by_elimination(x: CycElt) -> CycElt:
+    """The y with x * y == 1, by Gaussian elimination over Fractions.
+
+    Column j is the coordinate vector of x * zeta**j, so the solution of the
+    system with right-hand side the coordinates of 1 is the coordinate
+    vector of y.  Rows become Fractions first, so integer input never divides
+    to a float.
+    """
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of zero in a cyclotomic field")
+    d = len(x.coords)
+    columns = [(x * CycElt.root(x.order, j)).coords for j in range(d)]
+    one = CycElt.from_rational(x.order, 1).coords
+    rows = [[Fraction(c) for c in row] for row in zip(*columns, one)]
+    for c in range(d):
+        pivot = next(k for k in range(c, d) if rows[k][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for k, row in enumerate(rows):
+            if k != c and row[c]:
+                rows[k] = [a - row[c] * b for a, b in zip(row, rows[c])]
+    return CycElt(x.order, tuple(row[-1] for row in rows))

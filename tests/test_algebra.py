@@ -27,6 +27,7 @@ from symblocks.algebra import (
     trial_factor,
     zsigmondy,
 )
+from oracles import cyc_inverse_by_elimination
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +428,11 @@ def test_cyc_hash_survives_embed(order, factor, data):
     y = x.embed(order * factor)
     assert x == y
     assert hash(x) == hash(y)
+    # two fields where neither holds the other
+    a, b = x.embed(order * 4), x.embed(order * 5)
+    assert a == b and hash(a) == hash(b) == hash(x)
+    if x.is_rational():
+        assert hash(x) == hash(x.to_fraction())
 
 
 def _cyc_elements(min_order=1, max_order=12):
@@ -452,6 +458,22 @@ def _cyc_elements(min_order=1, max_order=12):
 @given(x=_cyc_elements())
 def test_cyc_inverse_is_exact(x):
     assert x * x.inverse() == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.integers(1, 15), data=st.data())
+def test_cyc_inverse_matches_elimination(order, data):
+    d = len(CycElt.root(order).coords)
+    scalars = st.one_of(
+        st.integers(-5, 5),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    )
+    coords = data.draw(st.lists(scalars, min_size=d, max_size=d).filter(any))
+    x = CycElt(order, tuple(coords))
+    got, want = x.inverse(), cyc_inverse_by_elimination(x)
+    assert got.coords == want.coords
+    assert [type(c) for c in got.coords] == [type(c) for c in want.coords]
+    assert field_value_str(got) == field_value_str(want)
 
 
 @settings(max_examples=80, deadline=None)
