@@ -24,8 +24,14 @@ cyclotomic coordinates, then the congruence search for Zsigmondy primes, then
 cores grown on the abacus, then one block builder for the symmetric and
 alternating scans, then Schur values tallied by factor class, then the
 relative hook formula from per-quotient hook tables, then one registration
-per subcommand in the CLI), so the change is checked against the bytes it
-had to keep.
+per subcommand in the CLI, then degree polynomials of GL_n by sparse integer
+steps), so the change is checked against the bytes it had to keep.
+
+The degree-polynomial entries cover unipotent at n = 16, 20 and 22, past
+the benchmark's n = 14, through all three renderers and at q = 2 and q = 9.
+The --collisions run at n = 20 prints an empty collision list: no pair with
+n <= 24 and q in {2, 3} has a degree collision (checked with
+`degree_collisions`).
 
 The last block pins every subcommand through both the table and the CSV
 renderer: the symmetric scan at p = 3, the alternating scan at p = 2, the
@@ -215,6 +221,12 @@ PARENT_RECORDED = (
      "611110e387918295849c4e2d7dd1b4fd9c360ea061ccbc4c4ebeaf6403e55172", 0),
     ("zsigmondy --q 52 --m 15 --format csv",
      "d2579b364e227327f99e484dd2adef4b451fde908499527a64d0dcaf99d54e51", 0),
+    ("unipotent --n 20 --q 2 --collisions --format json",
+     "40a9e071fe5d03f10355bf225a744549789e6c0c4794aec5cd7f3140d3b822ac", 0),
+    ("unipotent --n 22 --q 9 --format csv",
+     "1e972d3fd64c67241c9dd5e0f570509e96409a0195e410aa3b1243dfa2d42186", 0),
+    ("unipotent --n 16 --format table",
+     "93f88f1db533bbc3f705bdf42caee61e92b61037369fee27fac70d4e514e237f", 0),
 )
 
 
