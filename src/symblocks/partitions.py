@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, prod
 
-from .algebra import ExactnessError, Poly, cyclotomic_poly
+from .algebra import ExactnessError, Poly
 
 Partition = tuple[int, ...]
 
@@ -345,21 +345,39 @@ def b_statistic(pi: Partition) -> int:
 def gl_degree_poly(pi: Partition) -> Poly:
     """Generic degree of the unipotent character of GL_n indexed by pi.
 
-    x**b(pi) * prod_{k<=n}(x^k - 1) / prod_h(x^h - 1), built without division
-    as x**b(pi) * prod_{d<=n} Phi_d**e_d, where e_d = floor(n/d) minus the
-    number of hook lengths divisible by d; evaluation at 1 gives degree(pi).
+    x**b(pi) * prod_{k<=n}(x^k - 1) / prod_h(x^h - 1) over the hook lengths
+    h of pi; evaluation at 1 gives degree(pi).  Each hook h first cancels
+    one factor k = h of the numerator.  The coefficient list is then
+    multiplied by each remaining x^k - 1 with one shift-and-subtract, and
+    divided by each remaining x^h - 1 with one stride-h pass, where the
+    quotient's coefficients obey q[j] = q[j-h] - c[j].  A division that
+    leaves a remainder raises ExactnessError.
 
     >>> print(gl_degree_poly((1, 1)))
     x
     >>> print(gl_degree_poly((2,)))
     1
     """
-    n = sum(pi)
-    hooks = hook_lengths(pi)
-    poly = Poly.one().shift(b_statistic(pi))
-    for d in range(1, n + 1):
-        e = n // d - sum(1 for h in hooks if h % d == 0)
-        if e < 0:
-            raise ExactnessError(f"Phi_{d} has exponent {e} in the degree of {pi}")
-        poly = poly * cyclotomic_poly(d) ** e
-    return poly
+    check_partition(pi)
+    # excess[k] is the net exponent of x^k - 1 once the hooks have cancelled
+    excess = [0] + [1] * sum(pi)
+    for h in hook_lengths(pi):
+        excess[h] -= 1
+    cs = [1]
+    for k, e in enumerate(excess):
+        for _ in range(e):
+            out = [0] * k + cs
+            for i, c in enumerate(cs):
+                out[i] -= c
+            cs = out
+    for h, e in enumerate(excess):
+        for _ in range(-e):
+            # run the recurrence to the top: an exact quotient ends in h zeros
+            q = [-c for c in cs[:h]]
+            for j in range(h, len(cs)):
+                q.append(q[j - h] - cs[j])
+            if any(q[-h:]):
+                raise ExactnessError(f"x^{h} - 1 does not divide the degree of {pi}")
+            del q[-h:]
+            cs = q
+    return Poly(tuple([0] * b_statistic(pi) + cs))

@@ -25,6 +25,12 @@ hooks by testing every t <= s against each row; and
 `relative_hook_degree_by_symbol_hooks` multiplies |p*l + c_i - c_j| over
 those hooks one at a time, with no per-quotient table.
 
+`gl_degree_poly_by_cyclotomic_exponents` is the degree polynomial that
+`symblocks.partitions.gl_degree_poly` replaced: x**b(pi) times each Phi_d
+raised to floor(n/d) minus the number of hooks that d divides, multiplied
+out with `Poly` products, where the library cancels hooks against the
+factors x^k - 1 and multiplies and divides by the rest on integer lists.
+
 `hll_check_gl_by_stripping` is the series check that
 `symblocks.unipotent.hll_check_gl` replaced: it builds the degree polynomial
 of every member and of its series base, divides Phi_d out of both
@@ -63,6 +69,7 @@ from typing import Sequence
 from symblocks.algebra import (
     CycElt,
     ExactnessError,
+    Poly,
     cyclotomic_poly,
     is_prime_power,
     phi_value,
@@ -78,6 +85,7 @@ from symblocks.partitions import (
     Partition,
     _abacus_levels,
     _partition_from_ascending,
+    b_statistic,
     beta_set,
     check_partition,
     combine,
@@ -270,6 +278,20 @@ def relative_hook_degree_by_symbol_hooks(pi: Partition, p: int) -> int:
     if rem:
         raise ExactnessError(f"hook product {hooks} does not divide {num}")
     return q
+
+
+def gl_degree_poly_by_cyclotomic_exponents(pi: Partition) -> Poly:
+    """x**b(pi) * prod_{d<=n} Phi_d**e_d, where e_d = floor(n/d) minus the
+    number of hook lengths divisible by d; built without division."""
+    n = sum(pi)
+    hooks = hook_lengths(pi)
+    poly = Poly.one().shift(b_statistic(pi))
+    for d in range(1, n + 1):
+        e = n // d - sum(1 for h in hooks if h % d == 0)
+        if e < 0:
+            raise ExactnessError(f"Phi_{d} has exponent {e} in the degree of {pi}")
+        poly = poly * cyclotomic_poly(d) ** e
+    return poly
 
 
 def hll_check_gl_by_stripping(n: int, d: int) -> HllReport:

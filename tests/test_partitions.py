@@ -10,9 +10,12 @@ from oracles import (
     combine_by_components,
     conjugate_by_counting,
     core_and_quotient_by_sorting,
+    gl_degree_poly_by_cyclotomic_exponents,
     partition_from_beta,
     relative_hook_degree_by_symbol_hooks,
 )
+from symblocks import partitions
+from symblocks.algebra import ExactnessError, Poly
 from symblocks.blocks import quotient_congruence, relative_hook_degree
 from symblocks.partitions import (
     b_statistic,
@@ -275,8 +278,8 @@ def test_combine_round_trip_exhaustive():
 
 
 @st.composite
-def _partitions_strategy(draw):
-    n = draw(st.integers(min_value=1, max_value=40))
+def _partitions_strategy(draw, max_n=40):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     parts = []
     remaining = n
     cap = n
@@ -369,3 +372,51 @@ def test_gl_degree_poly_lowest_term():
         poly = gl_degree_poly(pi)
         low = min(i for i, c in enumerate(poly.coeffs) if c != 0)
         assert low == b_statistic(pi)
+
+
+def test_gl_degree_poly_matches_cyclotomic_exponents():
+    for n in range(21):
+        for pi in enumerate_partitions(n):
+            coeffs = gl_degree_poly(pi).coeffs
+            assert coeffs == gl_degree_poly_by_cyclotomic_exponents(pi).coeffs, pi
+            assert all(type(c) is int for c in coeffs), pi
+
+
+@settings(max_examples=15, deadline=None)
+@given(pi=_partitions_strategy(24))
+def test_gl_degree_poly_matches_cyclotomic_exponents_property(pi):
+    assert gl_degree_poly(pi) == gl_degree_poly_by_cyclotomic_exponents(pi)
+
+
+def test_gl_degree_poly_builds_no_poly_product(monkeypatch):
+    shapes = [(5, 3, 3, 1), (4, 4, 2, 1, 1), (12,), (1,) * 9, (6, 5, 4, 3, 2, 1)]
+    expected = {pi: gl_degree_poly_by_cyclotomic_exponents(pi) for pi in shapes}
+
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic in gl_degree_poly")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(Poly, "divrem", refuse)
+    gl_degree_poly.cache_clear()
+    for pi, poly in expected.items():
+        assert gl_degree_poly(pi) == poly
+
+
+@pytest.mark.parametrize("pi", [(0,), (2, 0), (1, 3), (3, -1)])
+def test_gl_degree_poly_rejects_non_partitions(pi):
+    with pytest.raises(ValueError):
+        gl_degree_poly(pi)
+
+
+def test_gl_degree_poly_unbalanced_hooks_raise(monkeypatch):
+    real = partitions.hook_lengths
+    fake = {(2, 1): (2, 2, 1), (3,): (3, 2, 2)}
+    monkeypatch.setattr(partitions, "hook_lengths", lambda pi: fake.get(pi) or real(pi))
+    gl_degree_poly.cache_clear()
+    # (x^3 - 1) / (x^2 - 1) leaves a remainder
+    with pytest.raises(ExactnessError, match=r"x\^2 - 1 does not divide.*\(2, 1\)"):
+        gl_degree_poly((2, 1))
+    # (x - 1) / (x^2 - 1) has too low a degree to divide
+    with pytest.raises(ExactnessError, match=r"x\^2 - 1 does not divide.*\(3,\)"):
+        gl_degree_poly((3,))
+    gl_degree_poly.cache_clear()
