@@ -419,4 +419,3 @@ def test_gl_degree_poly_unbalanced_hooks_raise(monkeypatch):
     # (x - 1) / (x^2 - 1) has too low a degree to divide
     with pytest.raises(ExactnessError, match=r"x\^2 - 1 does not divide.*\(3,\)"):
         gl_degree_poly((3,))
-    gl_degree_poly.cache_clear()
