@@ -33,6 +33,16 @@ The --collisions run at n = 20 prints an empty collision list: no pair with
 n <= 24 and q in {2, 3} has a degree collision (checked with
 `degree_collisions`).
 
+The Schur-tally entries cover verify-wreath at field order 7 up to rank 3,
+at order 8 up to rank 2 (through the table renderer) and at order 5 up to
+rank 4 (through the CSV renderer), recorded before Schur values at the roots
+of unity were tallied as integers.  What these digests cannot see: a
+verify-wreath report prints a Schur value only on a mismatch, and the degree
+check compares |f| * e^r * r! with the wreath degree, so a wrong sign in
+`schur_value`, or any wrong power of zeta that leaves the value rational,
+changes no report byte.  Only the differential test against
+`schur_value_by_factors` in `tests/test_wreath.py` sees those.
+
 The last block pins every subcommand through both the table and the CSV
 renderer: the symmetric scan at p = 3, the alternating scan at p = 2, the
 --ehzd-only table and CSV, verify-hook-formula (exit 1), verify-wreath,
@@ -227,6 +237,12 @@ PARENT_RECORDED = (
      "1e972d3fd64c67241c9dd5e0f570509e96409a0195e410aa3b1243dfa2d42186", 0),
     ("unipotent --n 16 --format table",
      "93f88f1db533bbc3f705bdf42caee61e92b61037369fee27fac70d4e514e237f", 0),
+    ("verify-wreath --e-max 7 --r-max 3 --format json",
+     "c7a960ddce550290999fb5dc090c73dd3f419fbf4f161497374fa5c718a6c983", 0),
+    ("verify-wreath --e-max 5 --r-max 4 --format csv",
+     "67ab7586a59bde92da740546c3ed226b0ef7eeba790f8b9bd46e8d31d19b08ba", 0),
+    ("verify-wreath --e-max 8 --r-max 2 --format table",
+     "57557d0409ce54a44cd446d2bca35a7389938bc6359fc69fdd768484ce44be90", 0),
 )
 
 
