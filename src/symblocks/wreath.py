@@ -1,4 +1,4 @@
-"""Multipartitions, e-symbols, and exact Schur-element evaluation.
+"""Multipartitions, e-symbols, and exact Schur values at the roots of unity.
 
 An e-symbol is a tuple of e strictly increasing rows of non-negative
 integers, all of the same length m.  Symbols are considered up to the
@@ -8,16 +8,21 @@ partitions of total size r (multipartitions).
 
 The central object is the product formula f_S(v; u_1, ..., u_e), a rational
 function whose inverse is the Schur element of the corresponding character
-of the wreath product G(e,1,r).  Specializing v -> 1 and u_j -> zeta_e^j is
-singular factor by factor, so evaluation is structural: every factor has the
-shape v^a*x - v^b*y, a factor vanishing at the chosen v contributes exactly
-one order of vanishing with residual (a-b) * v^(a-1) * x, and the total
-order of the quotient must come out to zero.
+of the wreath product G(e,1,r).  The program evaluates it at one point,
+v = 1 and u_j = zeta^j with zeta = zeta_e, where |f_S| * e^r * r! is the
+character degree (Broue-Malle-Michel, "Generic blocks of finite reductive
+groups", 1993).  There every factor v^a*x - v^b*y has x and y powers of
+zeta, so it is booked as integers instead of multiplied:
 
-The factors take few distinct values: a factor v^a*x_i - v^b*x_j that does
-not vanish is v^b times its class v^(a-b)*x_i - x_j, and at v = 1 every
-class is just the row pair x_i - x_j.  So the factors are tallied by class
-first, and each distinct class is raised to its net power once.
+* zeta^alpha - zeta^beta with alpha != beta (mod e) equals
+  -zeta^beta * (1 - zeta^(alpha - beta)): a sign, an exponent of zeta and
+  one power of (1 - zeta^k), k = alpha - beta mod e;
+* v^a*x - v^b*x vanishes at v = 1 to first order, with residual (a - b)*x:
+  an order, an integer and an exponent of zeta.
+
+Equal factors come in blocks, one per pair of rows, so each pair is booked
+once with its count.  The orders cancel, and the value is
++-(num/den) * zeta^S * prod_k (1 - zeta^k)^(n_k), with one division.
 """
 
 from __future__ import annotations
@@ -25,31 +30,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from typing import NamedTuple, Sequence, Union
+from math import comb, factorial
 
-from .algebra import CycElt
+from .algebra import CycElt, ExactnessError, Poly
 from .partitions import Partition, beta_set, degree, enumerate_partitions
 
 Multipartition = tuple[Partition, ...]
 ESymbol = tuple[tuple[int, ...], ...]
-FieldValue = Union[Fraction, CycElt]
-
-
-class SchurEvaluationError(ArithmeticError):
-    """Base class for structural evaluation failures."""
-
-
-class InadmissibleParametersError(SchurEvaluationError):
-    """A cross-row factor vanished; the parameter tuple is not allowed."""
-
-
-class PoleError(SchurEvaluationError):
-    """The requested specialization is a pole (negative total order)."""
-
-
-class PositiveOrderZeroError(SchurEvaluationError):
-    """The requested specialization vanishes to positive order."""
 
 
 # ---------------------------------------------------------------------------
@@ -169,162 +156,85 @@ def wreath_degree(nu: Multipartition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parameters and structural evaluation
+# Schur values at v = 1, u_j = zeta_e^j
 
 
-def normalize_field_values(values: Sequence) -> tuple[FieldValue, ...]:
-    """Lift a mix of ints, Fractions and CycElts into one common field."""
-    orders = [v.order for v in values if isinstance(v, CycElt)]
-    if not orders:
-        return tuple(Fraction(v) for v in values)
-    L = lcm(*orders)
-    out = []
-    for v in values:
-        if isinstance(v, CycElt):
-            out.append(v.embed(L))
-        else:
-            out.append(CycElt.from_rational(L, v))
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _one_minus_root_power(e: int, k: int, n: int) -> CycElt:
+    """(1 - zeta_e^k)^n, built once per (e, k, n)."""
+    return CycElt.from_poly(e, Poly.of(1, *(0,) * (k - 1), -1)) ** n
 
 
-class ParamSpec(NamedTuple):
-    """A specialization point (v; u_1, ..., u_e), all in one field.
+def schur_value(sym: ESymbol) -> CycElt:
+    """Value of the Schur product f_S at v = 1, u_j = zeta^j, in Q(zeta_e).
 
-    Entries of u must be pairwise distinct; per-symbol admissibility (no
-    vanishing cross-row factor) is checked during evaluation.
-    """
+    Row i (0-indexed) has x_i = u_(i+1) = zeta^alpha_i with
+    alpha_i = i + 1 mod e, and the (v - 1)^r factors have x = 1.  The
+    factors are booked by pair of rows, not one at a time:
 
-    v: FieldValue
-    u: tuple[FieldValue, ...]
+    * rows i != j: each factor is zeta^alpha_i - zeta^alpha_j =
+      -zeta^alpha_j * (1 - zeta^k) with k = alpha_i - alpha_j mod e.  The
+      numerator has m*m of them (one per s in row i and t in row j, i < j),
+      the denominator prefactor prod_(i<j) (u_i - u_j)^m has m, and the
+      triple product prod_s prod_(1<=l<=s) (v^l*u_i - u_j) has s for each s
+      in row i and each j != i.  Each books a sign flip, alpha_j into the
+      exponent S of zeta and +-1 into the net power n_k of (1 - zeta^k).
+    * one row i: v^s*x_i - v^t*x_i vanishes to first order at v = 1 with
+      residual (s - t) * zeta^alpha_i.  The numerator has one for each s > t
+      in row i, and the triple product the residuals 1, ..., s, that is s!,
+      for each s in row i.  The (v - 1)^r factors add r with residual 1.
 
-    @staticmethod
-    def of(v, u: Sequence) -> "ParamSpec":
-        vals = normalize_field_values([v, *u])
-        v_n, u_n = vals[0], vals[1:]
-        for a in range(len(u_n)):
-            for b in range(a + 1, len(u_n)):
-                if u_n[a] == u_n[b]:
-                    raise ValueError(f"u entries must be pairwise distinct: {u!r}")
-        return ParamSpec(v_n, tuple(u_n))
+    The prefactor prod u_i^r adds r * sum(alpha_i) to S, and v^-a is 1.
+    The orders of vanishing must cancel, else ExactnessError.  The value
+    +-(num/den) * zeta^S * prod_k (1 - zeta^k)^(n_k) multiplies each cached
+    power once and divides once.
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def roots_of_unity(e: int) -> "ParamSpec":
-        """v = 1 and u_j = zeta_e^j (so u_e = 1), in Q(zeta_e); built once per e."""
-        if e == 1:
-            return ParamSpec(Fraction(1), (Fraction(1),))
-        if e == 2:
-            return ParamSpec(Fraction(1), (Fraction(-1), Fraction(1)))
-        return ParamSpec.of(1, [CycElt.root(e, j) for j in range(1, e + 1)])
-
-
-def _field_scalar(like: FieldValue, c: int) -> FieldValue:
-    """The integer c in the field of `like`."""
-    if isinstance(like, CycElt):
-        return CycElt.from_rational(like.order, c)
-    return Fraction(c)
-
-
-def schur_value(sym: ESymbol, params: ParamSpec) -> FieldValue:
-    """Value of the Schur product f_S at the given parameters.
-
-    Each factor v^a*x_i - v^b*x_j (x = u, and x_e = 1 for the (v - 1)^r
-    factors) is booked, not multiplied.  One that does not vanish counts as
-    v^b times its class (a-b, i, j), taken with i <= j since x_j - x_i is
-    -(x_i - x_j); at v == 1 every class collapses to its row pair.  One that
-    vanishes adds +-1 to the order in v and its residual (a-b) * v^(a-1) *
-    x_i.  The orders must cancel (else PoleError or PositiveOrderZeroError);
-    a vanishing cross-row factor, which covers every factor that could
-    vanish identically in v, raises InadmissibleParametersError.  Each
-    distinct class, power and residual is then multiplied out once, and
-    numerator and denominator are divided once.
+    >>> schur_value(((1,), (0,)))
+    CycElt(order=2, coords=(Fraction(1, 2),))
     """
     check_symbol(sym)
     e = len(sym)
     m = len(sym[0])
     r = symbol_rank(sym)
-    v0, u = params.v, params.u
-    if len(u) != e:
-        raise ValueError(f"need {e} u-values, got {len(u)}")
-    if v0 == 0:
-        raise InadmissibleParametersError("v must be nonzero")
+    pairs = comb(m, 2)
+    alpha = [(i + 1) % e for i in range(e)]
+    flips = symbol_c(sym)
+    exponent = r * sum(alpha)
+    net = [0] * e  # net[k]: power of (1 - zeta^k), for k = 1..e-1
+    order = r
+    num_residual = den_residual = 1
 
-    at_one = v0 == 1
-    x = (*u, _field_scalar(v0, 1))
-    sign = -1 if symbol_c(sym) % 2 else 1
-    order = 0
-    ratio = [1, 1]  # integer residuals of the numerator and the denominator
-    v_exp = -symbol_a(sym)
-    x_exp = [r] * e + [0]  # the prefactor prod u_i^r; x_e = 1 needs no power
-    classes: dict[tuple[int, int, int], list] = {}  # (d, i, j) -> [value, net]
-    den_zero = False
+    def cross(i: int, j: int, count: int) -> None:
+        """Book count factors x_i - x_j (negative count: in the denominator)."""
+        nonlocal flips, exponent
+        flips += count
+        exponent += count * alpha[j]
+        net[(alpha[i] - alpha[j]) % e] += count
 
-    def book(a: int, i: int, b: int, j: int, side: int) -> None:
-        """Book v^a*x_i - v^b*x_j into the numerator (side 1) or denominator (-1)."""
-        nonlocal sign, order, v_exp, den_zero
-        if i > j:
-            a, i, b, j = b, j, a, i
-            sign = -sign
-        d = 0 if at_one else a - b
-        entry = classes.get((d, i, j))
-        if entry is None:
-            value = x[i] - x[j] if d == 0 else v0**d * x[i] - x[j]
-            entry = classes[(d, i, j)] = [value, 0]
-        if entry[0] != 0:
-            entry[1] += side
-            v_exp += side * b
-            return
-        if i != j:  # every factor with a == b couples two rows
-            raise InadmissibleParametersError(
-                f"cross-row factor vanished (rows {i+1},{j+1})"
-            )
-        order += side
-        ratio[0 if side > 0 else 1] *= a - b
-        v_exp += side * (a - 1)
-        x_exp[i] += side
-        # a zero residual (x_i = 0) in the denominator; the net x_exp hides it
-        den_zero = den_zero or (side < 0 and x[i] == 0)
-
-    # denominator prefactor prod_{i<j} (u_i - u_j)^m
-    for i in range(e):
-        for j in range(i + 1, e):
-            for _ in range(m):
-                book(0, i, 0, j, -1)
-
-    # numerator: (v-1)^r then the row-pair factors
-    for _ in range(r):
-        book(1, e, 0, e, 1)
-    for i in range(e):
-        for j in range(i, e):
-            for s in sym[i]:
-                for t in sym[j]:
-                    if i == j and s <= t:
-                        continue
-                    book(s, i, t, j, 1)
-
-    # denominator triple product
-    for i in range(e):
+    for i, row in enumerate(sym):
+        total = sum(row)
         for j in range(e):
-            for s in sym[i]:
-                for k in range(1, s + 1):
-                    book(k, i, 0, j, -1)
+            if j > i:  # m*m in the numerator, m in the prefactor
+                cross(i, j, m * m - m)
+            if j != i:
+                cross(i, j, -total)
+        for a, s in enumerate(row):
+            for t in row[:a]:
+                num_residual *= s - t
+            den_residual *= factorial(s)
+        order += pairs - total
+        exponent += (pairs - total) * alpha[i]
 
-    if order < 0:
-        raise PoleError(f"total vanishing order {order} < 0")
-    if order > 0:
-        raise PositiveOrderZeroError(f"total vanishing order {order} > 0")
-    if den_zero:
-        raise InadmissibleParametersError("denominator vanished")
-    num = _field_scalar(v0, sign * ratio[0])
-    den = _field_scalar(v0, ratio[1])
-    powers = [*classes.values(), *zip(u, x_exp)]
-    if not at_one:
-        powers.append((v0, v_exp))
-    for value, n in powers:
-        if n > 0:
-            num = num * value**n
-        elif n < 0:
-            den = den * value ** (-n)
+    if order:
+        raise ExactnessError(f"total vanishing order {order} at v = 1")
+    sign = -1 if flips % 2 else 1
+    num = CycElt.from_poly(e, Poly.of(*(0,) * (exponent % e), sign * num_residual))
+    den = CycElt.from_rational(e, den_residual)
+    for k in range(1, e):
+        if net[k] > 0:
+            num = num * _one_minus_root_power(e, k, net[k])
+        elif net[k] < 0:
+            den = den * _one_minus_root_power(e, k, -net[k])
     return num / den
 
 
@@ -333,9 +243,8 @@ def schur_specialize_roots(sym: ESymbol) -> Fraction:
 
     The result is always rational; its absolute value times e^r * r! is the
     wreath-product character degree of the multipartition of the symbol.
+
+    >>> schur_specialize_roots(((1,), (0,)))
+    Fraction(1, 2)
     """
-    e = len(sym)
-    value = schur_value(sym, ParamSpec.roots_of_unity(e))
-    if isinstance(value, CycElt):
-        return value.to_fraction()
-    return value
+    return schur_value(sym).to_fraction()

@@ -1,13 +1,19 @@
 """Reference implementations that only the tests use.
 
-The library evaluates Schur products through `symblocks.wreath.schur_value`,
-which tallies the factors by class and multiplies each distinct one once.
-This module keeps what the tests check it against: `schur_value_by_factors`,
-the evaluator it replaced, which multiplies in every factor one at a time
-(each through `_eval_factor`); the inverse of `symbol_of`, the simultaneous
+The library evaluates Schur products only at v = 1, u_j = zeta_e^j, through
+`symblocks.wreath.schur_value`, which books every factor as integers (a
+sign, a power of zeta and powers of 1 - zeta^k) and divides once.  This
+module keeps what the tests check it against: `schur_value_by_factors`, the
+general evaluator, which multiplies in every factor one at a time (each
+through `_eval_factor`) at any point (v; u) given as a `ParamSpec`, with
+exact order bookkeeping in v at singular points and the errors
+`InadmissibleParametersError`, `PoleError` and `PositiveOrderZeroError`
+(all `SchurEvaluationError`); the inverse of `symbol_of`, the simultaneous
 shift of a symbol, the linear-character symbols with their closed-form
 Schur value `schur_linear`, and the split-torus parameter points
-`case_one_params` they are compared at.
+`case_one_params` they are compared at.  The tally is compared with
+`schur_value_by_factors` at `ParamSpec.roots_of_unity(e)` only; the other
+points check the oracle against `schur_linear`.
 
 `blocks_sn_by_filter` is the p-block scan that `symblocks.blocks.blocks_sn`
 replaced: it finds cores by testing every partition with `is_p_core` and
@@ -63,8 +69,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
-from typing import Sequence
+from math import factorial, lcm, prod
+from typing import NamedTuple, Sequence, Union
 
 from symblocks.algebra import (
     CycElt,
@@ -109,12 +115,7 @@ from symblocks.unipotent import (
 )
 from symblocks.wreath import (
     ESymbol,
-    FieldValue,
-    InadmissibleParametersError,
     Multipartition,
-    ParamSpec,
-    PoleError,
-    PositiveOrderZeroError,
     check_symbol,
     enumerate_multipartitions,
     symbol_a,
@@ -396,6 +397,67 @@ def speceq_search_unpinned(
     return tuple(out)
 
 
+FieldValue = Union[Fraction, CycElt]
+
+
+class SchurEvaluationError(ArithmeticError):
+    """Base class for structural evaluation failures."""
+
+
+class InadmissibleParametersError(SchurEvaluationError):
+    """A cross-row factor vanished; the parameter tuple is not allowed."""
+
+
+class PoleError(SchurEvaluationError):
+    """The requested specialization is a pole (negative total order)."""
+
+
+class PositiveOrderZeroError(SchurEvaluationError):
+    """The requested specialization vanishes to positive order."""
+
+
+def normalize_field_values(values: Sequence) -> tuple[FieldValue, ...]:
+    """Lift a mix of ints, Fractions and CycElts into one common field."""
+    orders = [v.order for v in values if isinstance(v, CycElt)]
+    if not orders:
+        return tuple(Fraction(v) for v in values)
+    L = lcm(*orders)
+    out = []
+    for v in values:
+        if isinstance(v, CycElt):
+            out.append(v.embed(L))
+        else:
+            out.append(CycElt.from_rational(L, v))
+    return tuple(out)
+
+
+class ParamSpec(NamedTuple):
+    """A specialization point (v; u_1, ..., u_e), all in one field.
+
+    Entries of u must be pairwise distinct; per-symbol admissibility (no
+    vanishing cross-row factor) is checked during evaluation.
+    """
+
+    v: FieldValue
+    u: tuple[FieldValue, ...]
+
+    @staticmethod
+    def of(v, u: Sequence) -> "ParamSpec":
+        vals = normalize_field_values([v, *u])
+        v_n, u_n = vals[0], vals[1:]
+        for a in range(len(u_n)):
+            for b in range(a + 1, len(u_n)):
+                if u_n[a] == u_n[b]:
+                    raise ValueError(f"u entries must be pairwise distinct: {u!r}")
+        return ParamSpec(v_n, tuple(u_n))
+
+    @staticmethod
+    def roots_of_unity(e: int) -> "ParamSpec":
+        """v = 1 and u_j = zeta_e^j (so u_e = 1), in Q(zeta_e), where
+        `symblocks.wreath.schur_value` evaluates."""
+        return ParamSpec.of(1, [CycElt.root(e, j) for j in range(1, e + 1)])
+
+
 def multipartition_of(sym: ESymbol) -> Multipartition:
     """Inverse of symbol_of (on any representative of the class).
 
@@ -467,7 +529,6 @@ def _eval_factor(a: int, x, b: int, y, v0):
 def schur_value_by_factors(sym: ESymbol, params: ParamSpec) -> FieldValue:
     """Value of the Schur product f_S, multiplied out factor by factor.
 
-    This is the evaluator that `symblocks.wreath.schur_value` replaced.
     Singular parameter points are handled by exact order bookkeeping in v:
     the vanishing orders of numerator and denominator must cancel, otherwise
     a PoleError or PositiveOrderZeroError is raised.  A vanishing factor
@@ -545,7 +606,8 @@ def schur_linear(e: int, r: int, i: int, params: ParamSpec) -> FieldValue:
     """Closed-form Schur value for the linear character attached to row i.
 
     prod_{k=1}^{r} [ (v-1)/(v^k-1) * prod_{j != i} u_j / (u_j - v^(k-1) u_i) ],
-    evaluated with the same structural order bookkeeping as schur_value.
+    evaluated with the same structural order bookkeeping as
+    schur_value_by_factors.
     """
     if not 1 <= i <= e:
         raise ValueError("row index out of range")
