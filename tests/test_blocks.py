@@ -48,6 +48,13 @@ def test_blocks_sn_matches_the_filter_oracle(p):
         assert blocks_sn(n, p) == blocks_sn_by_filter(n, p), (n, p)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_blocks_sn_out_of_order_matches_the_filter_oracle(p):
+    """A --jobs worker is handed its n in pool order, not ascending."""
+    for n in (20, 18, 19, 17):
+        assert blocks_sn(n, p) == blocks_sn_by_filter(n, p), (n, p)
+
+
 def test_principal_block_s4_mod_2():
     out = blocks_sn(4, 2)
     assert len(out) == 1

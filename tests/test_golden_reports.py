@@ -33,6 +33,12 @@ The --collisions run at n = 20 prints an empty collision list: no pair with
 n <= 24 and q in {2, 3} has a degree collision (checked with
 `degree_collisions`).
 
+The cold-scan entries cover scan-blocks that start above the benchmark's
+range, sym at n = 27..28 for p = 2, alt at n = 26 for p = 3 and sym at
+n = 30 for p = 5, recorded before member degrees were read from the
+branching-rule level table: a process that scans only these n builds its
+first level from the hook walk rather than from the level below.
+
 The Schur-tally entries cover verify-wreath at field order 7 up to rank 3,
 at order 8 up to rank 2 (through the table renderer) and at order 5 up to
 rank 4 (through the CSV renderer), recorded before Schur values at the roots
@@ -243,6 +249,12 @@ PARENT_RECORDED = (
      "67ab7586a59bde92da740546c3ed226b0ef7eeba790f8b9bd46e8d31d19b08ba", 0),
     ("verify-wreath --e-max 8 --r-max 2 --format table",
      "57557d0409ce54a44cd446d2bca35a7389938bc6359fc69fdd768484ce44be90", 0),
+    ("scan-blocks --group sym --n-range 27..28 --p 2 --format json",
+     "0eab8b485f81740e960817a588eae789265e7ac374ef02ffbd26a2f2f8f8ed45", 0),
+    ("scan-blocks --group alt --n-range 26..26 --p 3 --format json",
+     "bd8146426acfadc5e5364739cba3bb1cc49ac96f85d26b6e2e22cd9393d326d2", 0),
+    ("scan-blocks --group sym --n-range 30..30 --p 5 --format json",
+     "3d56f3830fed2f511926905aebe72138095fba41c887fea5bbbb0b87d0ac95f5", 0),
 )
 
 
