@@ -31,6 +31,7 @@ from .partitions import (
     degree,
     format_partition,
     is_self_dual,
+    level_degrees,
     p_cores,
     runner_bead_counts,
 )
@@ -106,11 +107,13 @@ def _multipartitions(p: int, w: int) -> tuple[tuple[Partition, ...], ...]:
 
 def _sym_members(core: Partition, w: int, p: int) -> list[tuple[Partition, int]]:
     """(partition, degree) of each member of the S_n block of core and w,
-    in p-quotient enumeration order."""
+    in p-quotient enumeration order, with each degree read from the level
+    table of n."""
+    degrees = level_degrees(sum(core) + p * w)
     out = []
     for nu in _multipartitions(p, w):
         pi = combine(core, nu, p)
-        out.append((pi, degree(pi)))
+        out.append((pi, degrees[pi]))
     return out
 
 

@@ -21,6 +21,13 @@ involve the first row, so `p_cores` grows cores one top row at a time and
 keeps a row only when none of its hooks is divisible by p.  A partition is a
 p-core exactly when every runner is flush (its beads fill the lowest
 levels), so a core is laid out on the abacus by its runner bead counts alone.
+
+The hook walk gives `degree` for a single partition.  A block scan needs the
+degree of every partition of n, and `level_degrees` keeps them as a level
+table: the branching rule (James-Kerber 1981) makes the degree of a
+partition the sum of the degrees of the partitions one box smaller, so the
+table at n + 1 is built from the table at n with one pass that adds each
+degree to every partition one box larger.
 """
 
 from __future__ import annotations
@@ -72,12 +79,20 @@ def format_partition(pi: Partition) -> str:
 
 
 def enumerate_partitions(n: int, max_part: int | None = None):
-    """Yield all partitions of n in reverse lexicographic order.
+    """Yield all partitions of n with parts at most max_part (default n) in
+    reverse lexicographic order.
 
-    The first partition is (n) and the last is (1,)*n.
+    The first partition is (n) and the last is (1,)*n.  Each partition is
+    the successor of the one before by the ZS1 rule (Zoghbi-Stojmenovic
+    1998), on one working list of n parts whose entries past the last part
+    above 1 are all 1: that part drops by one, and the ones after it plus
+    the freed box are refilled with copies of the lowered part and a
+    remainder.
 
     >>> list(enumerate_partitions(4))
     [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    >>> list(enumerate_partitions(5, 2))
+    [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -85,9 +100,40 @@ def enumerate_partitions(n: int, max_part: int | None = None):
         yield ()
         return
     top = n if max_part is None else min(max_part, n)
-    for first in range(top, 0, -1):
-        for rest in enumerate_partitions(n - first, first):
-            yield (first,) + rest
+    if top < 1:
+        return
+    # the first partition is top repeated, then the remainder
+    q, rest = divmod(n, top)
+    x = [top] * q + [1] * (n - q)
+    m = q  # number of parts
+    h = q if top > 1 else 0  # number of parts above 1
+    if rest:
+        x[q] = rest
+        m += 1
+        h += rest > 1
+    yield tuple(x[:m])
+    while h:
+        j = h - 1  # the last part above 1
+        if x[j] == 2:
+            x[j] = 1
+            h = j
+            m += 1
+        else:
+            part = x[j] - 1
+            free = m - j  # the ones after j, plus the box taken from j
+            x[j] = part
+            h = j + 1
+            while free >= part:
+                x[h] = part
+                h += 1
+                free -= part
+            m = h
+            if free:
+                m += 1
+                if free > 1:
+                    x[h] = free
+                    h += 1
+        yield tuple(x[:m])
 
 
 def conjugate(pi: Partition) -> Partition:
@@ -160,6 +206,62 @@ def degree(pi: Partition) -> int:
     if r:
         raise ExactnessError(f"hook product does not divide {n}! for {pi}")
     return q
+
+
+# the level tables at hand, least recently used first
+_LEVELS: dict[int, dict[Partition, int]] = {}
+
+
+def _next_level(level: dict[Partition, int]) -> dict[Partition, int]:
+    """The level table one box up, by the branching rule: the degree of
+    lambda is the sum of the degrees of the partitions lambda - box, so
+    each mu adds its degree to every mu + box.  A box can be added at the
+    end of the first row of each run of equal parts, and as a new row."""
+    out: dict[Partition, int] = {}
+    get = out.get
+    for mu, d in level.items():
+        # one working list per mu, raised one row at a time
+        rows = list(mu)
+        prev = 0
+        for i, part in enumerate(mu):
+            if part != prev:
+                rows[i] = part + 1
+                lam = tuple(rows)
+                rows[i] = prev = part
+                out[lam] = get(lam, 0) + d
+        lam = mu + (1,)
+        out[lam] = get(lam, 0) + d
+    return out
+
+
+def level_degrees(n: int) -> dict[Partition, int]:
+    """The level table at n: a dict from every partition of n to its degree.
+
+    It is built forward from the highest level at hand below n by the
+    branching rule, or, when none is, from the hook walk `degree` over the
+    partitions of n.  At most two levels are kept, the two most recently
+    asked for, so a scan that goes up one n at a time builds each level once
+    from the one before.  The table is shared: read it, do not change it.
+
+    >>> level_degrees(3)
+    {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    level = _LEVELS.pop(n, None)
+    if level is None:
+        below = [m for m in _LEVELS if m < n]
+        if below:
+            m = max(below)
+            level = _LEVELS[m]
+            for _ in range(m, n):
+                level = _next_level(level)
+        else:
+            level = {pi: degree(pi) for pi in enumerate_partitions(n)}
+    _LEVELS[n] = level
+    while len(_LEVELS) > 2:
+        del _LEVELS[next(iter(_LEVELS))]
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +374,9 @@ def _cores_below(n: int, top: int, p: int) -> tuple[Partition, ...]:
 def p_cores(m: int, p: int) -> list[Partition]:
     """The p-cores of m in lexicographic order.
 
-    Grown one top row at a time as enumerate_partitions recurses, keeping a
-    row only when it has no hook divisible by p; for p > m every partition
-    of m is a core.
+    Grown one top row at a time over the cores of the rows below it,
+    keeping a row only when it has no hook divisible by p; for p > m every
+    partition of m is a core.
 
     >>> p_cores(6, 2)
     [(3, 2, 1)]

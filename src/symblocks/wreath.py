@@ -44,7 +44,9 @@ ESymbol = tuple[tuple[int, ...], ...]
 
 
 def enumerate_multipartitions(e: int, r: int):
-    """Yield all e-tuples of partitions of total size r, deterministically.
+    """Yield all e-tuples of partitions of total size r, deterministically:
+    the first component runs through the sizes r down to 0, each in
+    enumerate_partitions order, and the rest follow in this order.
 
     >>> len(list(enumerate_multipartitions(2, 2)))
     5
@@ -52,6 +54,10 @@ def enumerate_multipartitions(e: int, r: int):
     if e == 0:
         if r == 0:
             yield ()
+        return
+    if e == 1:
+        for pi in enumerate_partitions(r):
+            yield (pi,)
         return
     for k in range(r, -1, -1):
         for head in enumerate_partitions(k):
@@ -88,13 +94,6 @@ def symbol_rank(sym: ESymbol) -> int:
     m = len(sym[0])
     e = len(sym)
     return sum(sum(row) for row in sym) - e * comb(m, 2)
-
-
-def symbol_a(sym: ESymbol) -> int:
-    """The exponent of v in the denominator of the Schur product."""
-    m = len(sym[0])
-    e = len(sym)
-    return sum(comb(e * i, 2) for i in range(1, m))
 
 
 def symbol_c(sym: ESymbol) -> int:

@@ -51,6 +51,18 @@ each runner's beta-set as a tuple with `beta_set` and recovers the
 partition from all the beads with `partition_from_beta`, which sorts any
 beta-set; the library only reads beta-sets it builds in ascending order.
 
+`enumerate_partitions_by_recursion` is the partition generator that
+`symblocks.partitions.enumerate_partitions` replaced: it recurses on the
+first part and builds each tuple one part at a time as it passes up through
+the generator frames, where the library steps one working list by the ZS1
+successor rule.  `enumerate_multipartitions_by_recursion` is the
+multipartition generator that `symblocks.wreath.enumerate_multipartitions`
+replaced: it recurses down to zero components, so with one component left it
+enumerates every smaller size only to find that none has a tail.
+`symbol_a`, the exponent of v in the Schur product's denominator, is used
+only by `schur_value_by_factors`: at v = 1 the library's tally never needs
+it.
+
 `tori_all_entries` lists every torus table row up to a rank, and
 `speceq_identity_holds` rechecks a `SpeceqWitness` from scratch.
 `strip_primes_by_list` is the prime stripping that
@@ -69,7 +81,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import NamedTuple, Sequence, Union
 
 from symblocks.algebra import (
@@ -118,7 +130,6 @@ from symblocks.wreath import (
     Multipartition,
     check_symbol,
     enumerate_multipartitions,
-    symbol_a,
     symbol_c,
     symbol_of,
     symbol_rank,
@@ -132,6 +143,43 @@ def partition_from_beta(entries) -> Partition:
     (3, 1)
     """
     return _partition_from_ascending(sorted(entries))
+
+
+def enumerate_partitions_by_recursion(n: int, max_part: int | None = None):
+    """The partitions of n with parts at most max_part, in reverse
+    lexicographic order: each first part from the largest down, followed by
+    every partition of the rest with parts at most the first part.
+
+    >>> list(enumerate_partitions_by_recursion(4, 2))
+    [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None else min(max_part, n)
+    for first in range(top, 0, -1):
+        for rest in enumerate_partitions_by_recursion(n - first, first):
+            yield (first,) + rest
+
+
+def enumerate_multipartitions_by_recursion(e: int, r: int):
+    """The e-tuples of partitions of total size r: the first component runs
+    through the sizes r down to 0, and every tuple of the other e - 1
+    follows it, down to e = 0 even for a single component.
+
+    >>> list(enumerate_multipartitions_by_recursion(2, 1))
+    [((1,), ()), ((), (1,))]
+    """
+    if e == 0:
+        if r == 0:
+            yield ()
+        return
+    for k in range(r, -1, -1):
+        for head in enumerate_partitions_by_recursion(k):
+            for tail in enumerate_multipartitions_by_recursion(e - 1, r - k):
+                yield (head,) + tail
 
 
 def blocks_sn_by_filter(n: int, p: int) -> tuple[BlockData, ...]:
@@ -524,6 +572,13 @@ def _eval_factor(a: int, x, b: int, y, v0):
             "factor vanishes identically in v at these parameters"
         )
     return 1, (v0 ** (a - 1)) * x * (a - b)
+
+
+def symbol_a(sym: ESymbol) -> int:
+    """The exponent of v in the denominator of the Schur product."""
+    m = len(sym[0])
+    e = len(sym)
+    return sum(comb(e * i, 2) for i in range(1, m))
 
 
 def schur_value_by_factors(sym: ESymbol, params: ParamSpec) -> FieldValue:

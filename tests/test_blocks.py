@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import symblocks.blocks as blocks
+import symblocks.partitions as partitions
 from oracles import (
     blocks_an_by_selection,
     blocks_sn_by_filter,
@@ -49,10 +50,19 @@ def test_blocks_sn_matches_the_filter_oracle(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_blocks_sn_out_of_order_matches_the_filter_oracle(p):
-    """A --jobs worker is handed its n in pool order, not ascending."""
+def test_blocks_sn_out_of_order_matches_the_filter_oracle(p, monkeypatch):
+    """A --jobs worker is handed its n in pool order, not ascending: from no
+    level table, 20 and 18 are seeded from the hook walk, 19 is built one
+    level up from 18 and 17 is seeded again."""
+    monkeypatch.setattr(partitions, "_LEVELS", {})
     for n in (20, 18, 19, 17):
         assert blocks_sn(n, p) == blocks_sn_by_filter(n, p), (n, p)
+
+
+def test_blocks_sn_two_levels_up_matches_the_filter_oracle(monkeypatch):
+    monkeypatch.setattr(partitions, "_LEVELS", {})
+    for n in (14, 16):
+        assert blocks_sn(n, 2) == blocks_sn_by_filter(n, 2), n
 
 
 def test_principal_block_s4_mod_2():

@@ -541,6 +541,28 @@ def test_verify_hook_formula_reports_exceptions():
     assert kinds == {"[4,1]", "[2,1,1,1]"}
 
 
+@pytest.mark.parametrize("cap", [1, 3, 7])
+def test_verify_hook_formula_lists_the_first_exceptions_in_key_order(
+    cap, monkeypatch, capsys
+):
+    """Each key keeps at most the cap of exception details; the summary
+    still counts them all, and the listed ones are the first in key order."""
+    argv = ["verify-hook-formula", "--n-max", "9", "--primes", "2,3",
+            "--format", "json"]
+    monkeypatch.setattr(cli, "EXCEPTION_DETAIL_CAP", 10**6)
+    assert cli.main(argv) == 1
+    full = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "EXCEPTION_DETAIL_CAP", cap)
+    assert cli.main(argv) == 1
+    capped = json.loads(capsys.readouterr().out)
+    assert capped["records"] == full["records"]
+    assert any(r["exceptions"] > cap for r in full["records"])
+    s = capped["summary"]
+    assert s["congruence_exceptions"] == full["summary"]["congruence_exceptions"]
+    assert s["exceptions_listed"] == cap
+    assert capped["refutations"] == full["refutations"][:cap]
+
+
 def test_verify_hook_formula_clean_range_passes():
     r = run("verify-hook-formula", "--n-max", "4", "--primes", "2,3",
             "--format", "table")

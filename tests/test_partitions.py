@@ -10,6 +10,7 @@ from oracles import (
     combine_by_components,
     conjugate_by_counting,
     core_and_quotient_by_sorting,
+    enumerate_partitions_by_recursion,
     gl_degree_poly_by_cyclotomic_exponents,
     partition_from_beta,
     relative_hook_degree_by_symbol_hooks,
@@ -30,6 +31,7 @@ from symblocks.partitions import (
     hook_lengths,
     is_p_core,
     is_self_dual,
+    level_degrees,
     p_cores,
     parse_partition,
     runner_bead_counts,
@@ -130,6 +132,19 @@ def test_enumeration_with_cap():
     assert list(enumerate_partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
+def test_enumeration_matches_the_recursion_oracle():
+    for n in range(0, 31):
+        for max_part in (None, *range(n + 2)):
+            assert list(enumerate_partitions(n, max_part)) == list(
+                enumerate_partitions_by_recursion(n, max_part)
+            ), (n, max_part)
+
+
+def test_enumeration_rejects_negative_n():
+    with pytest.raises(ValueError):
+        list(enumerate_partitions(-1))
+
+
 # ---------------------------------------------------------------------------
 # parsing and formatting
 
@@ -213,6 +228,25 @@ def test_degree_squares_sum_to_group_order():
 def test_degree_conjugation_invariant():
     for pi in enumerate_partitions(9):
         assert degree(pi) == degree(conjugate(pi))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_level_table_matches_the_hook_walk(steps, monkeypatch):
+    """The table at n reached cold (from the hook walk), and built one and
+    two levels up from the level n - steps."""
+    for n in range(steps, 31):
+        monkeypatch.setattr(partitions, "_LEVELS", {})
+        level_degrees(n - steps)
+        assert level_degrees(n) == {pi: degree(pi) for pi in enumerate_partitions(n)}
+
+
+def test_level_table_keeps_the_two_latest_levels(monkeypatch):
+    monkeypatch.setattr(partitions, "_LEVELS", {})
+    for n in (20, 18, 19, 17):
+        level_degrees(n)
+    assert sorted(partitions._LEVELS) == [17, 19]
+    with pytest.raises(ValueError):
+        level_degrees(-1)
 
 
 # ---------------------------------------------------------------------------

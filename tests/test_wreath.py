@@ -10,11 +10,13 @@ from oracles import (
     PoleError,
     SchurEvaluationError,
     case_one_params,
+    enumerate_multipartitions_by_recursion,
     linear_symbol,
     multipartition_of,
     schur_linear,
     schur_value_by_factors,
     shift_symbol,
+    symbol_a,
 )
 from symblocks import wreath
 from symblocks.algebra import CycElt, ExactnessError
@@ -26,7 +28,6 @@ from symblocks.wreath import (
     schur_value,
     symbol_hooks,
     symbol_of,
-    symbol_a,
     symbol_c,
     symbol_rank,
     wreath_degree,
@@ -48,6 +49,14 @@ def test_multipartition_counts():
         for r in range(0, 9):
             got = sum(1 for _ in enumerate_multipartitions(e, r))
             assert got == coeffs[r]
+
+
+def test_multipartitions_match_the_recursion_oracle():
+    for e in range(0, 6):
+        for r in range(0, 9):
+            assert list(enumerate_multipartitions(e, r)) == list(
+                enumerate_multipartitions_by_recursion(e, r)
+            ), (e, r)
 
 
 def test_multipartitions_are_distinct_and_sized():
