@@ -59,6 +59,13 @@ unipotent --collisions stays unpinned: no pair with n <= 15 and q in
 {2, 3, 4, 5, 7, 8, 9} has a degree collision, so the pinned run prints
 "no collisions" and a bare CSV header.
 
+The root-monomial entries cover hll-check past the pinned d <= 6 and
+n <= 12: d = 8 (field degree 4) at n = 16, d = 7 (degree 6) at n = 14,
+d = 10 at n = 18 and d = 4 at n = 20, through all three renderers, recorded
+before the constants were evaluated by `algebra.root_monomial`.  An
+hll-check report prints every constant with its sign, so unlike the
+verify-wreath digests these see a wrong sign or power of zeta.
+
 PARENT_RECORDED_NO_WITNESS pins the one scan path that exits 1, which no
 command above reaches: with `symblocks.blocks._height_zero_witness`
 patched to find no pair, every positive-weight symmetric block outside
@@ -255,6 +262,14 @@ PARENT_RECORDED = (
      "bd8146426acfadc5e5364739cba3bb1cc49ac96f85d26b6e2e22cd9393d326d2", 0),
     ("scan-blocks --group sym --n-range 30..30 --p 5 --format json",
      "3d56f3830fed2f511926905aebe72138095fba41c887fea5bbbb0b87d0ac95f5", 0),
+    ("hll-check --n 16 --d 8 --format json",
+     "3865d9b3829cfd74387e28a10cbcd20c4337f5b80a4e8995b653756c6fa2a893", 1),
+    ("hll-check --n 14 --d 7 --format csv",
+     "86827b1d972577fbef0c476d46e670e6e42513040ac26b16ae3e0d4e4c13d462", 1),
+    ("hll-check --n 18 --d 10 --format table",
+     "a0d34402d1eeb9e4278d38d4bdf5013d8468e3f579e8ba972338965bcb44eed8", 0),
+    ("hll-check --n 20 --d 4 --format json",
+     "9697bd9d8f5c058e6d293aee83762a04c256554dc5eb53fea2013a792a544759", 1),
 )
 
 
