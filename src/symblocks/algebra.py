@@ -3,9 +3,9 @@
 Everything here is exact. `Poly` coefficients and `CycElt` coordinates (vectors
 modulo the monic n-th cyclotomic polynomial) are kept as given, so integer
 polynomials and cyclotomic integers stay `int` through sums, products and powers.
-A `fractions.Fraction` is made only by the one exact division, the inverse's
-division by its rational norm (`CycElt.inverse` and `/`), by `CycElt.__hash__`,
-and by `CycElt.to_fraction`, the boundary to rational callers. The field needs
+A `fractions.Fraction` is made only by the inverse's division by its rational
+norm, which the program reaches through the one `/` in `root_monomial`, by
+`CycElt.__hash__` and by `CycElt.to_fraction`, for rational callers. The field needs
 no linear algebra: inverse, embedding and hash each go through one Galois
 substitution zeta -> zeta**k. Polynomials are divided only by divisors with
 leading coefficient 1 or -1, so integer quotients stay integral. Any other
@@ -646,9 +646,10 @@ class CycElt(_Frozen):
         the inverse makes one Fraction division per coordinate."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        rest = CycElt.from_rational(self.order, 1)
-        for a in _units(self.order)[1:]:
-            rest = rest * self._substitute(a, self.order)
+        conjugates = (self._substitute(a, self.order) for a in _units(self.order)[1:])
+        rest = next(conjugates, CycElt.from_rational(self.order, 1))  # 1 in Q
+        for c in conjugates:
+            rest = rest * c
         norm = (self * rest).to_fraction()
         return CycElt(self.order, tuple(Fraction(c) / norm for c in rest.coords))
 
@@ -705,6 +706,30 @@ class CycElt(_Frozen):
 
     def __repr__(self) -> str:
         return f"CycElt(order={self.order}, coords={self.coords})"
+
+
+@lru_cache(maxsize=None)
+def _one_minus_root_power(order: int, k: int, n: int) -> CycElt:
+    """(1 - zeta_order^k)^n, built once per (order, k, n)."""
+    return CycElt.from_poly(order, Poly.of(1, *(0,) * (k - 1), -1)) ** n
+
+
+def root_monomial(order: int, num: int, den: int, exponent: int, powers) -> CycElt:
+    """(num/den) * zeta^exponent * prod_(0<k<order) (1 - zeta^k)^(powers[k]),
+    zeta = zeta_order.  Numerator and denominator multiply the cached powers
+    on integer coordinates, then one `/` divides.
+
+    >>> root_monomial(4, 1, 2, 1, (0, 0, 1, 0)) == CycElt.root(4)
+    True
+    """
+    top = CycElt.from_poly(order, Poly.of(*(0,) * (exponent % order), num))
+    bottom = CycElt.from_rational(order, den)
+    for k in range(1, order):
+        if powers[k] > 0:
+            top = top * _one_minus_root_power(order, k, powers[k])
+        elif powers[k] < 0:
+            bottom = bottom * _one_minus_root_power(order, k, -powers[k])
+    return top / bottom
 
 
 def field_value_str(x) -> str:

@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from .algebra import TORI_SERIES  # noqa: F401  (the series tori_entry accepts)
 from .algebra import (
-    CycElt,
     ExactnessError,
     Poly,
     ZsigmondyResult,
@@ -34,6 +33,7 @@ from .algebra import (
     field_value_str,
     is_prime_power,
     phi_value,
+    root_monomial,
     zsigmondy,
 )
 from .partitions import (
@@ -139,12 +139,7 @@ class HllReport(NamedTuple):
 
     @property
     def failures(self) -> tuple[tuple[Partition, HllMemberReport], ...]:
-        out = []
-        for s in self.series:
-            for m in s.members:
-                if not m.ok:
-                    out.append((s.core, m))
-        return tuple(out)
+        return tuple((s.core, m) for s in self.series for m in s.members if not m.ok)
 
 
 def hll_check_gl(n: int, d: int) -> HllReport:
@@ -158,15 +153,16 @@ def hll_check_gl(n: int, d: int) -> HllReport:
                           * prod_{h in H(mu)}(x^h - 1) / prod_{h in H(pi)}(x^h - 1).
 
     Its value at a primitive d-th root of unity zeta is read off the hook
-    residues, with no polynomial built.  A factor x^m - 1 with d not
-    dividing m is zeta^(m mod d) - 1, booked under its residue.  A factor
-    with d | m vanishes to first order, as m * zeta^-1 * (x - zeta).  There
-    are w of them above the line (the k in (r, n] that d divides) and w
-    below (the hooks of pi that d divides; mu, a d-core, has none), so they
-    balance and leave the rational prod k / prod h.  The ratio at zeta is
-    tested for being a rational integer whose absolute value equals the
-    wreath degree of the d-quotient of pi.  Members violating any of the
-    three conditions are reported with the failing condition named.
+    residues, with no polynomial built.  A factor x^m - 1 with d | m
+    vanishes to first order, as m * zeta^-1 * (x - zeta).  There are w of
+    them above the line (the k in (r, n] that d divides) and w below (the
+    hooks of pi that d divides; mu, a d-core, has none), so they balance and
+    leave the rational prod k / prod h.  Any other factor is zeta^j - 1 =
+    -(1 - zeta^j), j = m mod d; n - w of them lie on each side (n factors
+    above, n hooks of pi below), so the signs cancel, and `root_monomial`
+    divides once.  The ratio at zeta is tested for being a rational integer
+    whose absolute value equals the wreath degree of the d-quotient of pi;
+    a member violating any of these is reported with the condition named.
 
     >>> rep = hll_check_gl(2, 2)
     >>> [(m.partition, str(m.constant)) for m in rep.series[0].members]
@@ -176,10 +172,6 @@ def hll_check_gl(n: int, d: int) -> HllReport:
         raise ValueError("need n >= 1")
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
-    roots = [CycElt.root(d, j) for j in range(d)]
-    # factors[j]: zeta^j - 1, the value of x^m - 1 at zeta for m = j mod d,
-    # and its inverse
-    factors = [None] + [(f, f.inverse()) for f in (z - 1 for z in roots[1:])]
     series_reports = []
     for core, members in _series_with_quotients(n, d):
         r = sum(core)
@@ -206,12 +198,8 @@ def hll_check_gl(n: int, d: int) -> HllReport:
                 raise ExactnessError(
                     f"{pi} has {len(vanishing)} hooks that {d} divides, not {weight}"
                 )
-            value = roots[(b_statistic(pi) - core_b) % d]
-            for j, e in enumerate(net[1:], start=1):
-                if e:
-                    up, down = factors[j]
-                    value = value * (up ** e if e > 0 else down ** -e)
-            value = value * Fraction(k_prod, prod(vanishing))
+            exponent = b_statistic(pi) - core_b
+            value = root_monomial(d, k_prod, prod(vanishing), exponent, net)
             member_reports.append(_hll_member(pi, quotient, value))
         series_reports.append(HllSeriesReport(core, weight, tuple(member_reports)))
     return HllReport(n, d, tuple(series_reports))

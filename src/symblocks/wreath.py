@@ -21,18 +21,17 @@ zeta, so it is booked as integers instead of multiplied:
   an order, an integer and an exponent of zeta.
 
 Equal factors come in blocks, one per pair of rows, so each pair is booked
-once with its count.  The orders cancel, and the value is
-+-(num/den) * zeta^S * prod_k (1 - zeta^k)^(n_k), with one division.
+once with its count.  The orders cancel, and `algebra.root_monomial` takes
+the value +-(num/den) * zeta^S * prod_k (1 - zeta^k)^(n_k) with one division.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
-from .algebra import CycElt, ExactnessError, Poly
+from .algebra import CycElt, ExactnessError, root_monomial
 from .partitions import Partition, beta_set, degree, enumerate_partitions
 
 Multipartition = tuple[Partition, ...]
@@ -158,12 +157,6 @@ def wreath_degree(nu: Multipartition) -> int:
 # Schur values at v = 1, u_j = zeta_e^j
 
 
-@lru_cache(maxsize=None)
-def _one_minus_root_power(e: int, k: int, n: int) -> CycElt:
-    """(1 - zeta_e^k)^n, built once per (e, k, n)."""
-    return CycElt.from_poly(e, Poly.of(1, *(0,) * (k - 1), -1)) ** n
-
-
 def schur_value(sym: ESymbol) -> CycElt:
     """Value of the Schur product f_S at v = 1, u_j = zeta^j, in Q(zeta_e).
 
@@ -185,8 +178,8 @@ def schur_value(sym: ESymbol) -> CycElt:
 
     The prefactor prod u_i^r adds r * sum(alpha_i) to S, and v^-a is 1.
     The orders of vanishing must cancel, else ExactnessError.  The value
-    +-(num/den) * zeta^S * prod_k (1 - zeta^k)^(n_k) multiplies each cached
-    power once and divides once.
+    +-(num/den) * zeta^S * prod_k (1 - zeta^k)^(n_k) is `root_monomial`'s,
+    which `hll_check_gl` shares: one product per cached power, one division.
 
     >>> schur_value(((1,), (0,)))
     CycElt(order=2, coords=(Fraction(1, 2),))
@@ -227,14 +220,7 @@ def schur_value(sym: ESymbol) -> CycElt:
     if order:
         raise ExactnessError(f"total vanishing order {order} at v = 1")
     sign = -1 if flips % 2 else 1
-    num = CycElt.from_poly(e, Poly.of(*(0,) * (exponent % e), sign * num_residual))
-    den = CycElt.from_rational(e, den_residual)
-    for k in range(1, e):
-        if net[k] > 0:
-            num = num * _one_minus_root_power(e, k, net[k])
-        elif net[k] < 0:
-            den = den * _one_minus_root_power(e, k, -net[k])
-    return num / den
+    return root_monomial(e, sign * num_residual, den_residual, exponent, net)
 
 
 def schur_specialize_roots(sym: ESymbol) -> Fraction:

@@ -75,6 +75,13 @@ every exponent vector over all the factors.
 it solves x * y == 1 for the coordinates of y by Gaussian elimination over
 Fractions, where the library multiplies the other Galois conjugates of x and
 divides by the norm.
+
+`root_monomial_by_factors` is the slow path that
+`symblocks.algebra.root_monomial` replaced in `schur_value` and
+`hll_check_gl`: it starts from `CycElt.root(order, exponent) * num` and
+multiplies in, or divides out with `/`, one factor 1 - zeta^k at a time,
+then divides by den, where the library multiplies cached powers into one
+numerator and one denominator and divides once.
 """
 
 from __future__ import annotations
@@ -722,3 +729,16 @@ def cyc_inverse_by_elimination(x: CycElt) -> CycElt:
             if k != c and row[c]:
                 rows[k] = [a - row[c] * b for a, b in zip(row, rows[c])]
     return CycElt(x.order, tuple(row[-1] for row in rows))
+
+
+def root_monomial_by_factors(
+    order: int, num: int, den: int, exponent: int, powers: Sequence[int]
+) -> CycElt:
+    """(num/den) * zeta^exponent * prod_(0<k<order) (1 - zeta^k)^(powers[k])
+    with one field product or division per factor."""
+    value = CycElt.root(order, exponent) * num
+    for k in range(1, order):
+        factor = 1 - CycElt.root(order, k)
+        for _ in range(abs(powers[k])):
+            value = value * factor if powers[k] > 0 else value / factor
+    return value / den

@@ -24,10 +24,11 @@ from symblocks.algebra import (
     is_prime_power,
     padic_val,
     phi_value,
+    root_monomial,
     trial_factor,
     zsigmondy,
 )
-from oracles import cyc_inverse_by_elimination
+from oracles import cyc_inverse_by_elimination, root_monomial_by_factors
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +475,52 @@ def test_cyc_inverse_matches_elimination(order, data):
     assert got.coords == want.coords
     assert [type(c) for c in got.coords] == [type(c) for c in want.coords]
     assert field_value_str(got) == field_value_str(want)
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_cyc_inverse_multiplies_no_one(order, monkeypatch):
+    x = 2 + CycElt.root(order)  # nonzero: |zeta| = 1
+    degree = len(x.coords)
+    products = []
+    real = CycElt.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(CycElt, "__mul__", counting)
+    y = x.inverse()
+    monkeypatch.undo()
+    # degree - 2 products of the other conjugates, then one for the norm
+    assert len(products) == max(degree - 1, 1)
+    assert x * y == 1
+    assert y.coords == cyc_inverse_by_elimination(x).coords
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_root_monomial_matches_factor_oracle(order, data):
+    powers = data.draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+    exponent = data.draw(st.integers(-2 * order, 2 * order))
+    num = data.draw(st.integers(-50, 50).filter(bool))
+    den = data.draw(st.integers(-50, 50).filter(bool))
+    got = root_monomial(order, num, den, exponent, powers)
+    want = root_monomial_by_factors(order, num, den, exponent, powers)
+    assert got.coords == want.coords
+    assert field_value_str(got) == field_value_str(want)
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_root_monomial_matches_factor_oracle_on_single_powers(order):
+    for k in range(1, order):
+        for n in range(-3, 4):
+            powers = [0] * order
+            powers[k] = n
+            for num, den, exponent in ((1, 1, 0), (-3, 2, 1 - order), (5, -7, k)):
+                got = root_monomial(order, num, den, exponent, powers)
+                want = root_monomial_by_factors(order, num, den, exponent, powers)
+                assert got.coords == want.coords, (k, n, num, den, exponent)
 
 
 @settings(max_examples=80, deadline=None)

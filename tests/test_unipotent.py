@@ -13,7 +13,13 @@ from oracles import (
     strip_primes_by_list,
     tori_all_entries,
 )
-from symblocks.algebra import ExactnessError, is_prime_power, phi_value, trial_factor
+from symblocks.algebra import (
+    CycElt,
+    ExactnessError,
+    is_prime_power,
+    phi_value,
+    trial_factor,
+)
 from symblocks.partitions import (
     core_and_quotient,
     degree,
@@ -209,6 +215,39 @@ def test_hll_builds_no_degree_polynomial(monkeypatch):
     monkeypatch.setattr(unipotent, "gl_degree_poly", refuse)
     for (n, d), report in expected.items():
         assert hll_check_gl(n, d) == report
+
+
+def test_hll_closes_each_member_by_one_root_monomial(monkeypatch):
+    expected = hll_check_gl_by_stripping(12, 4)
+    real = unipotent.root_monomial
+    calls = []
+    depth = [0]
+
+    def counting(*args):
+        calls.append(args)
+        depth[0] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    def only_inside(name, fn):
+        def guarded(*args):
+            assert depth[0], f"CycElt.{name} outside root_monomial"
+            return fn(*args)
+
+        return guarded
+
+    monkeypatch.setattr(unipotent, "root_monomial", counting)
+    monkeypatch.setattr(
+        CycElt, "root", staticmethod(only_inside("root", CycElt.root))
+    )
+    monkeypatch.setattr(CycElt, "inverse", only_inside("inverse", CycElt.inverse))
+    assert hll_check_gl(12, 4) == expected
+    assert len(calls) == sum(len(s.members) for s in expected.series) == 77
+    # as many factors zeta^j - 1 below the line as above: the signs cancel
+    for order, num, den, exponent, powers in calls:
+        assert num > 0 and sum(powers[1:]) == 0
 
 
 def test_hll_unbalanced_vanishing_factors_raise(monkeypatch):
