@@ -733,12 +733,9 @@ def root_monomial(order: int, num: int, den: int, exponent: int, powers) -> CycE
 
 
 def field_value_str(x) -> str:
-    """Serialize a Fraction or CycElt for reports."""
+    """Serialize a Fraction or CycElt for reports; a rational CycElt as a Fraction."""
     if isinstance(x, CycElt):
-        if x.is_rational():
-            x = x.to_fraction()
-        else:
+        if not x.is_rational():
             return f"cyc{x.order}:" + ",".join(str(c) for c in x.coords)
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
+        x = x.to_fraction()
     return str(x)

@@ -168,14 +168,10 @@ def _quotient_table(
 
     The hooks (i, j, length) of the symbol depend on the quotient alone;
     the core only enters the hook formula through the offsets c_i - c_j.
-    So both checks share one table per quotient: each row pair (i, j) with
-    its hook lengths, in symbol_hooks order, plus wreath_degree(quotient).
+    So both checks share one table per quotient: its symbol_hooks, one
+    (i, j, lengths) per row pair, plus wreath_degree(quotient).
     """
-    pairs: dict[tuple[int, int], list[int]] = {}
-    for i, j, length in symbol_hooks(symbol_of(quotient)):
-        pairs.setdefault((i, j), []).append(length)
-    table = tuple((i, j, tuple(lengths)) for (i, j), lengths in pairs.items())
-    return table, wreath_degree(quotient)
+    return tuple(symbol_hooks(symbol_of(quotient))), wreath_degree(quotient)
 
 
 def relative_hook_degree(pi: Partition, p: int) -> int:

@@ -23,11 +23,12 @@ p-core exactly when every runner is flush (its beads fill the lowest
 levels), so a core is laid out on the abacus by its runner bead counts alone.
 
 The hook walk gives `degree` for a single partition.  A block scan needs the
-degree of every partition of n, and `level_degrees` keeps them as a level
+degree of every partition of n, and `level_degrees` holds them as a level
 table: the branching rule (James-Kerber 1981) makes the degree of a
 partition the sum of the degrees of the partitions one box smaller, so the
 table at n + 1 is built from the table at n with one pass that adds each
-degree to every partition one box larger.
+degree to every partition one box larger.  Only the last table built is
+held; a table asked for below it is seeded again from the hook walk.
 """
 
 from __future__ import annotations
@@ -78,9 +79,8 @@ def format_partition(pi: Partition) -> str:
     return "[" + ",".join(map(str, pi)) + "]"
 
 
-def enumerate_partitions(n: int, max_part: int | None = None):
-    """Yield all partitions of n with parts at most max_part (default n) in
-    reverse lexicographic order.
+def enumerate_partitions(n: int):
+    """Yield all partitions of n in reverse lexicographic order.
 
     The first partition is (n) and the last is (1,)*n.  Each partition is
     the successor of the one before by the ZS1 rule (Zoghbi-Stojmenovic
@@ -91,26 +91,15 @@ def enumerate_partitions(n: int, max_part: int | None = None):
 
     >>> list(enumerate_partitions(4))
     [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    >>> list(enumerate_partitions(5, 2))
-    [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         yield ()
         return
-    top = n if max_part is None else min(max_part, n)
-    if top < 1:
-        return
-    # the first partition is top repeated, then the remainder
-    q, rest = divmod(n, top)
-    x = [top] * q + [1] * (n - q)
-    m = q  # number of parts
-    h = q if top > 1 else 0  # number of parts above 1
-    if rest:
-        x[q] = rest
-        m += 1
-        h += rest > 1
+    x = [n] + [1] * (n - 1)
+    m = 1  # number of parts
+    h = 1 if n > 1 else 0  # number of parts above 1
     yield tuple(x[:m])
     while h:
         j = h - 1  # the last part above 1
@@ -208,8 +197,8 @@ def degree(pi: Partition) -> int:
     return q
 
 
-# the level tables at hand, least recently used first
-_LEVELS: dict[int, dict[Partition, int]] = {}
+# the last level table built, as (n, table); n is -1 until one is
+_held: tuple[int, dict[Partition, int]] = (-1, {})
 
 
 def _next_level(level: dict[Partition, int]) -> dict[Partition, int]:
@@ -237,30 +226,25 @@ def _next_level(level: dict[Partition, int]) -> dict[Partition, int]:
 def level_degrees(n: int) -> dict[Partition, int]:
     """The level table at n: a dict from every partition of n to its degree.
 
-    It is built forward from the highest level at hand below n by the
-    branching rule, or, when none is, from the hook walk `degree` over the
-    partitions of n.  At most two levels are kept, the two most recently
-    asked for, so a scan that goes up one n at a time builds each level once
-    from the one before.  The table is shared: read it, do not change it.
+    Only the last table built is held.  When its n is at or below the one
+    asked for, it is stepped up to n by the branching rule; otherwise the
+    table is seeded from the hook walk `degree` over the partitions of n.
+    So a scan that goes up one n at a time builds each level once from the
+    one before.  The table is shared: read it, do not change it.
 
     >>> level_degrees(3)
     {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
     """
+    global _held
     if n < 0:
         raise ValueError("n must be >= 0")
-    level = _LEVELS.pop(n, None)
-    if level is None:
-        below = [m for m in _LEVELS if m < n]
-        if below:
-            m = max(below)
-            level = _LEVELS[m]
-            for _ in range(m, n):
-                level = _next_level(level)
-        else:
-            level = {pi: degree(pi) for pi in enumerate_partitions(n)}
-    _LEVELS[n] = level
-    while len(_LEVELS) > 2:
-        del _LEVELS[next(iter(_LEVELS))]
+    m, level = _held
+    if 0 <= m <= n:
+        for _ in range(m, n):
+            level = _next_level(level)
+    else:
+        level = {pi: degree(pi) for pi in enumerate_partitions(n)}
+    _held = n, level
     return level
 
 

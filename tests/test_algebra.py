@@ -562,3 +562,7 @@ def test_field_value_str():
     assert field_value_str(CycElt.root(3).inverse()) == "cyc3:-1,-1"
     assert field_value_str(CycElt.root(4) / 2) == "cyc4:0,1/2"
     assert field_value_str(CycElt.root(5) + CycElt.root(5) ** 4) == "cyc5:-1,0,-1,-1"
+    # a rational CycElt is written as its Fraction, with no cyc prefix
+    assert field_value_str(CycElt.root(3) ** 3 * 2) == "2"
+    assert field_value_str(CycElt(4, (Fraction(-1, 2), 0))) == "-1/2"
+    assert field_value_str(CycElt.root(4)) == "cyc4:0,1"

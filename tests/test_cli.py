@@ -485,8 +485,8 @@ def test_scan_blocks_byte_determinism():
     parallel = run(*args, "--jobs", "3")
     assert first.returncode == second.returncode == parallel.returncode == 0
     assert first.stdout == second.stdout == parallel.stdout
-    # each of three workers skips the n values the others get, so its level
-    # table steps up over levels it never reports
+    # each pool worker skips the n values the others get, so its level table
+    # steps up over levels it never reports
     args = ("scan-blocks", "--group", "sym", "--n-range", "5..20", "--p", "2",
             "--format", "json")
     serial = run(*args, "--jobs", "1")

@@ -128,16 +128,11 @@ def test_enumeration_is_reverse_lexicographic():
         assert all(sum(pi) == n for pi in seq)
 
 
-def test_enumeration_with_cap():
-    assert list(enumerate_partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
-
-
 def test_enumeration_matches_the_recursion_oracle():
     for n in range(0, 31):
-        for max_part in (None, *range(n + 2)):
-            assert list(enumerate_partitions(n, max_part)) == list(
-                enumerate_partitions_by_recursion(n, max_part)
-            ), (n, max_part)
+        assert list(enumerate_partitions(n)) == list(
+            enumerate_partitions_by_recursion(n)
+        ), n
 
 
 def test_enumeration_rejects_negative_n():
@@ -235,16 +230,29 @@ def test_level_table_matches_the_hook_walk(steps, monkeypatch):
     """The table at n reached cold (from the hook walk), and built one and
     two levels up from the level n - steps."""
     for n in range(steps, 31):
-        monkeypatch.setattr(partitions, "_LEVELS", {})
+        monkeypatch.setattr(partitions, "_held", (-1, {}))
         level_degrees(n - steps)
         assert level_degrees(n) == {pi: degree(pi) for pi in enumerate_partitions(n)}
 
 
-def test_level_table_keeps_the_two_latest_levels(monkeypatch):
-    monkeypatch.setattr(partitions, "_LEVELS", {})
+def test_level_table_holds_the_last_level(monkeypatch):
+    """Only the last table built is held: after 20, 18, 19, 17 it is the
+    one at 17, and 18 is then stepped up from it with no hook walk."""
+    monkeypatch.setattr(partitions, "_held", (-1, {}))
     for n in (20, 18, 19, 17):
         level_degrees(n)
-    assert sorted(partitions._LEVELS) == [17, 19]
+    assert partitions._held[0] == 17
+    calls = []
+    real = partitions.degree
+
+    def counting(pi):
+        calls.append(pi)
+        return real(pi)
+
+    monkeypatch.setattr(partitions, "degree", counting)
+    assert level_degrees(18) == {pi: real(pi) for pi in enumerate_partitions(18)}
+    assert calls == []
+    assert partitions._held[0] == 18
     with pytest.raises(ValueError):
         level_degrees(-1)
 
