@@ -128,6 +128,20 @@ def test_enumeration_is_reverse_lexicographic():
         assert all(sum(pi) == n for pi in seq)
 
 
+def test_enumeration_with_cap():
+    """With no part bound, the partitions of n with parts at most k are the
+    tail of the enumeration that starts at the first one led by a part <= k,
+    in the order of the oracle's bounded enumeration."""
+    seq = list(enumerate_partitions(4))
+    assert seq[seq.index((2, 2)):] == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    for n in range(1, 21):
+        seq = list(enumerate_partitions(n))
+        for k in range(1, n + 1):
+            start = next(i for i, pi in enumerate(seq) if pi[0] <= k)
+            assert all(pi[0] > k for pi in seq[:start]), (n, k)
+            assert seq[start:] == list(enumerate_partitions_by_recursion(n, k)), (n, k)
+
+
 def test_enumeration_matches_the_recursion_oracle():
     for n in range(0, 31):
         assert list(enumerate_partitions(n)) == list(
