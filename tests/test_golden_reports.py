@@ -66,6 +66,12 @@ before the constants were evaluated by `algebra.root_monomial`.  An
 hll-check report prints every constant with its sign, so unlike the
 verify-wreath digests these see a wrong sign or power of zeta.
 
+The odd-rank torus entries cover tori for A, 2A, B/C, D and 2D at n = 5
+and n = 7, with q = 2 and q = 4, recorded before the torus orders were read
+off lists of cyclotomic indices.  The entries above reach the classical
+series only at n = 1, 4 and 8, so these are the ones that see the odd-rank
+orders of 2A, B/C and D.
+
 PARENT_RECORDED_NO_WITNESS pins the one scan path that exits 1, which no
 command above reaches: with `symblocks.blocks._height_zero_witness`
 patched to find no pair, every positive-weight symmetric block outside
@@ -270,6 +276,46 @@ PARENT_RECORDED = (
      "a0d34402d1eeb9e4278d38d4bdf5013d8468e3f579e8ba972338965bcb44eed8", 0),
     ("hll-check --n 20 --d 4 --format json",
      "9697bd9d8f5c058e6d293aee83762a04c256554dc5eb53fea2013a792a544759", 1),
+    ("tori --series A --n 5 --q 2 --format json",
+     "1df8b6ca609bed0ae64dbea03c3a63b9c64ff2ed825c22f1052f78111ace02ca", 0),
+    ("tori --series A --n 5 --q 4 --format json",
+     "f6537a3d6810a20e61dd962a0e09f6227400a89cd4add93bed04220e13fbbf00", 0),
+    ("tori --series A --n 7 --q 2 --format json",
+     "78db1bb536b31de67fc4d3e3ca64fa28a293544ea84481618f2c6bcc982e937f", 0),
+    ("tori --series A --n 7 --q 4 --format json",
+     "c45261785570aecc2563ead92ed9cbabe0554ab8a388c025e36fb43c53e32304", 0),
+    ("tori --series 2A --n 5 --q 2 --format json",
+     "bee327607ce82bce6f92f7e4f85255a80598ba0575ecb53b2050d1d35be75e0b", 0),
+    ("tori --series 2A --n 5 --q 4 --format json",
+     "10ee6deb5fe9e9fffb4af33b70a302c542fc5834d33ceedcc14368d8f5c8e3ef", 0),
+    ("tori --series 2A --n 7 --q 2 --format json",
+     "58454a5541fdbb40d40190a3d32ef50ce9c513f7422949cd98d3f2865945c4fb", 0),
+    ("tori --series 2A --n 7 --q 4 --format json",
+     "b5860e8b692bafeec0a9cdaae66778d22db7f5486e8226f318708b35f000a3d0", 0),
+    ("tori --series B/C --n 5 --q 2 --format json",
+     "0a093e979d8edc9d4cecdef2a248d04ae46cd42e8e854f089a7df8afeaa1b3a9", 0),
+    ("tori --series B/C --n 5 --q 4 --format json",
+     "f519265254d5f6842f07d1cd28733618fde363a57e973075ee99fdaa654a5ecd", 0),
+    ("tori --series B/C --n 7 --q 2 --format json",
+     "6ff1cc9838964324941088e517e4f8280dc90a7662fe48e56e33d292840c8801", 0),
+    ("tori --series B/C --n 7 --q 4 --format json",
+     "bc8b7bacf00e665a50d57544fad96106d7ddeeef116cdd8b5bcff7f73309f7e5", 0),
+    ("tori --series D --n 5 --q 2 --format json",
+     "6121e7af216e5c2a5c3470ffd6c86db7a2246b4986d88ab4a4c9a76d6340f718", 0),
+    ("tori --series D --n 5 --q 4 --format json",
+     "a922c47837f6bb190a0274424cd0b77a0ad67eebdf8102c370f44b5a7d876f7b", 0),
+    ("tori --series D --n 7 --q 2 --format json",
+     "8839a4fded11c295df22e5892e2f6f7e55d06d221e928f0da2b6376db8edf6c1", 0),
+    ("tori --series D --n 7 --q 4 --format json",
+     "b40c256dd4d749b11e02a6385328e14a0ee88d5a95018d73e56b9c0b00eb5571", 0),
+    ("tori --series 2D --n 5 --q 2 --format json",
+     "e255c4b51fe1e2eed65ba582a518745bcc9d1f7707b1f7b3ca2810b1491d746e", 0),
+    ("tori --series 2D --n 5 --q 4 --format json",
+     "aa7ef0a39a2ee74a86169c263feb6eab1b14759f1763783433af4ebbeac3a955", 0),
+    ("tori --series 2D --n 7 --q 2 --format json",
+     "a61542253360698ebc21403f51f07f2c3662df3c9022ea85a1d645028849bfd9", 0),
+    ("tori --series 2D --n 7 --q 4 --format json",
+     "3bd4b3b4014af5e1d775408d95e560087f0bbe332f98ed4138698973ec5f91ed", 0),
 )
 
 
