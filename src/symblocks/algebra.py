@@ -21,14 +21,16 @@ an unproven test and none waits on trial division. Primitive prime divisors
 are found by Bang's congruence without factoring Phi_m(q): for m > 2 every
 prime factor of Phi_m(q) is primitive except l, the largest prime of m, which
 divides it at most once, and each primitive one is 1 mod m (1 mod 2m for odd
-m). A cofactor that `is_prime` refuses is refused by `zsigmondy` too.
+m). A cofactor that `is_prime` refuses is refused by `zsigmondy` too, and so
+is a composite one whose least prime factor lies past the first
+ZSIGMONDY_SEARCH_STEPS terms of that congruence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple, Union
 
 Scalar = Union[int, Fraction]
@@ -39,8 +41,10 @@ class ExactnessError(ArithmeticError):
 
 
 class UnprovenPrimeError(ArithmeticError):
-    """A number at or above MILLER_RABIN_BOUND passed the Miller-Rabin bases:
-    probably prime, but not proven prime, so never reported as one."""
+    """The least prime sought is not proven: a number at or above
+    MILLER_RABIN_BOUND passed the Miller-Rabin bases (probably prime, but not
+    proven prime, so never reported as one), or the search for the least
+    prime factor of a composite number ran out of steps."""
 
 
 def _power(x, n: int):
@@ -281,10 +285,6 @@ class Poly(_Frozen):
         return Poly(_strip(list(cs)))
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly(())
-
-    @staticmethod
     def one() -> "Poly":
         return Poly.of(1)
 
@@ -454,6 +454,10 @@ def phi_value(i: int, q: int) -> int:
 # so that the CLI offers them without loading `unipotent`.
 TORI_SERIES = ("A", "2A", "B/C", "D", "2D", "E6", "2E6", "E7")
 
+# candidates d = 1 + k*s that `zsigmondy` tries before it gives up on a
+# composite cofactor
+ZSIGMONDY_SEARCH_STEPS = 2**23
+
 
 class ZsigmondyResult(NamedTuple):
     """Outcome of the primitive-prime-divisor search for q**m - 1.
@@ -482,7 +486,9 @@ def zsigmondy(q: int, m: int) -> ZsigmondyResult:
     d = 1 + k*s that divides it, which is prime because its prime factors
     would be smaller terms of the same progression.  Phi_m(q) is never
     factored in full.  A cofactor that `is_prime` refuses raises its
-    UnprovenPrimeError before any search.
+    UnprovenPrimeError before any search, and a composite one whose least
+    prime factor is not among the first ZSIGMONDY_SEARCH_STEPS terms raises
+    UnprovenPrimeError when the search ends.
 
     >>> zsigmondy(2, 4).prime
     5
@@ -512,11 +518,16 @@ def zsigmondy(q: int, m: int) -> ZsigmondyResult:
     if is_prime(val):
         return ZsigmondyResult(q, m, val)
     step = m if m % 2 == 0 else 2 * m
-    d = 1 + step
-    while d * d <= val:
+    root = isqrt(val)
+    last = min(root, 1 + ZSIGMONDY_SEARCH_STEPS * step)
+    for d in range(1 + step, last + 1, step):
         if val % d == 0:
             return ZsigmondyResult(q, m, d)
-        d += step
+    if last < root:
+        raise UnprovenPrimeError(
+            f"the composite cofactor {val} of Phi_{m}({q}) has no prime factor "
+            f"up to {last}, the end of a search of {ZSIGMONDY_SEARCH_STEPS} steps"
+        )
     return ZsigmondyResult(q, m, val)
 
 

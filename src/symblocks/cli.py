@@ -22,14 +22,15 @@ work to a pool imports its layer first, and the forked workers inherit it.
 Exit status: 0 on success, 1 when at least one refutation record was
 emitted (a counterexample to one of the checked statements), 2 on usage
 errors, on an --out file that cannot be written and on a primitive prime
-search refused for an unproven prime, with a single-line diagnostic on
-stderr, 3 on any other exception (an internal check of the library
-failed: an inexact division, a failed Schur evaluation, a block of
-unexpected shape, a ValueError the flags should have ruled out), with a
-single "internal error:" line.  A block that no classification case covers
-is a refutation, for either group.  Every bound the library relies on is
-checked here, so only UsageError and the library's UnprovenPrimeError, a
-refusal before any search runs, mean status 2.
+search refused because the least prime sought is not proven, with a
+single-line diagnostic on stderr, 3 on any other exception (an internal
+check of the library failed: an inexact division, a failed Schur
+evaluation, a block of unexpected shape, a ValueError the flags should have
+ruled out), with a single "internal error:" line.  A block that no
+classification case covers is a refutation, for either group.  Every bound
+the library relies on is checked here, so only UsageError and the library's
+UnprovenPrimeError, a refusal to report a prime it cannot prove, mean
+status 2.
 """
 
 from __future__ import annotations

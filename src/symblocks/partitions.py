@@ -49,27 +49,8 @@ def check_partition(pi: Partition) -> None:
         raise ValueError(f"parts must be weakly decreasing: {pi}")
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse the list form used in reports, e.g. "[3,1]" or "[]".
-
-    >>> parse_partition("[3,1]")
-    (3, 1)
-    >>> parse_partition("[]")
-    ()
-    """
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"not a partition literal: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    pi = tuple(int(tok) for tok in inner.split(","))
-    check_partition(pi)
-    return pi
-
-
 def format_partition(pi: Partition) -> str:
-    """Inverse of parse_partition.
+    """The list form of a partition used in reports.
 
     >>> format_partition((3, 1))
     '[3,1]'

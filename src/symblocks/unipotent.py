@@ -13,8 +13,9 @@ The pieces here all run in exact arithmetic:
   integer argument;
 * an enumerator for multiplicative identities n1 = n2 * prod Phi_i(q)^a_i
   with small n1, n2;
-* torus order tables for the classical and some exceptional series, checked
-  against primitive prime divisors.
+* torus order tables for the classical and some exceptional series, each
+  order a list of cyclotomic indices d whose largest is the index of its
+  Zsigmondy prime, checked against primitive prime divisors.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .algebra import (
     Poly,
     ZsigmondyResult,
     cyclotomic_poly,
+    divisors,
     field_value_str,
     is_prime_power,
     phi_value,
@@ -386,8 +388,8 @@ def speceq_search(
 class ToriEntry(NamedTuple):
     """Orders of two maximal tori for one series, as cyclotomic products.
 
-    m1 and m2 are the arguments for the primitive prime divisor attached
-    to each torus order.
+    m1 and m2 are the largest d of a factor Phi_d of each order, the index
+    of the primitive prime divisor attached to it.
     """
 
     series: str
@@ -398,69 +400,48 @@ class ToriEntry(NamedTuple):
     m2: int
 
 
-def _x_pow_plus_one(k: int) -> Poly:
-    return Poly.one().shift(k) + Poly.one()
+# least rank of each series; an exceptional row has exactly that rank, and
+# lists the d of its factors Phi_d
+_LEAST_RANK = {"A": 1, "2A": 2, "B/C": 2, "D": 4, "2D": 4, "E6": 6, "2E6": 6, "E7": 7}
+_EXCEPTIONAL = {"E6": ((3, 12), (9,)), "2E6": ((18,), (6, 12)), "E7": ((2, 18), (2, 14))}
+
+
+def _plus(k: int) -> list[int]:
+    """The d with Phi_d dividing x^k + 1 = (x^2k - 1)/(x^k - 1)."""
+    return [d for d in divisors(2 * k) if k % d]
 
 
 def tori_entry(series: str, n: int) -> ToriEntry:
     """Torus order pair for one series and rank.
 
-    Rank constraints follow the tables: A needs n >= 1, 2A and B/C need
-    n >= 2, D and 2D need n >= 4, and the exceptional rows have fixed
-    rank.  Unknown series raise ValueError.
+    Each order is the product of Phi_d over a list of d, with multiplicity:
+    x^k - 1 gives the divisors of k, a factor x - 1 or x + 1 adds 1 or 2,
+    and dividing by x + 1 drops the one 2.  An unknown series, a rank below
+    the series' least and a wrong exceptional rank raise ValueError.
     """
-    if series == "A":
-        if n < 1:
-            raise ValueError("series A needs n >= 1")
-        t1 = Poly.x_power_minus_one(n + 1).exact_div(Poly.x_power_minus_one(1))
-        return ToriEntry(series, n, t1, Poly.x_power_minus_one(n), n + 1, n)
-    if series == "2A":
-        if n < 2:
-            raise ValueError("series 2A needs n >= 2")
-        if n % 2 == 0:
-            t1 = _x_pow_plus_one(n + 1).exact_div(_x_pow_plus_one(1))
-            return ToriEntry(series, n, t1, Poly.x_power_minus_one(n), 2 * n + 2, n)
-        t1 = Poly.x_power_minus_one(n + 1).exact_div(_x_pow_plus_one(1))
-        return ToriEntry(series, n, t1, _x_pow_plus_one(n), n + 1, 2 * n)
-    if series == "B/C":
-        if n < 2:
-            raise ValueError("series B/C needs n >= 2")
-        if n % 2 == 0:
-            t2 = _x_pow_plus_one(n - 1) * _x_pow_plus_one(1)
-            return ToriEntry(series, n, _x_pow_plus_one(n), t2, 2 * n, 2 * n - 2)
-        return ToriEntry(
-            series, n, _x_pow_plus_one(n), Poly.x_power_minus_one(n), 2 * n, n
-        )
-    if series == "D":
-        if n < 4:
-            raise ValueError("series D needs n >= 4")
-        t2 = _x_pow_plus_one(n - 1) * _x_pow_plus_one(1)
-        if n % 2 == 0:
-            t1 = Poly.x_power_minus_one(n - 1) * Poly.x_power_minus_one(1)
-            return ToriEntry(series, n, t1, t2, n - 1, 2 * n - 2)
-        return ToriEntry(series, n, Poly.x_power_minus_one(n), t2, n, 2 * n - 2)
-    if series == "2D":
-        if n < 4:
-            raise ValueError("series 2D needs n >= 4")
-        t2 = _x_pow_plus_one(n - 1) * Poly.x_power_minus_one(1)
-        return ToriEntry(series, n, _x_pow_plus_one(n), t2, 2 * n, 2 * n - 2)
-    if series == "E6":
-        if n != 6:
-            raise ValueError("series E6 has rank 6")
-        t1 = cyclotomic_poly(12) * cyclotomic_poly(3)
-        return ToriEntry(series, 6, t1, cyclotomic_poly(9), 12, 9)
-    if series == "2E6":
-        if n != 6:
-            raise ValueError("series 2E6 has rank 6")
-        t2 = cyclotomic_poly(12) * cyclotomic_poly(6)
-        return ToriEntry(series, 6, cyclotomic_poly(18), t2, 18, 12)
-    if series == "E7":
-        if n != 7:
-            raise ValueError("series E7 has rank 7")
-        t1 = cyclotomic_poly(18) * cyclotomic_poly(2)
-        t2 = cyclotomic_poly(14) * cyclotomic_poly(2)
-        return ToriEntry(series, 7, t1, t2, 18, 14)
-    raise ValueError(f"unknown series {series!r}")
+    if series not in _LEAST_RANK:
+        raise ValueError(f"unknown series {series!r}")
+    least, odd = _LEAST_RANK[series], n % 2
+    if series in _EXCEPTIONAL:
+        if n != least:
+            raise ValueError(f"series {series} has rank {least}")
+        d1, d2 = _EXCEPTIONAL[series]
+    elif n < least:
+        raise ValueError(f"series {series} needs n >= {least}")
+    elif series == "A":
+        d1, d2 = divisors(n + 1)[1:], divisors(n)
+    elif series == "2A":
+        d1 = [d for d in (divisors if odd else _plus)(n + 1) if d != 2]
+        d2 = (_plus if odd else divisors)(n)
+    elif series == "B/C":
+        d1, d2 = _plus(n), (divisors(n) if odd else _plus(n - 1) + [2])
+    elif series == "D":
+        d1 = divisors(n) if odd else divisors(n - 1) + [1]
+        d2 = _plus(n - 1) + [2]
+    else:
+        d1, d2 = _plus(n), _plus(n - 1) + [1]
+    t1, t2 = (prod(map(cyclotomic_poly, ds), start=Poly.one()) for ds in (d1, d2))
+    return ToriEntry(series, n, t1, t2, max(d1), max(d2))
 
 
 class ToriCheckReport(NamedTuple):

@@ -63,7 +63,12 @@ enumerates every smaller size only to find that none has a tail.
 only by `schur_value_by_factors`: at v = 1 the library's tally never needs
 it.
 
-`tori_all_entries` lists every torus table row up to a rank, and
+`tori_entry_by_binomials` is the torus table that
+`symblocks.unipotent.tori_entry` replaced: it builds each order from sums,
+products and exact quotients of x^k - 1 and x^k + 1 (`_x_pow_plus_one`),
+and enters each Zsigmondy index m1, m2 by hand, where the library
+multiplies the cyclotomic polynomials of a list of indices and takes the
+largest.  `tori_all_entries` lists every torus table row up to a rank, and
 `speceq_identity_holds` rechecks a `SpeceqWitness` from scratch.
 `strip_primes_by_list` is the prime stripping that
 `symblocks.unipotent._strip_primes` replaced: it divides out each prime of
@@ -379,6 +384,72 @@ def hll_check_gl_by_stripping(n: int, d: int) -> HllReport:
             HllSeriesReport(core, (n - r) // d, tuple(member_reports))
         )
     return HllReport(n, d, tuple(series_reports))
+
+
+def _x_pow_plus_one(k: int) -> Poly:
+    return Poly.one().shift(k) + Poly.one()
+
+
+def tori_entry_by_binomials(series: str, n: int) -> ToriEntry:
+    """The torus order pair of `tori_entry`, built from sums, products and
+    exact quotients of x^k - 1 and x^k + 1, with each Zsigmondy index
+    entered by hand beside its order.
+
+    A needs n >= 1, 2A and B/C need n >= 2, D and 2D need n >= 4, and the
+    exceptional rows have fixed rank.  Unknown series raise ValueError.
+    """
+    if series == "A":
+        if n < 1:
+            raise ValueError("series A needs n >= 1")
+        t1 = Poly.x_power_minus_one(n + 1).exact_div(Poly.x_power_minus_one(1))
+        return ToriEntry(series, n, t1, Poly.x_power_minus_one(n), n + 1, n)
+    if series == "2A":
+        if n < 2:
+            raise ValueError("series 2A needs n >= 2")
+        if n % 2 == 0:
+            t1 = _x_pow_plus_one(n + 1).exact_div(_x_pow_plus_one(1))
+            return ToriEntry(series, n, t1, Poly.x_power_minus_one(n), 2 * n + 2, n)
+        t1 = Poly.x_power_minus_one(n + 1).exact_div(_x_pow_plus_one(1))
+        return ToriEntry(series, n, t1, _x_pow_plus_one(n), n + 1, 2 * n)
+    if series == "B/C":
+        if n < 2:
+            raise ValueError("series B/C needs n >= 2")
+        if n % 2 == 0:
+            t2 = _x_pow_plus_one(n - 1) * _x_pow_plus_one(1)
+            return ToriEntry(series, n, _x_pow_plus_one(n), t2, 2 * n, 2 * n - 2)
+        return ToriEntry(
+            series, n, _x_pow_plus_one(n), Poly.x_power_minus_one(n), 2 * n, n
+        )
+    if series == "D":
+        if n < 4:
+            raise ValueError("series D needs n >= 4")
+        t2 = _x_pow_plus_one(n - 1) * _x_pow_plus_one(1)
+        if n % 2 == 0:
+            t1 = Poly.x_power_minus_one(n - 1) * Poly.x_power_minus_one(1)
+            return ToriEntry(series, n, t1, t2, n - 1, 2 * n - 2)
+        return ToriEntry(series, n, Poly.x_power_minus_one(n), t2, n, 2 * n - 2)
+    if series == "2D":
+        if n < 4:
+            raise ValueError("series 2D needs n >= 4")
+        t2 = _x_pow_plus_one(n - 1) * Poly.x_power_minus_one(1)
+        return ToriEntry(series, n, _x_pow_plus_one(n), t2, 2 * n, 2 * n - 2)
+    if series == "E6":
+        if n != 6:
+            raise ValueError("series E6 has rank 6")
+        t1 = cyclotomic_poly(12) * cyclotomic_poly(3)
+        return ToriEntry(series, 6, t1, cyclotomic_poly(9), 12, 9)
+    if series == "2E6":
+        if n != 6:
+            raise ValueError("series 2E6 has rank 6")
+        t2 = cyclotomic_poly(12) * cyclotomic_poly(6)
+        return ToriEntry(series, 6, cyclotomic_poly(18), t2, 18, 12)
+    if series == "E7":
+        if n != 7:
+            raise ValueError("series E7 has rank 7")
+        t1 = cyclotomic_poly(18) * cyclotomic_poly(2)
+        t2 = cyclotomic_poly(14) * cyclotomic_poly(2)
+        return ToriEntry(series, 7, t1, t2, 18, 14)
+    raise ValueError(f"unknown series {series!r}")
 
 
 def tori_all_entries(n_max: int) -> tuple[ToriEntry, ...]:

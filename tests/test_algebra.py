@@ -175,7 +175,7 @@ def test_poly_ring_identities():
         a, b, c = rand_poly(), rand_poly(), rand_poly()
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
-        assert a - a == Poly.zero()
+        assert a - a == Poly(())
         x = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
         assert (a * b)(x) == a(x) * b(x)
         assert (a + b)(x) == a(x) + b(x)
@@ -342,6 +342,30 @@ def test_a_composite_cofactor_above_the_bound_is_still_searched():
     # 2**83 - 1 = 167 * 57912614113275649087721 fails the Miller-Rabin bases
     assert phi_value(83, 2) >= algebra.MILLER_RABIN_BOUND
     assert zsigmondy(2, 83).prime == 167
+
+
+def test_a_composite_cofactor_past_the_search_budget_is_refused(capsys):
+    # 2**101 - 1 = 7432339208719 * 341117531003194129: its least prime factor
+    # is about 3.7e10 steps of 202 up the progression
+    for argv in (["zsigmondy", "--q", "2", "--m", "101"],
+                 ["tori", "--series", "A", "--n", "100", "--q", "2"]):
+        start = time.perf_counter()
+        assert cli.main(argv) == 2
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    with pytest.raises(UnprovenPrimeError, match="2535301200456458802993406410751"):
+        zsigmondy(2, 101)
+
+
+def test_the_search_budget_counts_steps(monkeypatch):
+    # Phi_30(70) has the least primitive prime 7067761 = 1 + 235592 * 30
+    monkeypatch.setattr(algebra, "ZSIGMONDY_SEARCH_STEPS", 235592)
+    assert zsigmondy(70, 30).prime == 7067761
+    monkeypatch.setattr(algebra, "ZSIGMONDY_SEARCH_STEPS", 235591)
+    with pytest.raises(UnprovenPrimeError, match="235591 steps"):
+        zsigmondy(70, 30)
 
 
 def test_zsigmondy_absence_classification():

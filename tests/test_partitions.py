@@ -33,7 +33,6 @@ from symblocks.partitions import (
     is_self_dual,
     level_degrees,
     p_cores,
-    parse_partition,
     runner_bead_counts,
 )
 from symblocks.wreath import wreath_degree
@@ -155,21 +154,12 @@ def test_enumeration_rejects_negative_n():
 
 
 # ---------------------------------------------------------------------------
-# parsing and formatting
+# formatting
 
 
-def test_parse_format_round_trip():
-    for n in range(0, 9):
-        for pi in ([()] if n == 0 else enumerate_partitions(n)):
-            assert parse_partition(format_partition(pi)) == pi
+def test_format_partition():
     assert format_partition(()) == "[]"
-    assert parse_partition("[3,1]") == (3, 1)
-
-
-@pytest.mark.parametrize("bad", ["", "3,1", "[1,3]", "[0]", "[a]", "[3,1", "[-2]"])
-def test_parse_rejects_malformed(bad):
-    with pytest.raises(ValueError):
-        parse_partition(bad)
+    assert format_partition((3, 1)) == "[3,1]"
 
 
 # ---------------------------------------------------------------------------

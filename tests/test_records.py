@@ -72,7 +72,7 @@ def test_poly_equality_hash_and_repr():
     assert p != (-1, 0, 1) and (-1, 0, 1) != p
     assert hash(p) == hash(((-1, 0, 1),))
     assert repr(p) == "Poly(coeffs=(-1, 0, 1))"
-    assert repr(Poly.zero()) == "Poly(coeffs=())"
+    assert repr(Poly(())) == "Poly(coeffs=())"
 
 
 @pytest.mark.parametrize(

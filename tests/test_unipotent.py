@@ -12,6 +12,7 @@ from oracles import (
     speceq_search_unpinned,
     strip_primes_by_list,
     tori_all_entries,
+    tori_entry_by_binomials,
 )
 from symblocks.algebra import (
     CycElt,
@@ -469,6 +470,39 @@ def test_tori_rank_validation():
         tori_entry("A", 0)
     with pytest.raises(ValueError):
         tori_entry("F4", 4)
+
+
+def _entry_or_error(build, series, n):
+    try:
+        return build(series, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_tori_entry_matches_binomial_oracle():
+    # the oracle builds each order from x^k - 1 and x^k + 1 and enters m1 and
+    # m2 by hand, so this checks the worked-out Zsigmondy indices too
+    rows, errors = 0, set()
+    for series in (*TORI_SERIES, "F4"):
+        for n in range(41):
+            got = _entry_or_error(tori_entry, series, n)
+            assert got == _entry_or_error(tori_entry_by_binomials, series, n), (series, n)
+            if isinstance(got, str):
+                errors.add(got)
+            else:
+                rows += 1
+    assert rows == 195
+    assert {
+        "series A needs n >= 1",
+        "series 2A needs n >= 2",
+        "series B/C needs n >= 2",
+        "series D needs n >= 4",
+        "series 2D needs n >= 4",
+        "series E6 has rank 6",
+        "series 2E6 has rank 6",
+        "series E7 has rank 7",
+        "unknown series 'F4'",
+    } == errors
 
 
 def test_tori_all_entries_inventory():
