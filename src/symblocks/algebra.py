@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import NamedTuple, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -459,20 +459,10 @@ TORI_SERIES = ("A", "2A", "B/C", "D", "2D", "E6", "2E6", "E7")
 ZSIGMONDY_SEARCH_STEPS = 2**23
 
 
-class ZsigmondyResult(NamedTuple):
-    """Outcome of the primitive-prime-divisor search for q**m - 1.
+def zsigmondy(q: int, m: int) -> int | None:
+    """Smallest primitive prime divisor of q**m - 1, or None if none exists.
 
-    `prime` is the smallest prime dividing q**m - 1 but no q**i - 1 with
-    i < m, or None when no such prime exists.
-    """
-
-    q: int
-    m: int
-    prime: int | None
-
-
-def zsigmondy(q: int, m: int) -> ZsigmondyResult:
-    """Smallest primitive prime divisor of q**m - 1, if one exists.
+    A primitive prime divides q**m - 1 but no q**i - 1 with i < m.
 
     Every such prime divides Phi_m(q).  By Bang's theorem, for m > 2 every
     prime factor of Phi_m(q) is primitive except l, the largest prime of m,
@@ -490,11 +480,11 @@ def zsigmondy(q: int, m: int) -> ZsigmondyResult:
     prime factor is not among the first ZSIGMONDY_SEARCH_STEPS terms raises
     UnprovenPrimeError when the search ends.
 
-    >>> zsigmondy(2, 4).prime
+    >>> zsigmondy(2, 4)
     5
-    >>> zsigmondy(2, 6).prime is None
+    >>> zsigmondy(2, 6) is None
     True
-    >>> zsigmondy(3, 2).prime is None
+    >>> zsigmondy(3, 2) is None
     True
     """
     if q < 2 or m < 1:
@@ -512,23 +502,23 @@ def zsigmondy(q: int, m: int) -> ZsigmondyResult:
         while val % 2 == 0:
             val //= 2
     elif val % 2 == 0:
-        return ZsigmondyResult(q, m, 2)
+        return 2
     if val == 1:
-        return ZsigmondyResult(q, m, None)
+        return None
     if is_prime(val):
-        return ZsigmondyResult(q, m, val)
+        return val
     step = m if m % 2 == 0 else 2 * m
     root = isqrt(val)
     last = min(root, 1 + ZSIGMONDY_SEARCH_STEPS * step)
     for d in range(1 + step, last + 1, step):
         if val % d == 0:
-            return ZsigmondyResult(q, m, d)
+            return d
     if last < root:
         raise UnprovenPrimeError(
             f"the composite cofactor {val} of Phi_{m}({q}) has no prime factor "
             f"up to {last}, the end of a search of {ZSIGMONDY_SEARCH_STEPS} steps"
         )
-    return ZsigmondyResult(q, m, val)
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -548,20 +548,7 @@ def _cmd_speceq(args) -> dict:
     from .unipotent import speceq_search
 
     witnesses = speceq_search(args.q_max, args.m_max, args.exp_bound, args.n_bound)
-    records = []
-    for w in witnesses:
-        records.append(
-            {
-                "q": w.q,
-                "m": w.m,
-                "exponents": list(w.exponents),
-                "n1": w.n1,
-                "n2": w.n2,
-                "part_a": w.power_pair,
-                "part_b": w.divides_bound(args.n_bound),
-                "full_support": w.full_support,
-            }
-        )
+    records = [w._asdict() for w in witnesses]
     summary_rows = []
     for m in sorted({r["m"] for r in records}):
         group = [r for r in records if r["m"] == m]
@@ -629,8 +616,8 @@ def _cmd_tori(args) -> dict:
         "t2_value": str(report.t2_value),
         "m1": entry.m1,
         "m2": entry.m2,
-        "l1": report.z1.prime,
-        "l2": report.z2.prime,
+        "l1": report.l1,
+        "l2": report.l2,
         "l1_divides": report.divides1,
         "l2_divides": report.divides2,
         "missing": list(report.missing),
@@ -666,7 +653,7 @@ def _table_tori(report: dict):
 
 
 def _cmd_zsigmondy(args) -> dict:
-    prime = zsigmondy(args.q, args.m).prime
+    prime = zsigmondy(args.q, args.m)
     return {
         "records": [
             {"q": args.q, "m": args.m, "prime": prime, "exists": prime is not None}

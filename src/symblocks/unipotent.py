@@ -25,11 +25,10 @@ from itertools import product as iter_product
 from math import gcd, prod
 from typing import NamedTuple
 
-from .algebra import TORI_SERIES  # noqa: F401  (the series tori_entry accepts)
 from .algebra import (
+    TORI_SERIES,
     ExactnessError,
     Poly,
-    ZsigmondyResult,
     cyclotomic_poly,
     divisors,
     field_value_str,
@@ -54,11 +53,10 @@ from .wreath import wreath_degree
 
 
 class DegreePolyEntry(NamedTuple):
-    """One partition of n together with its degree polynomial."""
+    """One partition together with its degree polynomial."""
 
     partition: Partition
     poly: Poly
-    n: int
 
 
 def unipotent_degrees_gl(n: int) -> tuple[DegreePolyEntry, ...]:
@@ -70,7 +68,7 @@ def unipotent_degrees_gl(n: int) -> tuple[DegreePolyEntry, ...]:
     if n < 1:
         raise ValueError("need n >= 1")
     return tuple(
-        DegreePolyEntry(pi, gl_degree_poly(pi), n) for pi in enumerate_partitions(n)
+        DegreePolyEntry(pi, gl_degree_poly(pi)) for pi in enumerate_partitions(n)
     )
 
 
@@ -271,7 +269,12 @@ class SpeceqWitness(NamedTuple):
     """One identity n1 = n2 * prod_{i<=m} Phi_i(q)^a_i with a_m != 0.
 
     The pair (n1, n2) is kept coprime (the minimal instance; every other
-    instance is a common multiple of both sides).
+    instance is a common multiple of both sides).  The search decides once
+    why it kept the identity: `part_a` when n1 and n2 are both powers of
+    two, `part_b` when both divide its n_bound.  `full_support` is True when
+    every factor that could matter carries a nonzero exponent; a factor with
+    Phi_i(q) = 1 (only i = 1 at q = 2) is exempt, since it cannot affect the
+    identity.
     """
 
     q: int
@@ -279,27 +282,9 @@ class SpeceqWitness(NamedTuple):
     exponents: tuple[int, ...]
     n1: int
     n2: int
-
-    @property
-    def full_support(self) -> bool:
-        """True when every factor that could matter carries a nonzero exponent.
-
-        Factors with Phi_i(q) = 1 (only i = 1 at q = 2) are exempt since
-        they cannot affect the identity.
-        """
-        return all(
-            a != 0 or phi_value(i + 1, self.q) == 1
-            for i, a in enumerate(self.exponents)
-        )
-
-    @property
-    def power_pair(self) -> bool:
-        """True when n1 and n2 are both powers of two."""
-        return _is_power_of_two(self.n1) and _is_power_of_two(self.n2)
-
-    def divides_bound(self, bound: int) -> bool:
-        """True when n1 and n2 both divide the given bound."""
-        return bound % self.n1 == 0 and bound % self.n2 == 0
+    part_a: bool
+    part_b: bool
+    full_support: bool
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -322,7 +307,8 @@ def speceq_search(
     q runs over prime powers up to q_max, exponent vectors over
     |a_i| <= exp_bound with a_m != 0 for the top index m <= m_max.  A
     vector is kept when its product, written as a coprime fraction
-    n1/n2, has n1 and n2 both dividing n_bound or both powers of two.
+    n1/n2, has n1 and n2 both dividing n_bound or both powers of two, and
+    its witness records which of the two held.
 
     Factors whose value Phi_i(q) carries a prime that cannot cancel
     against any other factor or the bound are pinned to exponent zero
@@ -342,7 +328,7 @@ def speceq_search(
         residues = [_strip_primes(v, 2 * n_bound) for v in values]
         active = [i for i in range(m_max) if values[i] != 1]
         if q == 2:
-            out.append(SpeceqWitness(q=2, m=1, exponents=(1,), n1=1, n2=1))
+            out.append(SpeceqWitness(2, 1, (1,), 1, 1, True, True, True))
         changed = True
         while changed:
             changed = False
@@ -372,9 +358,10 @@ def speceq_search(
             for a, i in zip(vec, active):
                 if i <= top:
                     exponents[i] = a
+            full_support = all(a or values[i] == 1 for i, a in enumerate(exponents))
             out.append(
                 SpeceqWitness(
-                    q=q, m=top + 1, exponents=tuple(exponents), n1=num, n2=den
+                    q, top + 1, tuple(exponents), num, den, part_a, part_b, full_support
                 )
             )
     out.sort(key=lambda w: (w.q, w.m, w.exponents))
@@ -402,7 +389,7 @@ class ToriEntry(NamedTuple):
 
 # least rank of each series; an exceptional row has exactly that rank, and
 # lists the d of its factors Phi_d
-_LEAST_RANK = {"A": 1, "2A": 2, "B/C": 2, "D": 4, "2D": 4, "E6": 6, "2E6": 6, "E7": 7}
+_LEAST_RANK = dict(zip(TORI_SERIES, (1, 2, 2, 4, 4, 6, 6, 7)))
 _EXCEPTIONAL = {"E6": ((3, 12), (9,)), "2E6": ((18,), (6, 12)), "E7": ((2, 18), (2, 14))}
 
 
@@ -447,55 +434,44 @@ def tori_entry(series: str, n: int) -> ToriEntry:
 class ToriCheckReport(NamedTuple):
     """Evaluation of one table row at one q.
 
-    divides1/divides2 are None when the primitive prime does not exist
-    (the small-rank exceptions); otherwise they state whether the prime
-    divides the corresponding torus order, which the construction should
-    always make true.
+    l1/l2 are the primitive prime divisors `zsigmondy` finds for the row's
+    indices m1/m2, or None when none exists (the small-rank exceptions).
+    divides1/divides2 are None along with them; otherwise they state whether
+    the prime divides the corresponding torus order, which the construction
+    should always make true.
     """
 
-    entry: ToriEntry
-    q: int
     t1_value: int
     t2_value: int
-    z1: ZsigmondyResult
-    z2: ZsigmondyResult
+    l1: int | None
+    l2: int | None
     divides1: bool | None
     divides2: bool | None
 
     @property
     def missing(self) -> tuple[int, ...]:
         """Indices (1 and/or 2) whose primitive prime does not exist."""
-        out = []
-        if self.z1.prime is None:
-            out.append(1)
-        if self.z2.prime is None:
-            out.append(2)
-        return tuple(out)
+        return tuple(i for i, l in ((1, self.l1), (2, self.l2)) if l is None)
 
     @property
     def failures(self) -> tuple[int, ...]:
         """Indices whose primitive prime exists but fails to divide."""
-        out = []
-        if self.divides1 is False:
-            out.append(1)
-        if self.divides2 is False:
-            out.append(2)
-        return tuple(out)
+        pairs = ((1, self.divides1), (2, self.divides2))
+        return tuple(i for i, divides in pairs if divides is False)
 
 
 def tori_check(entry: ToriEntry, q: int) -> ToriCheckReport:
     """Evaluate both torus orders at q and test primitive prime divisibility.
 
-    >>> rep = tori_check(tori_entry("B/C", 2), 3)
-    >>> rep.t1_value, rep.z1.prime, rep.divides1
-    (10, 5, True)
+    >>> tuple(tori_check(tori_entry("B/C", 2), 3))
+    (10, 16, 5, None, True, None)
     """
     if q < 2:
         raise ValueError("need q >= 2")
     t1_value = entry.t1(q)
     t2_value = entry.t2(q)
-    z1 = zsigmondy(q, entry.m1)
-    z2 = zsigmondy(q, entry.m2)
-    divides1 = None if z1.prime is None else t1_value % z1.prime == 0
-    divides2 = None if z2.prime is None else t2_value % z2.prime == 0
-    return ToriCheckReport(entry, q, t1_value, t2_value, z1, z2, divides1, divides2)
+    l1 = zsigmondy(q, entry.m1)
+    l2 = zsigmondy(q, entry.m2)
+    divides1 = None if l1 is None else t1_value % l1 == 0
+    divides2 = None if l2 is None else t2_value % l2 == 0
+    return ToriCheckReport(t1_value, t2_value, l1, l2, divides1, divides2)

@@ -69,7 +69,8 @@ products and exact quotients of x^k - 1 and x^k + 1 (`_x_pow_plus_one`),
 and enters each Zsigmondy index m1, m2 by hand, where the library
 multiplies the cyclotomic polynomials of a list of indices and takes the
 largest.  `tori_all_entries` lists every torus table row up to a rank, and
-`speceq_identity_holds` rechecks a `SpeceqWitness` from scratch.
+`speceq_identity_holds` rechecks a `SpeceqWitness` from scratch, its
+identity and the part_a, part_b and full_support verdicts the search stored.
 `strip_primes_by_list` is the prime stripping that
 `symblocks.unipotent._strip_primes` replaced: it divides out each prime of
 a list, which `speceq_search` took from `trial_factor(n_bound)`.
@@ -473,13 +474,25 @@ def tori_all_entries(n_max: int) -> tuple[ToriEntry, ...]:
     return tuple(out)
 
 
-def speceq_identity_holds(w: SpeceqWitness) -> bool:
-    """Recheck n1 = n2 * prod Phi_i(q)^a_i with a_m != 0 from scratch."""
+def speceq_identity_holds(w: SpeceqWitness, n_bound: int) -> bool:
+    """Recheck n1 = n2 * prod Phi_i(q)^a_i with a_m != 0 from scratch, and
+    the witness's verdicts: part_a (n1, n2 both powers of two), part_b (both
+    divide n_bound) and full_support (a_i != 0 wherever Phi_i(q) != 1)."""
     value = Fraction(w.n1, w.n2)
     product = Fraction(1)
     for i, a in enumerate(w.exponents, start=1):
         product *= Fraction(phi_value(i, w.q)) ** a
-    return value == product and w.exponents[-1] != 0
+    powers_of_two = w.n1 & (w.n1 - 1) == 0 and w.n2 & (w.n2 - 1) == 0
+    divides = n_bound % w.n1 == 0 and n_bound % w.n2 == 0
+    full_support = all(
+        a != 0 or phi_value(i, w.q) == 1 for i, a in enumerate(w.exponents, start=1)
+    )
+    return (
+        value == product
+        and w.exponents[-1] != 0
+        and (w.part_a, w.part_b, w.full_support)
+        == (powers_of_two, divides, full_support)
+    )
 
 
 def strip_primes_by_list(n: int, primes: tuple[int, ...]) -> int:
@@ -506,7 +519,7 @@ def speceq_search_unpinned(
             continue
         values = [phi_value(i, q) for i in range(1, m_max + 1)]
         if q == 2:
-            out.append(SpeceqWitness(q=2, m=1, exponents=(1,), n1=1, n2=1))
+            out.append(SpeceqWitness(2, 1, (1,), 1, 1, True, True, True))
         for vec in product(range(-exp_bound, exp_bound + 1), repeat=m_max):
             if not any(vec) or any(a and v == 1 for a, v in zip(vec, values)):
                 continue
@@ -516,9 +529,15 @@ def speceq_search_unpinned(
             )
             n1, n2 = ratio.numerator, ratio.denominator
             powers_of_two = n1 & (n1 - 1) == 0 and n2 & (n2 - 1) == 0
-            if powers_of_two or (n_bound % n1 == 0 and n_bound % n2 == 0):
+            divides = n_bound % n1 == 0 and n_bound % n2 == 0
+            if powers_of_two or divides:
                 m = max(i for i, a in enumerate(vec, start=1) if a)
-                out.append(SpeceqWitness(q, m, vec[:m], n1, n2))
+                full_support = all(a or v == 1 for a, v in zip(vec[:m], values))
+                out.append(
+                    SpeceqWitness(
+                        q, m, vec[:m], n1, n2, powers_of_two, divides, full_support
+                    )
+                )
     out.sort(key=lambda w: (w.q, w.m, w.exponents))
     return tuple(out)
 

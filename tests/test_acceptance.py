@@ -159,11 +159,11 @@ def test_criterion_07_cyclotomic_value_products():
     divisor_m2 = {
         w.q
         for w in witnesses
-        if w.m == 2 and w.divides_bound(120) and w.full_support
+        if w.m == 2 and w.part_b and w.full_support
     }
     assert divisor_m2 == {2, 3, 4, 5, 7, 9, 11}
 
-    power_m6 = [w for w in witnesses if w.m == 6 and w.power_pair]
+    power_m6 = [w for w in witnesses if w.m == 6 and w.part_a]
     assert power_m6
     for w in power_m6:
         assert w.q == 2

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symblocks.algebra import CycElt, Poly, cyclotomic_poly, zsigmondy
+from symblocks.algebra import CycElt, Poly, cyclotomic_poly
 from symblocks.blocks import blocks_sn, classify_sym, quotient_congruence
 from symblocks.unipotent import (
     hll_check_gl,
@@ -24,7 +24,6 @@ def _records():
     hll = hll_check_gl(6, 2)
     tori = tori_entry("B/C", 2)
     return [
-        zsigmondy(2, 6),
         block.label,
         block.members[0],
         block,

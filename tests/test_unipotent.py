@@ -53,8 +53,8 @@ def test_degree_entries_structure():
     for n in range(1, 13):
         entries = unipotent_degrees_gl(n)
         assert [e.partition for e in entries] == list(enumerate_partitions(n))
+        assert all(sum(e.partition) == n for e in entries)
         for e in entries:
-            assert e.n == n
             assert all(type(c) is int for c in e.poly.coeffs)
             assert e.poly(1) == degree(e.partition)
 
@@ -318,14 +318,14 @@ def test_collisions_validation():
 # small products of cyclotomic values
 
 
-def _witness_sets(witnesses, bound=120):
+def _witness_sets(witnesses):
     part_a, part_b, part_b_full = {}, {}, {}
     for w in witnesses:
-        if w.divides_bound(bound):
+        if w.part_b:
             part_b.setdefault(w.m, set()).add(w.q)
             if w.full_support:
                 part_b_full.setdefault(w.m, set()).add(w.q)
-        if w.power_pair:
+        if w.part_a:
             part_a.setdefault(w.m, set()).add(w.q)
     return part_a, part_b, part_b_full
 
@@ -333,15 +333,15 @@ def _witness_sets(witnesses, bound=120):
 def test_speceq_trivial_witness():
     ws = speceq_search(5, 2, 2)
     w = ws[0]
-    assert (w.q, w.m, w.exponents, w.n1, w.n2) == (2, 1, (1,), 1, 1)
-    assert speceq_identity_holds(w)
+    assert tuple(w) == (2, 1, (1,), 1, 1, True, True, True)
+    assert speceq_identity_holds(w, 120)
 
 
 def test_speceq_witnesses_verify():
-    ws = speceq_search(60, 8, 4)
+    ws = speceq_search(60, 8, 4, 120)
     assert ws
     for w in ws:
-        assert speceq_identity_holds(w)
+        assert speceq_identity_holds(w, 120)
         assert w.exponents[w.m - 1] != 0
         assert w.n1 > 0 and w.n2 > 0
 
@@ -406,7 +406,7 @@ def test_speceq_rank_six_power_pattern():
     ws = speceq_search(200, 12, 6, 120)
     found = 0
     for w in ws:
-        if w.m == 6 and w.power_pair:
+        if w.m == 6 and w.part_a:
             found += 1
             assert w.q == 2
             a = w.exponents
@@ -532,9 +532,7 @@ def test_tori_series_are_one_tuple_for_the_table_and_the_cli():
 
 def test_tori_check_report():
     r = tori_check(tori_entry("B/C", 2), 3)
-    assert r.t1_value == 10 and r.t2_value == 16
-    assert r.z1.prime == 5 and r.divides1 is True
-    assert r.z2.prime is None and r.divides2 is None
+    assert r == (10, 16, 5, None, True, None)
     assert r.missing == (2,)
     assert r.failures == ()
 
