@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,6 +30,7 @@ from symblocks.partitions import (
 )
 from symblocks.unipotent import (
     TORI_SERIES,
+    SpeceqWitness,
     degree_collisions,
     dhc_series_gl,
     hll_check_gl,
@@ -346,6 +348,31 @@ def test_speceq_witnesses_verify():
         assert w.n1 > 0 and w.n2 > 0
 
 
+def test_speceq_report_records_are_the_witness_fields():
+    # the CLI writes each witness as its own record: JSON keys and the CSV
+    # header are the field names, in field order
+    argv = ["speceq", "--q-max", "9", "--m-max", "4", "--exp-bound", "2"]
+    witnesses = speceq_search(9, 4, 2)
+    r = subprocess.run(
+        [sys.executable, "-m", "symblocks", *argv, "--format", "json"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert r.returncode == 0, r.stderr
+    records = json.loads(r.stdout)["records"]
+    assert [list(rec) for rec in records] == [list(SpeceqWitness._fields)] * len(
+        witnesses
+    )
+    assert records == [
+        {**w._asdict(), "exponents": list(w.exponents)} for w in witnesses
+    ]
+    r = subprocess.run(
+        [sys.executable, "-m", "symblocks", *argv, "--format", "csv"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0].split(",") == list(SpeceqWitness._fields)
+
+
 def test_strip_primes_matches_the_prime_list():
     values = [
         phi_value(i, q)
@@ -535,6 +562,38 @@ def test_tori_check_report():
     assert r == (10, 16, 5, None, True, None)
     assert r.missing == (2,)
     assert r.failures == ()
+
+
+def test_tori_check_report_names_missing_and_failing_slots():
+    # no table row fails, so the failing branch is read off built reports
+    r = unipotent.ToriCheckReport(10, 16, 5, None, False, None)
+    assert (r.missing, r.failures) == ((2,), (1,))
+    r = r._replace(l2=7, divides2=False)
+    assert (r.missing, r.failures) == ((), (1, 2))
+    r = r._replace(l1=None, divides1=None, divides2=True)
+    assert (r.missing, r.failures) == ((1,), ())
+
+
+def test_tori_record_joins_the_entry_and_its_check():
+    # the report echoes no input: series, n, q, m1 and m2 come from the
+    # entry and the arguments, the values and primes from the report
+    entry = tori_entry("B/C", 2)
+    rep = tori_check(entry, 3)
+    r = subprocess.run(
+        [sys.executable, "-m", "symblocks", "tori", "--series", "B/C", "--n", "2",
+         "--q", "3", "--format", "json"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert r.returncode == 0, r.stderr
+    (record,) = json.loads(r.stdout)["records"]
+    assert {k: record[k] for k in ("series", "n", "q", "m1", "m2")} == {
+        "series": "B/C", "n": 2, "q": 3, "m1": entry.m1, "m2": entry.m2,
+    }
+    assert (
+        int(record["t1_value"]), int(record["t2_value"]), record["l1"],
+        record["l2"], record["l1_divides"], record["l2_divides"],
+    ) == tuple(rep)
+    assert record["missing"] == list(rep.missing) == [2]
 
 
 def test_tori_scan_missing_matches_absence_rule():
