@@ -72,6 +72,13 @@ off lists of cyclotomic indices.  The entries above reach the classical
 series only at n = 1, 4 and 8, so these are the ones that see the odd-rank
 orders of 2A, B/C and D.
 
+The per-block entries cover scan-blocks at odd p with lopsided cores,
+where the runners of one core hold very different bead counts: sym at p = 3
+up to n = 24 and at p = 7 up to n = 26, and the cold alternating scan at
+n = 21..26 for p = 5.  They were recorded before `partitions.combine` took a
+whole block, checking its core once and padding every runner by one amount
+for all members, where it had padded each member on its own.
+
 PARENT_RECORDED_NO_WITNESS pins the one scan path that exits 1, which no
 command above reaches: with `symblocks.blocks._height_zero_witness`
 patched to find no pair, every positive-weight symmetric block outside
@@ -316,6 +323,12 @@ PARENT_RECORDED = (
      "a61542253360698ebc21403f51f07f2c3662df3c9022ea85a1d645028849bfd9", 0),
     ("tori --series 2D --n 7 --q 4 --format json",
      "3bd4b3b4014af5e1d775408d95e560087f0bbe332f98ed4138698973ec5f91ed", 0),
+    ("scan-blocks --group sym --n-range 1..24 --p 3 --format json",
+     "e858f4291ad5ab1bd6b31f58f7fec865f9c7c66bce1dc8b0552278b6bf0c2eee", 0),
+    ("scan-blocks --group sym --n-range 1..26 --p 7 --format json",
+     "090687df469bf9e5168d51ca10ecfbea06a32a4cef8e744ccf57a67b2920c58d", 0),
+    ("scan-blocks --group alt --n-range 21..26 --p 5 --format json",
+     "6dfb44fb9c80b5321d60bb0c748f5cc4d0075079e96d32fb50bc2667b46dc3ba", 0),
 )
 
 
