@@ -718,18 +718,25 @@ def _one_minus_root_power(order: int, k: int, n: int) -> CycElt:
 def root_monomial(order: int, num: int, den: int, exponent: int, powers) -> CycElt:
     """(num/den) * zeta^exponent * prod_(0<k<order) (1 - zeta^k)^(powers[k]),
     zeta = zeta_order.  Numerator and denominator multiply the cached powers
-    on integer coordinates, then one `/` divides.
+    on integer coordinates, then one `/` divides.  With no negative power
+    the denominator is the integer den, and each coordinate is divided by
+    it with no inverse.
 
     >>> root_monomial(4, 1, 2, 1, (0, 0, 1, 0)) == CycElt.root(4)
     True
+    >>> root_monomial(3, 3, 2, 0, (0, 0, 0)).to_fraction()
+    Fraction(3, 2)
     """
     top = CycElt.from_poly(order, Poly.of(*(0,) * (exponent % order), num))
-    bottom = CycElt.from_rational(order, den)
     for k in range(1, order):
         if powers[k] > 0:
             top = top * _one_minus_root_power(order, k, powers[k])
-        elif powers[k] < 0:
-            bottom = bottom * _one_minus_root_power(order, k, -powers[k])
+    negative = [k for k in range(1, order) if powers[k] < 0]
+    if not negative:
+        return CycElt(order, tuple(Fraction(c, den) for c in top.coords))
+    bottom = CycElt.from_rational(order, den)
+    for k in negative:
+        bottom = bottom * _one_minus_root_power(order, k, -powers[k])
     return top / bottom
 
 

@@ -107,14 +107,10 @@ def _multipartitions(p: int, w: int) -> tuple[tuple[Partition, ...], ...]:
 
 def _sym_members(core: Partition, w: int, p: int) -> list[tuple[Partition, int]]:
     """(partition, degree) of each member of the S_n block of core and w,
-    in p-quotient enumeration order, with each degree read from the level
-    table of n."""
+    in p-quotient enumeration order: one `combine` call builds the whole
+    block, and each degree is read from the level table of n."""
     degrees = level_degrees(sum(core) + p * w)
-    out = []
-    for nu in _multipartitions(p, w):
-        pi = combine(core, nu, p)
-        out.append((pi, degrees[pi]))
-    return out
+    return [(pi, degrees[pi]) for pi in combine(core, _multipartitions(p, w), p)]
 
 
 def blocks_sn(n: int, p: int) -> tuple[BlockData, ...]:

@@ -21,6 +21,10 @@ involve the first row, so `p_cores` grows cores one top row at a time and
 keeps a row only when none of its hooks is divisible by p.  A partition is a
 p-core exactly when every runner is flush (its beads fill the lowest
 levels), so a core is laid out on the abacus by its runner bead counts alone.
+`combine` goes back from a core and quotients to partitions one block at a
+time: the members of a block share their core, so its check and its bead
+counts are read once, and padding every runner by the same full rows lets
+one layout hold every member of the block.
 
 The hook walk gives `degree` for a single partition.  A block scan needs the
 degree of every partition of n, and `level_degrees` holds them as a level
@@ -33,6 +37,7 @@ held; a table asked for below it is seeded again from the hook walk.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from math import factorial, prod
 
@@ -355,38 +360,52 @@ def p_cores(m: int, p: int) -> list[Partition]:
     return sorted(_cores_below(m, m, p))
 
 
-def combine(core: Partition, quotient: tuple[Partition, ...], p: int) -> Partition:
-    """Unique partition with the given p-core and p-quotient.
+def combine(
+    core: Partition, quotients: Sequence[tuple[Partition, ...]], p: int
+) -> list[Partition]:
+    """The partitions of one block: for each p-quotient in quotients, the
+    unique partition with that quotient and the p-core core, in order.
 
-    Inverse of core_and_quotient under the fixed convention.  Every call
-    checks that there are p components and that core is a p-core.  The
-    beads of all runners are collected into one list and sorted once.
+    Inverse of core_and_quotient under the fixed convention.  The core is
+    checked once and its runner bead counts are read once for the block.
+    The weight w of the first quotient fixes one padding for every member:
+    each runner is topped up with full bead rows until the emptiest one
+    holds w beads, and a component of a weight-w quotient has at most w
+    parts.  Per quotient the beads are placed, sorted once and read off.
+    A quotient without p components, or with a component longer than its
+    padded runner, raises ValueError, and then no partition is returned.
 
-    >>> combine((), ((2,), ()), 2)
-    (3, 1)
-    >>> combine((2,), ((), (), ()), 3)
-    (2,)
+    >>> combine((), [((2,), ()), ((1,), (1,)), ((), (1, 1))], 2)
+    [(3, 1), (2, 2), (2, 1, 1)]
+    >>> combine((2,), [((), (), ())], 3)
+    [(2,)]
     """
-    if len(quotient) != p:
-        raise ValueError(f"quotient must have exactly {p} components")
     if not is_p_core(core, p):
         raise ValueError(f"{core} has a hook length divisible by {p}")
-    # the beads of a core are flush, so their counts place them
+    if not quotients:
+        return []
+    # the beads of a core are flush, so their counts place them; runner i
+    # holds its beads at i + p * level, below the position top
     counts = runner_bead_counts(core, p)
-    # pad with full bead rows until every runner can hold its component
-    extra = max([len(nu) - c for nu, c in zip(quotient, counts)] + [0])
-    beads: list[int] = []
-    for i, (nu, c) in enumerate(zip(quotient, counts)):
-        # runner i holds the beta-set of nu with c + extra beads, at
-        # i + p * level: the padding beads, then one bead per part from the
-        # last row up
-        b = i + p * (c + extra - len(nu))
-        beads += range(i, b, p)
-        for part in reversed(nu):
-            beads.append(b + p * part)
-            b += p
-    beads.sort()
-    return _partition_from_ascending(beads)
+    extra = max(sum(map(sum, quotients[0])) - min(counts), 0)
+    tops = [(i, i + p * (c + extra)) for i, c in enumerate(counts)]
+    out = []
+    for quotient in quotients:
+        if len(quotient) != p:
+            raise ValueError(f"quotient must have exactly {p} components")
+        beads: list[int] = []
+        for nu, (i, top) in zip(quotient, tops):
+            # the padding beads, then one bead per part from the last row up
+            b = top - p * len(nu)
+            if b < i:
+                raise ValueError(f"{quotient} does not fit the padding of {core}")
+            beads += range(i, b, p)
+            for part in reversed(nu):
+                beads.append(b + p * part)
+                b += p
+        beads.sort()
+        out.append(_partition_from_ascending(beads))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -16,9 +16,11 @@ Schur value `schur_linear`, and the split-torus parameter points
 points check the oracle against `schur_linear`.
 
 `blocks_sn_by_filter` is the p-block scan that `symblocks.blocks.blocks_sn`
-replaced: it finds cores by testing every partition with `is_p_core` and
-takes each member's degree from its cell-by-cell hook lengths, then builds
-and classifies each block with the library's `_sym_block`.
+replaced: it finds cores by testing every partition with `is_p_core`,
+builds each member with `combine_by_components`, one member at a time, and
+takes its degree from its cell-by-cell hook lengths, then builds and
+classifies each block with the library's `_sym_block`.  So it shares neither
+the per-block `combine` nor the level table with the scan it checks.
 `blocks_an_by_selection` is the alternating scan that `blocks_an` replaced:
 it builds every symmetric block with `blocks_sn` and keeps the smaller core
 of each conjugate pair.
@@ -47,9 +49,11 @@ primitive d-th root of unity.
 `symblocks.partitions.conjugate` replaced: it counts the parts that reach
 each column.  `combine_by_components` is the inverse of
 `core_and_quotient` that `symblocks.partitions.combine` replaced: it builds
-each runner's beta-set as a tuple with `beta_set` and recovers the
-partition from all the beads with `partition_from_beta`, which sorts any
-beta-set; the library only reads beta-sets it builds in ascending order.
+each runner's beta-set as a tuple with `beta_set`, padded for the one
+member it builds, and recovers the partition from all the beads with
+`partition_from_beta`, which sorts any beta-set; the library builds a whole
+block with one padding and only reads beta-sets it builds in ascending
+order.
 
 `enumerate_partitions_by_recursion` is the partition generator that
 `symblocks.partitions.enumerate_partitions` replaced: it recurses on the
@@ -119,7 +123,6 @@ from symblocks.partitions import (
     b_statistic,
     beta_set,
     check_partition,
-    combine,
     conjugate,
     core_and_quotient,
     degree,
@@ -196,10 +199,13 @@ def enumerate_multipartitions_by_recursion(e: int, r: int):
 
 
 def blocks_sn_by_filter(n: int, p: int) -> tuple[BlockData, ...]:
-    """All p-blocks of S_n, with cores found by filtering every partition.
+    """All p-blocks of S_n, with cores found by filtering every partition
+    and members built one at a time by `combine_by_components`.
 
     >>> [b.label.core for b in blocks_sn_by_filter(4, 3)]
     [(1,), (2, 1, 1), (3, 1)]
+    >>> [m.partition for m in blocks_sn_by_filter(4, 3)[0].members]
+    [(4,), (2, 2), (1, 1, 1, 1)]
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -214,7 +220,7 @@ def blocks_sn_by_filter(n: int, p: int) -> tuple[BlockData, ...]:
     for core, w in cores:
         pairs = []
         for nu in enumerate_multipartitions(p, w):
-            pi = combine(core, nu, p)
+            pi = combine_by_components(core, nu, p)
             pairs.append((pi, factorial(n) // prod(hook_lengths(pi))))
         out.append(_sym_block(n, p, core, w, pairs))
     return tuple(out)

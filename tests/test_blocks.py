@@ -65,6 +65,28 @@ def test_blocks_sn_two_levels_up_matches_the_filter_oracle(monkeypatch):
         assert blocks_sn(n, 2) == blocks_sn_by_filter(n, 2), n
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_block_is_built_by_one_combine_call(p, monkeypatch):
+    """blocks_sn and blocks_an hand combine one block at a time: one call
+    per block, with that block's core and every quotient of its weight."""
+    calls = []
+    real = blocks.combine
+
+    def counting(core, quotients, q):
+        calls.append((core, len(quotients), q))
+        return real(core, quotients, q)
+
+    monkeypatch.setattr(blocks, "combine", counting)
+    for n in range(2, 15):
+        for scan in (blocks_sn, blocks_an):
+            calls.clear()
+            out = scan(n, p)
+            assert calls == [
+                (b.label.core, len(blocks._multipartitions(p, b.label.weight)), p)
+                for b in out
+            ], (scan.__name__, n, p)
+
+
 def test_principal_block_s4_mod_2():
     out = blocks_sn(4, 2)
     assert len(out) == 1

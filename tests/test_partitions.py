@@ -17,7 +17,12 @@ from oracles import (
 )
 from symblocks import partitions
 from symblocks.algebra import ExactnessError, Poly
-from symblocks.blocks import quotient_congruence, relative_hook_degree
+from symblocks.blocks import (
+    _cores_and_weights,
+    _multipartitions,
+    quotient_congruence,
+    relative_hook_degree,
+)
 from symblocks.partitions import (
     b_statistic,
     beta_set,
@@ -299,14 +304,43 @@ def test_p_cores_match_the_filter():
 
 def test_combine_rejects_a_non_core_after_cached_cores():
     # (2,) has its bead layout cached as a 3-core, (1,) as a 2-core
-    assert combine((2,), ((), (), ()), 3) == (2,)
-    assert combine((1,), ((1,), ()), 2) == (3,)
-    # both checks run on every call, a repeated one included
+    assert combine((2,), [((), (), ())], 3) == [(2,)]
+    assert combine((1,), [((1,), ())], 2) == [(3,)]
+    # the core check runs on every call, a repeated one included, and also
+    # for a block with no quotients
     for _ in range(2):
         with pytest.raises(ValueError):
-            combine((2,), ((), ()), 2)
+            combine((2,), [((), ())], 2)
         with pytest.raises(ValueError):
-            combine((1,), ((), (), ()), 2)
+            combine((2,), [], 2)
+        with pytest.raises(ValueError):
+            combine((1,), [((), (), ())], 2)
+
+
+# quotients that cannot join the block of the 3-core (1,) at weight 1: two
+# components or four, and ones with more parts than a padded runner holds.
+# The first quotient fixes the padding, and (0, 0, 0) takes three beads but
+# adds no weight, so it does not fit in any place; a heavier quotient fits
+# in the first place, where it sets the padding, so it is tried after it
+_BAD_QUOTIENTS = {
+    "two components": ((1,), ()),
+    "four components": ((1,), (), (), ()),
+    "zero parts": ((), (), (0, 0, 0)),
+    "heavier": ((), (1, 1, 1, 1), ()),
+}
+
+
+@pytest.mark.parametrize(
+    "bad,where",
+    [(bad, where) for bad in _BAD_QUOTIENTS for where in (0, 1, 3)
+     if (bad, where) != ("heavier", 0)],
+)
+def test_combine_rejects_a_bad_quotient_anywhere_in_the_block(bad, where):
+    block = [((1,), (), ()), ((), (1,), ()), ((), (), (1,))]
+    assert combine((1,), block, 3) == [(4,), (2, 2), (1, 1, 1, 1)]
+    quotients = block[:where] + [_BAD_QUOTIENTS[bad]] + block[where:]
+    with pytest.raises(ValueError):
+        combine((1,), quotients, 3)
 
 
 def test_runner_bead_counts_of_a_core():
@@ -319,8 +353,23 @@ def test_combine_round_trip_exhaustive():
         for p in (2, 3, 5):
             for pi in enumerate_partitions(n):
                 core, quotient, _ = core_and_quotient(pi, p)
-                assert combine(core, quotient, p) == pi
+                assert combine(core, [quotient], p) == [pi]
                 assert combine_by_components(core, quotient, p) == pi
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_combine_builds_every_block_like_the_components_oracle(p):
+    """Joined over the blocks of n, the per-block combine lists every
+    partition of n once, each equal to the one-member oracle's."""
+    for n in range(0, 21):
+        joined = []
+        for core, w in _cores_and_weights(n, p):
+            quotients = _multipartitions(p, w)
+            members = combine(core, quotients, p)
+            assert members == [combine_by_components(core, nu, p) for nu in quotients]
+            joined += members
+        assert sorted(joined) == sorted(enumerate_partitions(n)), (n, p)
+        assert len(set(joined)) == len(joined)
 
 
 @st.composite
@@ -342,7 +391,8 @@ def _partitions_strategy(draw, max_n=40):
 def test_combine_round_trip_property(pi, p):
     assert conjugate(pi) == conjugate_by_counting(pi)
     core, quotient, weight = core_and_quotient(pi, p)
-    assert combine(core, quotient, p) == combine_by_components(core, quotient, p) == pi
+    assert combine(core, [quotient], p) == [pi]
+    assert combine_by_components(core, quotient, p) == pi
     assert sum(core) + p * weight == sum(pi)
 
 
