@@ -264,12 +264,19 @@ def _abacus_levels(pi: Partition, p: int) -> list[list[int]]:
 def _partition_from_ascending(beta) -> Partition:
     """The partition of a beta-set given in ascending order.
 
-    The parts b - j of the j-th entry b rise weakly, so the nonzero ones
-    come last and only need reversing.
+    The parts b - j of the j-th entry b rise weakly, so they are read from
+    the top bead down, and the first zero part ends the walk: the beads
+    below it fill the bottom with no gap, as the padding rows of `combine`
+    do, and are never visited.
     """
-    if not beta or beta[-1] < len(beta):  # every bead at the bottom
-        return ()
-    return tuple(reversed([b - j for j, b in enumerate(beta) if b > j]))
+    parts = []
+    j = len(beta)
+    for b in reversed(beta):
+        j -= 1
+        if b == j:
+            break
+        parts.append(b - j)
+    return tuple(parts)
 
 
 @lru_cache(maxsize=None)

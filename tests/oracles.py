@@ -51,9 +51,10 @@ each column.  `combine_by_components` is the inverse of
 `core_and_quotient` that `symblocks.partitions.combine` replaced: it builds
 each runner's beta-set as a tuple with `beta_set`, padded for the one
 member it builds, and recovers the partition from all the beads with
-`partition_from_beta`, which sorts any beta-set; the library builds a whole
-block with one padding and only reads beta-sets it builds in ascending
-order.
+`partition_from_beta`, which sorts any beta-set and takes a part at every
+entry; the library builds a whole block with one padding, only reads
+beta-sets it builds in ascending order, and reads them from the top bead
+down to the first one with no gap below it.
 
 `enumerate_partitions_by_recursion` is the partition generator that
 `symblocks.partitions.enumerate_partitions` replaced: it recurses on the
@@ -119,7 +120,6 @@ from symblocks.blocks import (
 from symblocks.partitions import (
     Partition,
     _abacus_levels,
-    _partition_from_ascending,
     b_statistic,
     beta_set,
     check_partition,
@@ -153,12 +153,15 @@ from symblocks.wreath import (
 
 
 def partition_from_beta(entries) -> Partition:
-    """Recover the partition from any finite set of distinct non-negative ints.
+    """Recover the partition from any finite set of distinct non-negative ints:
+    sort them, take b - j for the j-th entry b and keep the nonzero parts,
+    visiting every entry.
 
     >>> partition_from_beta((0, 1, 3, 6))
     (3, 1)
     """
-    return _partition_from_ascending(sorted(entries))
+    beta = sorted(entries)
+    return tuple(reversed([b - j for j, b in enumerate(beta) if b > j]))
 
 
 def enumerate_partitions_by_recursion(n: int, max_part: int | None = None):

@@ -275,6 +275,7 @@ def test_beta_round_trip():
         for pi in ([()] if n == 0 else enumerate_partitions(n)):
             for beads in (len(pi), len(pi) + 3, len(pi) + 7):
                 assert partition_from_beta(beta_set(pi, beads)) == pi
+                assert partitions._partition_from_ascending(beta_set(pi, beads)) == pi
 
 
 def test_beta_set_is_strict():
