@@ -5,7 +5,8 @@ modulo the monic n-th cyclotomic polynomial) are kept as given, so integer
 polynomials and cyclotomic integers stay `int` through sums, products and powers.
 A `fractions.Fraction` is made only by the inverse's division by its rational
 norm, which the program reaches through the one `/` in `root_monomial`, by
-`CycElt.__hash__` and by `CycElt.to_fraction`, for rational callers. The field needs
+that function's division by an integer denominator, by `CycElt.__hash__` and
+by `CycElt.to_fraction`, for rational callers. The field needs
 no linear algebra: inverse, embedding and hash each go through one Galois
 substitution zeta -> zeta**k. Polynomials are divided only by divisors with
 leading coefficient 1 or -1, so integer quotients stay integral. Any other
