@@ -14,10 +14,11 @@ handler's result in the report envelope: "command" is the subcommand name
 and "parameters" echoes the parsed flags in parser order, all but --format,
 --out and --jobs, leaving out an optional flag that was not given.
 
-Only `algebra` is imported at module level.  Each handler and pool worker
+Only `algebra` is imported at module level.  Each handler and --jobs worker
 imports the layers it runs, and `_render` the module of its format, so a
-process loads no layer its subcommand does not use; a handler that hands
-work to a pool imports its layer first, and the forked workers inherit it.
+process loads no layer its subcommand does not use; a handler that shares
+work out with --jobs imports its layer before the workers are forked, and
+they inherit it.
 
 Exit status: 0 on success, 1 when at least one refutation record was
 emitted (a counterexample to one of the checked statements), 2 on usage
@@ -138,21 +139,96 @@ def _flat(*columns: str, key: str = "records"):
     return project
 
 
+def _share(fn, keys):
+    """fn over keys in order up to the first Exception: the results before
+    it, and that exception or None."""
+    results = []
+    for key in keys:
+        try:
+            results.append(fn(key))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
 def _parallel_map(fn, keys, jobs):
-    # the fork start method forks every worker up front, so ask for no more
-    # workers than there are keys or CPUs this process may run on
-    if hasattr(os, "sched_getaffinity"):
+    """[fn(k) for k in keys], shared out among up to `jobs` processes.
+
+    Worker w computes keys[w::workers]: over verify-hook-formula's n-major
+    keys, a worker keeps to the same primes when the number of primes is a
+    multiple of the worker count, so its caches serve only its own keys.  The
+    parent computes share 0 itself and forks a child for each other share,
+    which sends its results back pickled through a pipe.  Each share stops at
+    its first Exception; the parent reads every share, then raises the one at
+    the lowest key index, as the serial loop would.  The CLI starts no
+    threads, so forking it is safe; without os.fork the run is serial.
+    """
+    # every worker is forked up front, so ask for no more workers than there
+    # are keys or CPUs this process may run on
+    if not hasattr(os, "fork"):
+        cpus = 1
+    elif hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     workers = min(jobs, len(keys), cpus)
     if workers <= 1:
         return [fn(k) for k in keys]
-    # imported here so that serial runs skip loading multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
+    import signal
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, keys))
+    children, running, lost = [], set(), []
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the child sends its share and exits: it never returns into
+                # main, and flushes no buffer it inherited
+                status = 1
+                try:
+                    os.close(read_end)
+                    results, exc = _share(fn, keys[w::workers])
+                    try:
+                        pickle.loads(pickle.dumps(exc))
+                    except Exception:
+                        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump((results, exc), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            running.add(pid)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        shares = [_share(fn, keys[::workers])]
+        for pid, pipe in children:
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            running.discard(pid)
+            if status:
+                lost.append(
+                    f"worker {pid} ended without its results (wait status {status})"
+                )
+            else:
+                shares.append(pickle.loads(data))
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        # only a parent interrupted by something other than a share's
+        # Exception leaves a child unreaped
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if lost:
+        raise RuntimeError(lost[0])
+    failed = [(w + len(res) * workers, exc) for w, (res, exc) in enumerate(shares) if exc]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    out = [None] * len(keys)
+    for w, (res, _) in enumerate(shares):
+        out[w::workers] = res
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +252,7 @@ def _cmd_scan_blocks(args) -> dict:
     lo, hi = args.n_range
     if args.group == "alt" and lo < 2:
         raise UsageError(f"alt ranges must start at 2 or more, got '{lo}..{hi}'")
-    from . import blocks  # noqa: F401  (loaded before a pool forks its workers)
+    from . import blocks  # noqa: F401  (loaded before the workers are forked)
 
     keys = [(args.group, n, args.p, args.ehzd_only) for n in range(lo, hi + 1)]
     chunks = _parallel_map(_scan_blocks_worker, keys, args.jobs)
@@ -285,7 +361,7 @@ def _hook_worker(key):
 
 
 def _cmd_verify_hook(args) -> dict:
-    from . import blocks  # noqa: F401  (loaded before a pool forks its workers)
+    from . import blocks  # noqa: F401  (loaded before the workers are forked)
 
     keys = [(n, p) for n in range(1, args.n_max + 1) for p in args.primes]
     results = _parallel_map(_hook_worker, keys, args.jobs)
@@ -367,7 +443,7 @@ def _wreath_worker(key):
 
 
 def _cmd_verify_wreath(args) -> dict:
-    from . import wreath  # noqa: F401  (loaded before a pool forks its workers)
+    from . import wreath  # noqa: F401  (loaded before the workers are forked)
 
     keys = [(e, r) for e in range(1, args.e_max + 1) for r in range(1, args.r_max + 1)]
     results = _parallel_map(_wreath_worker, keys, args.jobs)

@@ -51,7 +51,7 @@ def test_blocks_sn_matches_the_filter_oracle(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_blocks_sn_out_of_order_matches_the_filter_oracle(p, monkeypatch):
-    """A --jobs worker is handed its n in pool order, not ascending: from no
+    """A caller may ask for n in any order, not only ascending: from no
     level table, 20 and 18 are seeded from the hook walk, 19 is built one
     level up from 18 and 17 is seeded again."""
     monkeypatch.setattr(partitions, "_held", (-1, {}))

@@ -1,10 +1,10 @@
 import argparse
-import concurrent.futures
 import json
 import os
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -289,39 +289,101 @@ def test_out_writes_through_a_symlink_and_keeps_the_mode(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "report.txt"]
 
 
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_jobs_are_capped_by_keys_and_cpus(monkeypatch, capsys):
-    requested = []
+    forks = []
+    real = os.fork
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, keys):
-            return map(fn, keys)
+    def counting():
+        forks.append(None)
+        return real()
 
     argv = ["verify-hook-formula", "--n-max", "4", "--primes", "2,3"]
     argv += ["--format", "json"]
     assert cli.main(argv + ["--jobs", "1"]) == 0
     serial = capsys.readouterr().out
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counting)
+    _two_cpus(monkeypatch)
     assert cli.main(argv + ["--jobs", "64"]) == 0
     assert capsys.readouterr().out == serial
-    assert requested == [2]
-    # one key leaves nothing to share out: no pool at all
+    # two workers: the parent computes one share and forks one child
+    assert len(forks) == 1
+    # one key leaves nothing to share out: nothing is forked
     one_key = ["verify-wreath", "--e-max", "1", "--r-max", "1", "--jobs", "64"]
     assert cli.main(one_key) == 0
-    assert requested == [2]
+    assert len(forks) == 1
+    _no_child_left()
 
 
-def test_serial_runs_do_not_import_the_process_pool():
+# with --primes 2,3 and two workers the parent's share holds the p = 2 keys
+# and the forked child's share the p = 3 keys
+_TWO_SHARES = ["verify-hook-formula", "--n-max", "4", "--primes", "2,3"]
+
+
+def test_the_first_failing_key_is_raised_whichever_share_holds_it(monkeypatch, capsys):
+    real = cli._hook_worker
+
+    def failing(key):
+        # key (2, 3) falls to the child and comes before (3, 2), the parent's
+        if key in ((2, 3), (3, 2)):
+            raise ExactnessError(f"no exact quotient at {key}")
+        return real(key)
+
+    monkeypatch.setattr(cli, "_hook_worker", failing)
+    _two_cpus(monkeypatch)
+    assert cli.main(_TWO_SHARES + ["--jobs", "1"]) == 3
+    serial = capsys.readouterr()
+    assert serial.err == "internal error: ExactnessError: no exact quotient at (2, 3)\n"
+    assert cli.main(_TWO_SHARES + ["--jobs", "2"]) == 3
+    assert capsys.readouterr() == serial
+    _no_child_left()
+
+
+def test_a_child_that_dies_is_an_internal_error(monkeypatch, capsys):
+    real = cli._hook_worker
+
+    def dying(key):
+        if key[1] == 3:
+            os._exit(9)
+        return real(key)
+
+    monkeypatch.setattr(cli, "_hook_worker", dying)
+    _two_cpus(monkeypatch)
+    assert cli.main(_TWO_SHARES + ["--jobs", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal error: RuntimeError: worker ")
+    assert lines[0].endswith(f"ended without its results (wait status {9 << 8})")
+    _no_child_left()
+
+
+def test_an_interrupted_parent_kills_its_children(monkeypatch):
+    def interrupted(key):
+        if key[1] == 3:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_hook_worker", interrupted)
+    _two_cpus(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(_TWO_SHARES + ["--jobs", "2"])
+    assert time.monotonic() - start < 10
+    _no_child_left()
+
+
+def test_no_run_imports_a_process_pool():
     probe = (
         "import sys, symblocks.cli; "
         "print('concurrent.futures.process' in sys.modules)"
@@ -330,6 +392,14 @@ def test_serial_runs_do_not_import_the_process_pool():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert r.stdout == "False\n"
+    argv = ["verify-hook-formula", "--n-max", "4", "--primes", "2,3", "--jobs", "2"]
+    r = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    modules = set(r.stderr.split())
+    assert "symblocks.blocks" in modules
+    assert modules.isdisjoint(["concurrent.futures", "multiprocessing"])
 
 
 # what a fresh process has loaded once cli.main has run one subcommand
@@ -485,8 +555,8 @@ def test_scan_blocks_byte_determinism():
     parallel = run(*args, "--jobs", "3")
     assert first.returncode == second.returncode == parallel.returncode == 0
     assert first.stdout == second.stdout == parallel.stdout
-    # each pool worker skips the n values the others get, so its level table
-    # steps up over levels it never reports
+    # each worker skips the n values the others get, so its level table steps
+    # up over levels it never reports
     args = ("scan-blocks", "--group", "sym", "--n-range", "5..20", "--p", "2",
             "--format", "json")
     serial = run(*args, "--jobs", "1")
@@ -585,6 +655,23 @@ def test_verify_hook_formula_jobs_deterministic():
     multi = run(*args, "--jobs", "3")
     assert solo.stdout == multi.stdout
     assert solo.returncode == multi.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify-hook-formula", "--n-max", "9", "--primes", "2,3,5"),
+        ("verify-wreath", "--e-max", "3", "--r-max", "3"),
+    ],
+)
+def test_every_jobs_count_prints_the_serial_bytes(args):
+    """Three primes do not deal evenly to two workers, so each share holds
+    keys of every prime; nine (e, r) keys give shares of 5 and 4, or 3 each."""
+    serial = run(*args, "--format", "json", "--jobs", "1")
+    assert serial.returncode in (0, 1)
+    for jobs in ("2", "3"):
+        shared = run(*args, "--format", "json", "--jobs", jobs)
+        assert (shared.stdout, shared.returncode) == (serial.stdout, serial.returncode)
 
 
 def test_verify_wreath_clean():

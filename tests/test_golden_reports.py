@@ -4,7 +4,9 @@ perfbench/golden.json holds the stdout sha256 and the exit status of every
 benchmark command, as printed by `python -m symblocks ARGV --format json`.
 One entry per subcommand is replayed here in-process with --jobs 1 (the
 recorder checks that --jobs does not change the bytes), so a refactor that
-changes any report byte or exit status fails the suite.
+changes any report byte or exit status fails the suite.  The one --jobs 2
+command is also run as its own process, with two workers where the host has
+two CPUs.
 
 PARENT_RECORDED covers the paths the benchmark does not reach: hll-check at
 d = 1 and d = 2 (rational roots of unity) and at d = 5 and d = 6, verify-wreath
@@ -89,6 +91,8 @@ the code before the block builders classified their own blocks.
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +126,19 @@ def test_report_matches_golden(line, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[line]["sha256"]
     assert status == GOLDEN[line]["exit"]
+
+
+def test_the_benchmarks_jobs_command_matches_golden():
+    """The replay above runs the hook command with --jobs 1 in process; this
+    runs it as the benchmark does, with --jobs 2 in its own process."""
+    line = REPLAYED[0]
+    assert "--jobs 2" in line
+    r = subprocess.run(
+        [sys.executable, "-m", "symblocks", *line.split(), "--format", "json"],
+        capture_output=True,
+    )
+    assert hashlib.sha256(r.stdout).hexdigest() == GOLDEN[line]["sha256"]
+    assert r.returncode == GOLDEN[line]["exit"] == 1
 
 
 PARENT_RECORDED = (

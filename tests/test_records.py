@@ -1,5 +1,5 @@
 """The library's value records: immutable, compared and hashed by value, and
-picklable, as `--jobs` pool workers need."""
+picklable, as forked `--jobs` workers need."""
 
 import copy
 import pickle
