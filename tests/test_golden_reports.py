@@ -81,6 +81,13 @@ n = 21..26 for p = 5.  They were recorded before `partitions.combine` took a
 whole block, checking its core once and padding every runner by one amount
 for all members, where it had padded each member on its own.
 
+The series-order entries cover hll-check past the pinned n <= 20: d = 3 at
+n = 24 (json), d = 6 at n = 22 (csv) and d = 4 at n = 21 (table), all
+exiting 1.  They pin the order of the members inside series of weight 3
+and more, which a report prints in enumeration order, and were recorded
+before the series of GL_n were built from their d-cores, where each
+partition of n had been decomposed and grouped by its core.
+
 PARENT_RECORDED_NO_WITNESS pins the one scan path that exits 1, which no
 command above reaches: with `symblocks.blocks._height_zero_witness`
 patched to find no pair, every positive-weight symmetric block outside
@@ -346,6 +353,12 @@ PARENT_RECORDED = (
      "090687df469bf9e5168d51ca10ecfbea06a32a4cef8e744ccf57a67b2920c58d", 0),
     ("scan-blocks --group alt --n-range 21..26 --p 5 --format json",
      "6dfb44fb9c80b5321d60bb0c748f5cc4d0075079e96d32fb50bc2667b46dc3ba", 0),
+    ("hll-check --n 24 --d 3 --format json",
+     "0968c103d8cbd673e4c6462c4d851ee94cbb212e6e6dc8779d038f0df875f2e0", 1),
+    ("hll-check --n 22 --d 6 --format csv",
+     "329bbec16ea82a3f43a3e584dbf265740053de726129967c9e68afe93e3a288a", 1),
+    ("hll-check --n 21 --d 4 --format table",
+     "52a7397f3216aafcc4bc4b03638058fa5ee94349206a614abec36e572bbc66cd", 1),
 )
 
 
