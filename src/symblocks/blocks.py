@@ -28,11 +28,11 @@ from .partitions import (
     combine,
     conjugate,
     core_and_quotient,
+    cores_and_weights,
     degree,
     format_partition,
     is_self_dual,
     level_degrees,
-    p_cores,
     runner_bead_counts,
 )
 from .wreath import enumerate_multipartitions, symbol_hooks, symbol_of, wreath_degree
@@ -93,24 +93,13 @@ def _with_heights(degrees_and_parts, p: int):
     return members, base
 
 
-def _cores_and_weights(n: int, p: int) -> list[tuple[Partition, int]]:
-    """Every (core, w) with |core| + p*w = n, in lexicographic core order."""
-    return sorted(
-        (core, w) for w in range(n // p + 1) for core in p_cores(n - p * w, p)
-    )
-
-
-@lru_cache(maxsize=None)
-def _multipartitions(p: int, w: int) -> tuple[tuple[Partition, ...], ...]:
-    return tuple(enumerate_multipartitions(p, w))
-
-
 def _sym_members(core: Partition, w: int, p: int) -> list[tuple[Partition, int]]:
     """(partition, degree) of each member of the S_n block of core and w,
     in p-quotient enumeration order: one `combine` call builds the whole
     block, and each degree is read from the level table of n."""
     degrees = level_degrees(sum(core) + p * w)
-    return [(pi, degrees[pi]) for pi in combine(core, _multipartitions(p, w), p)]
+    members = combine(core, enumerate_multipartitions(p, w), p)
+    return [(pi, degrees[pi]) for pi in members]
 
 
 def blocks_sn(n: int, p: int) -> tuple[BlockData, ...]:
@@ -128,7 +117,7 @@ def blocks_sn(n: int, p: int) -> tuple[BlockData, ...]:
     _check_prime(p)
     return tuple(
         _sym_block(n, p, core, w, _sym_members(core, w, p))
-        for core, w in _cores_and_weights(n, p)
+        for core, w in cores_and_weights(n, p)
     )
 
 
@@ -409,7 +398,7 @@ def blocks_an(n: int, p: int) -> tuple[BlockData, ...]:
         raise ValueError("n must be at least 2")
     _check_prime(p)
     out = []
-    for core, w in _cores_and_weights(n, p):
+    for core, w in cores_and_weights(n, p):
         if conjugate(core) < core:
             continue  # its block is the one of the conjugate core
         out.append(_alt_block(n, p, core, w, _sym_members(core, w, p)))

@@ -416,10 +416,8 @@ def _wreath_worker(key):
     e, r = key
     order = e**r * factorial(r)
     sum_squares = 0
-    count = 0
     mismatches = []
     for nu in enumerate_multipartitions(e, r):
-        count += 1
         d = wreath_degree(nu)
         sum_squares += d * d
         f = schur_specialize_roots(symbol_of(nu))
@@ -436,7 +434,7 @@ def _wreath_worker(key):
     return {
         "e": e,
         "r": r,
-        "characters": count,
+        "characters": len(enumerate_multipartitions(e, r)),
         "sum_squares_ok": sum_squares == order,
         "degrees_match": not mismatches,
     }, mismatches

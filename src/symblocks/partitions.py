@@ -24,7 +24,9 @@ levels), so a core is laid out on the abacus by its runner bead counts alone.
 `combine` goes back from a core and quotients to partitions one block at a
 time: the members of a block share their core, so its check and its bead
 counts are read once, and padding every runner by the same full rows lets
-one layout hold every member of the block.
+one layout hold every member of the block.  It builds each p-block of S_n
+in `blocks` and each d-series of GL_n in `unipotent`, one per pair of
+`cores_and_weights`.
 
 The hook walk gives `degree` for a single partition.  A block scan needs the
 degree of every partition of n, and `level_degrees` holds them as a level
@@ -365,6 +367,17 @@ def p_cores(m: int, p: int) -> list[Partition]:
     if m < 0 or p < 1:
         raise ValueError("need m >= 0 and p >= 1")
     return sorted(_cores_below(m, m, p))
+
+
+def cores_and_weights(n: int, d: int) -> list[tuple[Partition, int]]:
+    """Every (core, w) with |core| + d*w = n for any d >= 1, core ascending.
+
+    >>> cores_and_weights(6, 4)
+    [((1, 1), 1), ((2,), 1), ((3, 1, 1, 1), 0), ((3, 2, 1), 0), ((4, 1, 1), 0)]
+    >>> cores_and_weights(2, 3)
+    [((1, 1), 0), ((2,), 0)]
+    """
+    return sorted((c, w) for w in range(n // d + 1) for c in p_cores(n - d * w, d))
 
 
 def combine(

@@ -4,7 +4,8 @@ The pieces here all run in exact arithmetic:
 
 * degree polynomials Deg attached to partitions, with Deg(1) recovering the
   ordinary character degree;
-* the grouping of partitions of n into series by d-core, for any modulus d;
+* the series of partitions of n, each built from its d-core, for any
+  modulus d;
 * a congruence check that takes the ratio of each degree polynomial to its
   series base at a primitive d-th root of unity, from a tally of hook
   residues mod d with no polynomial built, and compares that constant with
@@ -40,12 +41,13 @@ from .algebra import (
 from .partitions import (
     Partition,
     b_statistic,
-    core_and_quotient,
+    combine,
+    cores_and_weights,
     enumerate_partitions,
     gl_degree_poly,
     hook_lengths,
 )
-from .wreath import wreath_degree
+from .wreath import enumerate_multipartitions, wreath_degree
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +75,8 @@ def unipotent_degrees_gl(n: int) -> tuple[DegreePolyEntry, ...]:
 
 
 def dhc_series_gl(n: int, d: int) -> tuple[tuple[Partition, tuple[Partition, ...]], ...]:
-    """Partitions of n grouped by their d-core.
-
-    The abacus core construction works for any modulus d >= 1, prime or
-    not.  Returns (core, members) pairs sorted by core; members keep the
-    global enumeration order.
+    """The partitions of n in series, each built from its d-core for any
+    d >= 1: (core, members) pairs sorted by core, members in enumeration order.
 
     >>> dhc_series_gl(2, 2)
     (((), ((2,), (1, 1))),)
@@ -86,22 +85,22 @@ def dhc_series_gl(n: int, d: int) -> tuple[tuple[Partition, tuple[Partition, ...
         raise ValueError("need n >= 1")
     if d < 1:
         raise ValueError("need d >= 1")
-    return tuple(
-        (core, tuple(pi for pi, _ in members))
-        for core, members in _series_with_quotients(n, d)
-    )
+    return tuple((c, tuple(pi for pi, _ in ms)) for c, ms in _series_with_quotients(n, d))
 
 
 def _series_with_quotients(
     n: int, d: int
 ) -> list[tuple[Partition, list[tuple[Partition, tuple[Partition, ...]]]]]:
     """(core, [(pi, d-quotient of pi), ...]) pairs sorted by core, members
-    in enumeration order; each partition is decomposed once."""
-    groups: dict[Partition, list[tuple[Partition, tuple[Partition, ...]]]] = {}
-    for pi in enumerate_partitions(n):
-        core, quotient, _ = core_and_quotient(pi, d)
-        groups.setdefault(core, []).append((pi, quotient))
-    return sorted(groups.items())
+    in enumeration order.  Each series is built from its core as a block of
+    S_n is, by one `combine` call over the d-quotients of its weight, and
+    one sort puts its members back in (reverse lexicographic) order."""
+    out = []
+    for core, w in cores_and_weights(n, d):
+        quotients = enumerate_multipartitions(d, w)
+        members = zip(combine(core, quotients, d), quotients)
+        out.append((core, sorted(members, reverse=True)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import CycElt, ExactnessError, root_monomial
@@ -42,26 +43,25 @@ ESymbol = tuple[tuple[int, ...], ...]
 # multipartitions and symbols
 
 
-def enumerate_multipartitions(e: int, r: int):
-    """Yield all e-tuples of partitions of total size r, deterministically:
-    the first component runs through the sizes r down to 0, each in
+@lru_cache(maxsize=None)
+def enumerate_multipartitions(e: int, r: int) -> tuple[Multipartition, ...]:
+    """All e-tuples of partitions of total size r, in a cached tuple: the
+    first component runs through the sizes r down to 0, each in
     enumerate_partitions order, and the rest follow in this order.
 
-    >>> len(list(enumerate_multipartitions(2, 2)))
+    >>> len(enumerate_multipartitions(2, 2))
     5
     """
     if e == 0:
-        if r == 0:
-            yield ()
-        return
+        return ((),) if r == 0 else ()
     if e == 1:
-        for pi in enumerate_partitions(r):
-            yield (pi,)
-        return
-    for k in range(r, -1, -1):
-        for head in enumerate_partitions(k):
-            for tail in enumerate_multipartitions(e - 1, r - k):
-                yield (head,) + tail
+        return tuple((pi,) for pi in enumerate_partitions(r))
+    return tuple(
+        (head,) + tail
+        for k in range(r, -1, -1)
+        for head in enumerate_partitions(k)
+        for tail in enumerate_multipartitions(e - 1, r - k)
+    )
 
 
 def check_symbol(sym: ESymbol) -> None:

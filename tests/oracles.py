@@ -39,11 +39,17 @@ raised to floor(n/d) minus the number of hooks that d divides, multiplied
 out with `Poly` products, where the library cancels hooks against the
 factors x^k - 1 and multiplies and divides by the rest on integer lists.
 
+`dhc_series_by_decomposition` is the series grouping that
+`symblocks.unipotent._series_with_quotients` replaced: it decomposes every
+partition of n with `core_and_quotient` and groups the members by their
+d-core in a dict, where the library builds each series from its core with
+one `combine` call and sorts its members back into enumeration order.
 `hll_check_gl_by_stripping` is the series check that
-`symblocks.unipotent.hll_check_gl` replaced: it builds the degree polynomial
-of every member and of its series base, divides Phi_d out of both
-floor(|core|/d) times with `Poly.exact_div`, and takes their ratio at a
-primitive d-th root of unity.
+`symblocks.unipotent.hll_check_gl` replaced: over the series of
+`dhc_series_by_decomposition`, it builds the degree polynomial of every
+member and of its series base, divides Phi_d out of both floor(|core|/d)
+times with `Poly.exact_div`, and takes their ratio at a primitive d-th root
+of unity.
 
 `conjugate_by_counting` is the transpose that
 `symblocks.partitions.conjugate` replaced: it counts the parts that reach
@@ -61,9 +67,11 @@ down to the first one with no gap below it.
 first part and builds each tuple one part at a time as it passes up through
 the generator frames, where the library steps one working list by the ZS1
 successor rule.  `enumerate_multipartitions_by_recursion` is the
-multipartition generator that `symblocks.wreath.enumerate_multipartitions`
-replaced: it recurses down to zero components, so with one component left it
-enumerates every smaller size only to find that none has a tail.
+multipartition enumerator that `symblocks.wreath.enumerate_multipartitions`
+replaced: a generator that recurses down to zero components, so with one
+component left it enumerates every smaller size only to find that none has
+a tail, where the library stops at one component and caches every tuple of
+multipartitions it builds.
 `symbol_a`, the exponent of v in the Schur product's denominator, is used
 only by `schur_value_by_factors`: at v = 1 the library's tally never needs
 it.
@@ -138,7 +146,6 @@ from symblocks.unipotent import (
     SpeceqWitness,
     ToriEntry,
     _hll_member,
-    dhc_series_gl,
     tori_entry,
 )
 from symblocks.wreath import (
@@ -365,6 +372,22 @@ def gl_degree_poly_by_cyclotomic_exponents(pi: Partition) -> Poly:
     return poly
 
 
+def dhc_series_by_decomposition(
+    n: int, d: int
+) -> list[tuple[Partition, list[tuple[Partition, tuple[Partition, ...]]]]]:
+    """(core, [(pi, d-quotient of pi), ...]) pairs sorted by core, members in
+    enumeration order, from one `core_and_quotient` call per partition of n.
+
+    >>> dhc_series_by_decomposition(2, 2)
+    [((), [((2,), ((), (1,))), ((1, 1), ((1,), ()))])]
+    """
+    groups: dict[Partition, list[tuple[Partition, tuple[Partition, ...]]]] = {}
+    for pi in enumerate_partitions(n):
+        core, quotient, _ = core_and_quotient(pi, d)
+        groups.setdefault(core, []).append((pi, quotient))
+    return sorted(groups.items())
+
+
 def hll_check_gl_by_stripping(n: int, d: int) -> HllReport:
     """`hll_check_gl` by polynomial arithmetic: strip Phi_d, then evaluate.
 
@@ -375,7 +398,7 @@ def hll_check_gl_by_stripping(n: int, d: int) -> HllReport:
     """
     phi = cyclotomic_poly(d)
     series_reports = []
-    for core, members in dhc_series_gl(n, d):
+    for core, members in dhc_series_by_decomposition(n, d):
         r = sum(core)
         strip = r // d
         base = gl_degree_poly(core)
@@ -383,8 +406,7 @@ def hll_check_gl_by_stripping(n: int, d: int) -> HllReport:
             base = base.exact_div(phi)
         base_inv = CycElt.from_poly(d, base).inverse()
         member_reports = []
-        for pi in members:
-            _, quotient, _ = core_and_quotient(pi, d)
+        for pi, quotient in members:
             reduced = gl_degree_poly(pi)
             for _ in range(strip):
                 reduced = reduced.exact_div(phi)

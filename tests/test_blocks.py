@@ -82,7 +82,7 @@ def test_each_block_is_built_by_one_combine_call(p, monkeypatch):
             calls.clear()
             out = scan(n, p)
             assert calls == [
-                (b.label.core, len(blocks._multipartitions(p, b.label.weight)), p)
+                (b.label.core, len(enumerate_multipartitions(p, b.label.weight)), p)
                 for b in out
             ], (scan.__name__, n, p)
 

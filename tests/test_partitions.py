@@ -17,18 +17,14 @@ from oracles import (
 )
 from symblocks import partitions
 from symblocks.algebra import ExactnessError, Poly
-from symblocks.blocks import (
-    _cores_and_weights,
-    _multipartitions,
-    quotient_congruence,
-    relative_hook_degree,
-)
+from symblocks.blocks import quotient_congruence, relative_hook_degree
 from symblocks.partitions import (
     b_statistic,
     beta_set,
     combine,
     conjugate,
     core_and_quotient,
+    cores_and_weights,
     degree,
     enumerate_partitions,
     format_partition,
@@ -40,7 +36,7 @@ from symblocks.partitions import (
     p_cores,
     runner_bead_counts,
 )
-from symblocks.wreath import wreath_degree
+from symblocks.wreath import enumerate_multipartitions, wreath_degree
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +361,8 @@ def test_combine_builds_every_block_like_the_components_oracle(p):
     partition of n once, each equal to the one-member oracle's."""
     for n in range(0, 21):
         joined = []
-        for core, w in _cores_and_weights(n, p):
-            quotients = _multipartitions(p, w)
+        for core, w in cores_and_weights(n, p):
+            quotients = enumerate_multipartitions(p, w)
             members = combine(core, quotients, p)
             assert members == [combine_by_components(core, nu, p) for nu in quotients]
             joined += members

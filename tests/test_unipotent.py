@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import symblocks.partitions as partitions
 import symblocks.unipotent as unipotent
 from symblocks import algebra, cli
 from oracles import (
+    dhc_series_by_decomposition,
     hll_check_gl_by_stripping,
     speceq_identity_holds,
     speceq_search_unpinned,
@@ -110,6 +112,16 @@ def test_dhc_series_partition_property():
                     assert c == core
                     all_parts.append(pi)
             assert sorted(all_parts) == sorted(enumerate_partitions(n))
+
+
+def test_series_match_the_decomposition_oracle():
+    """Built from their cores, the series keep the cores, the member order
+    and the quotients of grouping every partition by its core; d runs from 1
+    past n, through composite d."""
+    for n in range(1, 21):
+        for d in range(1, n + 3):
+            got = unipotent._series_with_quotients(n, d)
+            assert got == dhc_series_by_decomposition(n, d), (n, d)
 
 
 def test_dhc_validation():
@@ -267,18 +279,28 @@ def test_hll_unbalanced_vanishing_factors_raise(monkeypatch):
         hll_check_gl(4, 2)
 
 
-def test_hll_decomposes_each_member_once(monkeypatch):
-    calls = []
-    real = unipotent.core_and_quotient
+def test_hll_builds_each_series_with_one_combine_call(monkeypatch):
+    """hll_check_gl decomposes no partition: each series of its report is
+    built from its core by one combine call."""
+    decomposed = []
+    combined = []
+    real_decompose = partitions.core_and_quotient
+    real_combine = unipotent.combine
 
-    def counting(pi, d):
-        calls.append((pi, d))
-        return real(pi, d)
+    def decomposing(pi, d):
+        decomposed.append((pi, d))
+        return real_decompose(pi, d)
 
-    monkeypatch.setattr(unipotent, "core_and_quotient", counting)
-    hll_check_gl(12, 4)
-    assert len(calls) == 77
-    assert sorted(calls) == sorted((pi, 4) for pi in enumerate_partitions(12))
+    def combining(core, quotients, d):
+        combined.append((core, len(quotients), d))
+        return real_combine(core, quotients, d)
+
+    monkeypatch.setattr(partitions, "core_and_quotient", decomposing)
+    monkeypatch.setattr(unipotent, "combine", combining)
+    rep = hll_check_gl(12, 4)
+    assert not hasattr(unipotent, "core_and_quotient")
+    assert decomposed == []
+    assert combined == [(s.core, len(s.members), 4) for s in rep.series]
 
 
 def test_hll_validation():
