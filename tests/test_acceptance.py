@@ -10,7 +10,11 @@ weakened (see the failure messages for the counts and first witnesses).
 import time
 from math import factorial
 
-from oracles import tori_all_entries
+from oracles import (
+    blocks_sn_by_filter,
+    dhc_series_by_decomposition,
+    tori_all_entries,
+)
 from symblocks.blocks import (
     blocks_an,
     blocks_sn,
@@ -208,6 +212,23 @@ def test_criterion_09_series_agree_with_blocks():
             }
             assert series == from_blocks, (n, p)
     print("criterion 9: series partitions agree for n <= 20, p in (2, 3, 5)")
+
+
+def test_criterion_09_holds_between_the_oracles():
+    # dhc_series_gl and blocks_sn share one builder; the oracles share none:
+    # series group partitions by decomposing each one, blocks filter every
+    # partition for cores and build each member by itself
+    for n in range(1, 21):
+        for p in (2, 3, 5):
+            series = {
+                core: sorted(pi for pi, _ in members)
+                for core, members in dhc_series_by_decomposition(n, p)
+            }
+            from_blocks = {
+                b.label.core: sorted(m.partition for m in b.members)
+                for b in blocks_sn_by_filter(n, p)
+            }
+            assert series == from_blocks, (n, p)
 
 
 def test_criterion_10_tori_divisibility():

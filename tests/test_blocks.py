@@ -12,7 +12,6 @@ from oracles import (
     shift_symbol,
     symbol_hooks_by_membership,
 )
-from symblocks import cli
 from symblocks.algebra import UnprovenPrimeError, factorial_val, padic_val
 from symblocks.blocks import (
     ClassificationError,
@@ -24,6 +23,7 @@ from symblocks.blocks import (
     relative_hook_degree,
     to_json_record,
 )
+from symblocks.commands import verify_hook_formula
 from symblocks.partitions import (
     conjugate,
     core_and_quotient,
@@ -270,7 +270,7 @@ def test_hook_worker_decomposes_each_partition_once(p, monkeypatch):
 
     relative_hook_degree((1,), p)  # the memo now holds no partition of 10
     monkeypatch.setattr(blocks, "core_and_quotient", counting)
-    row, _, _ = cli._hook_worker((10, p))
+    row, _, _ = verify_hook_formula._worker((10, p))
     assert row["partitions"] == 42
     assert calls == [(pi, p) for pi in enumerate_partitions(10)]
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import pkgutil
 import stat
 import subprocess
 import sys
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symblocks import blocks, cli
+from symblocks import blocks, cli, commands
 from symblocks.algebra import ExactnessError
 from symblocks.blocks import ClassificationError
+from symblocks.commands import scan_blocks, verify_hook_formula, zsigmondy
 
 BASE = [sys.executable, "-m", "symblocks"]
 
@@ -25,6 +27,12 @@ def run(*args, env=None):
     return subprocess.run(
         BASE + list(args), capture_output=True, text=True, env=merged
     )
+
+
+def _subparsers() -> dict:
+    """Each subcommand's parser, by name, as cli builds them."""
+    command = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return command.choices
 
 
 def test_no_arguments_is_a_usage_error():
@@ -128,7 +136,7 @@ def test_internal_errors_exit_3(exc, monkeypatch, capsys):
     def fail(args):
         raise exc
 
-    monkeypatch.setattr(cli, "_cmd_zsigmondy", fail)
+    monkeypatch.setattr(zsigmondy, "report", fail)
     assert cli.main(["zsigmondy", "--q", "2", "--m", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -137,23 +145,24 @@ def test_internal_errors_exit_3(exc, monkeypatch, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize(
-    "handler, argv, inexact",
+    "command, argv, inexact",
     [
-        ("_cmd_zsigmondy", ["zsigmondy", "--q", "2", "--m", "3"], 0.5),
-        ("_cmd_unipotent", ["unipotent", "--n", "3"], Fraction(1, 3)),
+        ("zsigmondy", ["zsigmondy", "--q", "2", "--m", "3"], 0.5),
+        ("unipotent", ["unipotent", "--n", "3"], Fraction(1, 3)),
     ],
 )
 def test_an_inexact_number_in_a_record_exits_3(
-    handler, argv, inexact, fmt, monkeypatch, tmp_path, capsys
+    command, argv, inexact, fmt, monkeypatch, tmp_path, capsys
 ):
-    real = getattr(cli, handler)
+    module = cli._command(command)
+    real = module.report
 
     def with_inexact(args):
         report = real(args)
         report["records"][0]["value"] = inexact
         return report
 
-    monkeypatch.setattr(cli, handler, with_inexact)
+    monkeypatch.setattr(module, "report", with_inexact)
     argv = argv + ["--format", fmt]
     expected = (
         f"internal error: TypeError: Object of type {type(inexact).__name__} "
@@ -170,14 +179,14 @@ def test_an_inexact_number_in_a_record_exits_3(
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_a_record_left_in_a_report_exits_3(fmt, monkeypatch, capsys):
     # records are tuple subclasses; the writer must not pass one off as a list
-    real = cli._cmd_scan_blocks
+    real = scan_blocks.report
 
     def with_record(args):
         report = real(args)
         report["records"][0]["members"][0] = blocks.Member((1,), 1, 0)
         return report
 
-    monkeypatch.setattr(cli, "_cmd_scan_blocks", with_record)
+    monkeypatch.setattr(scan_blocks, "report", with_record)
     argv = ["scan-blocks", "--group", "sym", "--n-range", "1..1", "--p", "2",
             "--format", fmt]
     assert cli.main(argv) == 3
@@ -330,7 +339,7 @@ _TWO_SHARES = ["verify-hook-formula", "--n-max", "4", "--primes", "2,3"]
 
 
 def test_the_first_failing_key_is_raised_whichever_share_holds_it(monkeypatch, capsys):
-    real = cli._hook_worker
+    real = verify_hook_formula._worker
 
     def failing(key):
         # key (2, 3) falls to the child and comes before (3, 2), the parent's
@@ -338,7 +347,7 @@ def test_the_first_failing_key_is_raised_whichever_share_holds_it(monkeypatch, c
             raise ExactnessError(f"no exact quotient at {key}")
         return real(key)
 
-    monkeypatch.setattr(cli, "_hook_worker", failing)
+    monkeypatch.setattr(verify_hook_formula, "_worker", failing)
     _two_cpus(monkeypatch)
     assert cli.main(_TWO_SHARES + ["--jobs", "1"]) == 3
     serial = capsys.readouterr()
@@ -349,14 +358,14 @@ def test_the_first_failing_key_is_raised_whichever_share_holds_it(monkeypatch, c
 
 
 def test_a_child_that_dies_is_an_internal_error(monkeypatch, capsys):
-    real = cli._hook_worker
+    real = verify_hook_formula._worker
 
     def dying(key):
         if key[1] == 3:
             os._exit(9)
         return real(key)
 
-    monkeypatch.setattr(cli, "_hook_worker", dying)
+    monkeypatch.setattr(verify_hook_formula, "_worker", dying)
     _two_cpus(monkeypatch)
     assert cli.main(_TWO_SHARES + ["--jobs", "2"]) == 3
     captured = capsys.readouterr()
@@ -374,7 +383,7 @@ def test_an_interrupted_parent_kills_its_children(monkeypatch):
             time.sleep(60)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_hook_worker", interrupted)
+    monkeypatch.setattr(verify_hook_formula, "_worker", interrupted)
     _two_cpus(monkeypatch)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -454,16 +463,101 @@ def test_a_subcommand_loads_only_the_layers_it_runs(argv, loaded, absent, bare_m
     assert modules.isdisjoint(absent + ["json", "csv"])
     # records are NamedTuples: no process pays for dataclasses and inspect
     assert modules & {"dataclasses", "inspect"} <= bare_modules
+    # its own command module, and the --jobs helper only if it takes --jobs
+    subparser = _subparsers()[argv[0]]
+    takes_jobs = any(a.dest == "jobs" for a in subparser._actions)
+    assert {m for m in modules if m.startswith("symblocks.commands.")} == (
+        {f"symblocks.commands.{argv[0].replace('-', '_')}"}
+        | ({"symblocks.commands._jobs"} if takes_jobs else set())
+    )
+
+
+# what a fresh process has loaded when it exits, however cli.main ends
+_LOADED_AT_EXIT = """
+import atexit, sys
+atexit.register(lambda: print(" ".join(sorted(sys.modules)), file=sys.stderr))
+from symblocks import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["--help"], 0),
+        (["zsigmondy", "--help"], 0),
+        ([], 2),
+        (["zsigmondy", "--q", "1", "--m", "3"], 2),
+        (["verify-wreath", "--e-max", "2"], 2),
+    ],
+)
+def test_help_and_usage_errors_load_no_command_module(argv, status):
+    r = subprocess.run(
+        [sys.executable, "-c", _LOADED_AT_EXIT, *argv], capture_output=True, text=True
+    )
+    assert r.returncode == status
+    modules = r.stderr.splitlines()[-1].split()
+    assert "symblocks.cli" in modules
+    assert not [m for m in modules if m.startswith("symblocks.commands")]
+
+
+def test_every_subcommand_has_a_command_module():
+    """A subcommand added to the parser without its module fails here, not
+    with exit 3 at run time, and a module no subcommand runs fails too."""
+    names = _subparsers()
+    for name in names:
+        module = cli._command(name)
+        assert module.__name__ == f"symblocks.commands.{name.replace('-', '_')}"
+        for entry in ("report", "csv_rows", "table_lines"):
+            assert callable(getattr(module, entry, None)), (name, entry)
+    modules = {
+        m.name for m in pkgutil.iter_modules(commands.__path__)
+        if not m.name.startswith("_")
+    }
+    assert modules == {name.replace("-", "_") for name in names}
+
+
+# the JSON writer's str escapes, with the C accelerator or without it
+_JSON_ESCAPES = """
+import sys
+if sys.argv[1] == "without":
+    sys.modules["_json"] = None
+from symblocks import cli
+status = cli.main(sys.argv[2:])
+print("json" in sys.modules, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-hook-formula", "--n-max", "8", "--primes", "2,3"],
+        ["zsigmondy", "--q", "2", "--m", "6"],
+    ],
+)
+def test_json_without_the_c_accelerator_prints_the_same_bytes(argv):
+    argv = argv + ["--format", "json"]
+    c, python = (
+        subprocess.run(
+            [sys.executable, "-c", _JSON_ESCAPES, side, *argv], capture_output=True
+        )
+        for side in ("with", "without")
+    )
+    assert c.stdout and (c.stdout, c.returncode) == (python.stdout, python.returncode)
+    # the C function is taken without importing json; the fallback imports it
+    assert (c.stderr, python.stderr) == (b"False\n", b"True\n")
 
 
 _LAYERS_AT_FORK = """
 import sys
 from symblocks import cli
-real = cli._parallel_map
+from symblocks.commands import _jobs
+real = _jobs.parallel_map
 def spy(fn, keys, jobs):
     print(" ".join(sorted(sys.modules)), file=sys.stderr)
     return real(fn, keys, jobs)
-cli._parallel_map = spy
+_jobs.parallel_map = spy
 cli.main(sys.argv[1:])
 """
 
@@ -627,10 +721,10 @@ def test_verify_hook_formula_lists_the_first_exceptions_in_key_order(
     still counts them all, and the listed ones are the first in key order."""
     argv = ["verify-hook-formula", "--n-max", "9", "--primes", "2,3",
             "--format", "json"]
-    monkeypatch.setattr(cli, "EXCEPTION_DETAIL_CAP", 10**6)
+    monkeypatch.setattr(verify_hook_formula, "EXCEPTION_DETAIL_CAP", 10**6)
     assert cli.main(argv) == 1
     full = json.loads(capsys.readouterr().out)
-    monkeypatch.setattr(cli, "EXCEPTION_DETAIL_CAP", cap)
+    monkeypatch.setattr(verify_hook_formula, "EXCEPTION_DETAIL_CAP", cap)
     assert cli.main(argv) == 1
     capped = json.loads(capsys.readouterr().out)
     assert capped["records"] == full["records"]
