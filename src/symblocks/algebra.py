@@ -1,8 +1,9 @@
 """Exact arithmetic substrate: integers, dense polynomials, cyclotomic fields.
 
 Everything here is exact. `Poly` coefficients and `CycElt` coordinates (vectors
-modulo the monic n-th cyclotomic polynomial) are kept as given, so integer
-polynomials and cyclotomic integers stay `int` through sums, products and powers.
+modulo the monic n-th cyclotomic polynomial) are kept as given: integer
+polynomials stay `int` through products and exact quotients (a `Poly` has
+no sums or powers), cyclotomic integers through sums, products and powers.
 A `fractions.Fraction` is made only by the inverse's division by its rational
 norm, which the program reaches through the one `/` in `root_monomial`, by
 that function's division by an integer denominator, by `CycElt.__hash__` and
@@ -252,6 +253,7 @@ class _Frozen:
 class Poly(_Frozen):
     """A univariate polynomial with exact coefficients, kept as given.
 
+    It has products, division and evaluation, but no sums or powers.
     Coefficients are stored low degree first; the zero polynomial has an
     empty coefficient tuple.  A Poly is immutable (`cyclotomic_poly` hands
     out cached ones) and equals only another Poly.
@@ -307,24 +309,6 @@ class Poly(_Frozen):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(_strip(out))
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -337,24 +321,13 @@ class Poly(_Frozen):
                         out[i + j] += ca * cb
         return Poly(_strip(out))
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return Poly((0,) * k + self.coeffs)
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError(f"negative power {n} of a polynomial")
-        return _power(self, n) if n else Poly.one()
-
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder by a divisor with leading coefficient +-1."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         lead = other.coeffs[-1]
         if lead not in (1, -1):
-            raise ExactnessError(f"leading coefficient of {other} is not 1 or -1")
+            raise ExactnessError(f"leading coefficient of {other.coeffs} is not 1 or -1")
         rem = list(self.coeffs)
         d = other.degree
         q = [0] * max(0, len(rem) - d)
@@ -372,7 +345,7 @@ class Poly(_Frozen):
         """Division known to be exact; raises ExactnessError on a remainder."""
         q, r = self.divrem(other)
         if not r.is_zero():
-            raise ExactnessError(f"inexact polynomial division (remainder {r})")
+            raise ExactnessError(f"inexact polynomial division (remainder {r.coeffs})")
         return q
 
     def __mod__(self, other: "Poly") -> "Poly":
@@ -384,21 +357,6 @@ class Poly(_Frozen):
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(reversed(parts))
 
 
 def divisors(n: int) -> list[int]:
@@ -425,10 +383,10 @@ def cyclotomic_poly(n: int) -> Poly:
     Computed by dividing x**n - 1 by the cyclotomic polynomials of the
     proper divisors of n.
 
-    >>> print(cyclotomic_poly(1))
-    x + -1
-    >>> print(cyclotomic_poly(6))
-    x^2 + -1*x + 1
+    >>> cyclotomic_poly(1).coeffs
+    (-1, 1)
+    >>> cyclotomic_poly(6).coeffs
+    (1, -1, 1)
     >>> cyclotomic_poly(6)(2) == cyclotomic_poly(2)(2) == 3
     True
     """
@@ -582,7 +540,7 @@ class CycElt(_Frozen):
     @staticmethod
     def root(order: int, k: int = 1) -> "CycElt":
         """zeta_order ** k."""
-        return CycElt.from_poly(order, Poly.one().shift(k % order))
+        return CycElt.from_poly(order, Poly((0,) * (k % order) + (1,)))
 
     # predicates -------------------------------------------------------
 
@@ -660,9 +618,6 @@ class CycElt(_Frozen):
         if o is NotImplemented:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, n: int) -> "CycElt":
         if n < 0:

@@ -459,10 +459,10 @@ def gl_degree_poly(pi: Partition) -> Poly:
     quotient's coefficients obey q[j] = q[j-h] - c[j].  A division that
     leaves a remainder raises ExactnessError.
 
-    >>> print(gl_degree_poly((1, 1)))
-    x
-    >>> print(gl_degree_poly((2,)))
-    1
+    >>> gl_degree_poly((1, 1)).coeffs
+    (0, 1)
+    >>> gl_degree_poly((2,)).coeffs
+    (1,)
     """
     check_partition(pi)
     # excess[k] is the net exponent of x^k - 1 once the hooks have cancelled

@@ -64,8 +64,8 @@ class DegreePolyEntry(NamedTuple):
 def unipotent_degrees_gl(n: int) -> tuple[DegreePolyEntry, ...]:
     """Degree polynomial for every partition of n, in enumeration order.
 
-    >>> [str(e.poly) for e in unipotent_degrees_gl(2)]
-    ['1', 'x']
+    >>> [e.poly.coeffs for e in unipotent_degrees_gl(2)]
+    [(1,), (0, 1)]
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -18,26 +18,29 @@ points check the oracle against `schur_linear`.
 `blocks_sn_by_filter` is the p-block scan that `symblocks.blocks.blocks_sn`
 replaced: it finds cores by testing every partition with `is_p_core`,
 builds each member with `combine_by_components`, one member at a time, and
-takes its degree from its cell-by-cell hook lengths, then builds and
-classifies each block with the library's `_sym_block`.  So it shares neither
-the per-block `combine` nor the level table with the scan it checks.
+takes its degree from its cell-by-cell hook lengths (`degree_by_cells`),
+then builds and classifies each block with the library's `_sym_block`.  So
+it shares neither the per-block `combine` nor the level table with the scan
+it checks.
 `blocks_an_by_selection` is the alternating scan that `blocks_an` replaced:
 it builds every symmetric block with `blocks_sn` and keeps the smaller core
 of each conjugate pair.
 
 The relative hook formula is checked against the paths that
 `symblocks.blocks.relative_hook_degree` replaced: `core_and_quotient_by_sorting`
-reads the core and every quotient component off the abacus through the
-sorting `partition_from_beta`; `symbol_hooks_by_membership` finds the symbol
-hooks by testing every t <= s against each row; and
+places the beads on an abacus of its own and reads the core and every
+quotient component off it through the sorting `partition_from_beta`;
+`symbol_hooks_by_membership` finds the symbol hooks by testing every
+t <= s against each row; and
 `relative_hook_degree_by_symbol_hooks` multiplies |p*l + c_i - c_j| over
 those hooks one at a time, with no per-quotient table.
 
 `gl_degree_poly_by_cyclotomic_exponents` is the degree polynomial that
 `symblocks.partitions.gl_degree_poly` replaced: x**b(pi) times each Phi_d
 raised to floor(n/d) minus the number of hooks that d divides, multiplied
-out with `Poly` products, where the library cancels hooks against the
-factors x^k - 1 and multiplies and divides by the rest on integer lists.
+out one `Poly` product per factor from the coefficient tuple of x**b,
+where the library cancels hooks against the factors x^k - 1 and
+multiplies and divides by the rest on integer lists.
 
 `dhc_series_by_decomposition` is the series grouping that
 `symblocks.unipotent._series_with_quotients` replaced: it decomposes every
@@ -77,11 +80,12 @@ only by `schur_value_by_factors`: at v = 1 the library's tally never needs
 it.
 
 `tori_entry_by_binomials` is the torus table that
-`symblocks.unipotent.tori_entry` replaced: it builds each order from sums,
-products and exact quotients of x^k - 1 and x^k + 1 (`_x_pow_plus_one`),
-and enters each Zsigmondy index m1, m2 by hand, where the library
-multiplies the cyclotomic polynomials of a list of indices and takes the
-largest.  `tori_all_entries` lists every torus table row up to a rank, and
+`symblocks.unipotent.tori_entry` replaced: it builds each order from
+products and exact quotients of x^k - 1 and x^k + 1 (`_x_pow_plus_one`,
+entered as a coefficient tuple), with no sums, and enters each Zsigmondy
+index m1, m2 by hand, where the library multiplies the cyclotomic
+polynomials of a list of indices and takes the largest.
+`tori_all_entries` lists every torus table row up to a rank, and
 `speceq_identity_holds` rechecks a `SpeceqWitness` from scratch, its
 identity and the part_a, part_b and full_support verdicts the search stored.
 `strip_primes_by_list` is the prime stripping that
@@ -127,7 +131,6 @@ from symblocks.blocks import (
 )
 from symblocks.partitions import (
     Partition,
-    _abacus_levels,
     b_statistic,
     beta_set,
     check_partition,
@@ -231,9 +234,34 @@ def blocks_sn_by_filter(n: int, p: int) -> tuple[BlockData, ...]:
         pairs = []
         for nu in enumerate_multipartitions(p, w):
             pi = combine_by_components(core, nu, p)
-            pairs.append((pi, factorial(n) // prod(hook_lengths(pi))))
+            pairs.append((pi, degree_by_cells(pi)))
         out.append(_sym_block(n, p, core, w, pairs))
     return tuple(out)
+
+
+def hook_lengths_by_cells(pi: Partition) -> list[int]:
+    """The hook length of every cell (i, j) of pi, ascending: its arm
+    pi_i - j - 1, plus its leg, the rows below i that reach column j, plus 1.
+
+    >>> hook_lengths_by_cells((3, 1))
+    [1, 1, 2, 4]
+    """
+    cols = conjugate_by_counting(pi)
+    return sorted(
+        part - j + cols[j] - i - 1 for i, part in enumerate(pi) for j in range(part)
+    )
+
+
+def degree_by_cells(pi: Partition) -> int:
+    """n! over the product of `hook_lengths_by_cells`.
+
+    >>> degree_by_cells((2, 2)), degree_by_cells((3, 1))
+    (2, 3)
+    """
+    q, rem = divmod(factorial(sum(pi)), prod(hook_lengths_by_cells(pi)))
+    if rem:
+        raise ExactnessError(f"the hook product of {pi} does not divide |{pi}|!")
+    return q
 
 
 def blocks_an_by_selection(n: int, p: int) -> tuple[BlockData, ...]:
@@ -265,12 +293,20 @@ def core_and_quotient_by_sorting(
 ) -> tuple[Partition, tuple[Partition, ...], int]:
     """p-core, p-quotient and weight, each read off the abacus by sorting.
 
+    The beads are placed here: m beads, m the least multiple of p at or
+    above the number of parts, row i's bead at pi_i + m - 1 - i (rows past
+    the last part are zero), on runner b % p at level b // p.
+
     >>> core_and_quotient_by_sorting((3, 1), 2)
     ((), ((2,), ()), 2)
     """
     if p < 1:
         raise ValueError("need p >= 1")
-    runners = _abacus_levels(pi, p)
+    m = -(-len(pi) // p) * p
+    runners: list[list[int]] = [[] for _ in range(p)]
+    for i, part in enumerate(pi + (0,) * (m - len(pi))):
+        b = part + m - 1 - i
+        runners[b % p].append(b // p)
     core_beta = [
         i + p * lvl for i, levels in enumerate(runners) for lvl in range(len(levels))
     ]
@@ -363,12 +399,13 @@ def gl_degree_poly_by_cyclotomic_exponents(pi: Partition) -> Poly:
     number of hook lengths divisible by d; built without division."""
     n = sum(pi)
     hooks = hook_lengths(pi)
-    poly = Poly.one().shift(b_statistic(pi))
+    poly = Poly((0,) * b_statistic(pi) + (1,))
     for d in range(1, n + 1):
         e = n // d - sum(1 for h in hooks if h % d == 0)
         if e < 0:
             raise ExactnessError(f"Phi_{d} has exponent {e} in the degree of {pi}")
-        poly = poly * cyclotomic_poly(d) ** e
+        for _ in range(e):
+            poly = poly * cyclotomic_poly(d)
     return poly
 
 
@@ -419,13 +456,13 @@ def hll_check_gl_by_stripping(n: int, d: int) -> HllReport:
 
 
 def _x_pow_plus_one(k: int) -> Poly:
-    return Poly.one().shift(k) + Poly.one()
+    return Poly((1,) + (0,) * (k - 1) + (1,))
 
 
 def tori_entry_by_binomials(series: str, n: int) -> ToriEntry:
-    """The torus order pair of `tori_entry`, built from sums, products and
-    exact quotients of x^k - 1 and x^k + 1, with each Zsigmondy index
-    entered by hand beside its order.
+    """The torus order pair of `tori_entry`, built from products and exact
+    quotients of x^k - 1 and x^k + 1, with each Zsigmondy index entered by
+    hand beside its order.
 
     A needs n >= 1, 2A and B/C need n >= 2, D and 2D need n >= 4, and the
     exceptional rows have fixed rank.  Unknown series raise ValueError.

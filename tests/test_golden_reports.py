@@ -6,7 +6,12 @@ One entry per subcommand is replayed here in-process with --jobs 1 (the
 recorder checks that --jobs does not change the bytes), so a refactor that
 changes any report byte or exit status fails the suite.  The one --jobs 2
 command is also run as its own process, with two workers where the host has
-two CPUs.
+two CPUs.  The refutations of the three commands that exit 1 are derived
+again by the oracles of `tests/oracles.py`: each listed verify-hook-formula
+exception from `core_and_quotient_by_sorting`, cell-by-cell degrees and
+`Fraction` ratios, and each hll-check failure from
+`hll_check_gl_by_stripping`, so no exit status of 1 rests only on the path
+that printed it.
 
 PARENT_RECORDED covers the paths the benchmark does not reach: hll-check at
 d = 1 and d = 2 (rational roots of unity) and at d = 5 and d = 6, verify-wreath
@@ -100,11 +105,19 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 
-from symblocks import blocks, cli
+from oracles import (
+    core_and_quotient_by_sorting,
+    degree_by_cells,
+    enumerate_partitions_by_recursion,
+    hll_check_gl_by_stripping,
+)
+from symblocks import blocks, cli, partitions
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text(
@@ -124,15 +137,89 @@ REPLAYED = (
 )
 
 
-@pytest.mark.parametrize("line", REPLAYED)
-def test_report_matches_golden(line, capsys):
+def _replay(line, capsys):
+    """Exit status and JSON stdout of a benchmark command run in process with
+    --jobs 1."""
     argv = line.split()
     if "--jobs" in argv:
         argv[argv.index("--jobs") + 1] = "1"
     status = cli.main(argv + ["--format", "json"])
-    out = capsys.readouterr().out
+    return status, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", REPLAYED)
+def test_report_matches_golden(line, capsys):
+    status, out = _replay(line, capsys)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[line]["sha256"]
     assert status == GOLDEN[line]["exit"]
+
+
+def _congruence_exception(n: int, p: int, pi) -> dict | None:
+    """The hook-formula exception record of pi at p, or None when the
+    congruence holds, from the oracles alone."""
+    core, quotient, w = core_and_quotient_by_sorting(pi, p)
+    ratio = Fraction(degree_by_cells(pi), degree_by_cells(core))
+    wreath = factorial(w) * prod(map(degree_by_cells, quotient))
+    wreath //= prod(factorial(sum(nu)) for nu in quotient)
+    rhs = wreath % p
+    lhs = None
+    if ratio.denominator % p:
+        lhs = ratio.numerator * pow(ratio.denominator, -1, p) % p
+        if lhs in (rhs, -rhs % p):
+            return None
+    partition = json.dumps(list(pi), separators=(",", ":"))
+    return {"n": n, "p": p, "partition": partition, "ratio": str(ratio),
+            "lhs": lhs, "rhs": rhs}
+
+
+def test_hook_formula_refutations_are_found_again_by_the_oracles(capsys):
+    """Each congruence exception that the exit-1 benchmark report lists is
+    derived again, in key order, from the core and quotient of
+    `core_and_quotient_by_sorting` and cell-by-cell hook products."""
+    line = REPLAYED[0]
+    status, out = _replay(line, capsys)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[line]["sha256"]
+    report = json.loads(out)
+    listed = report["refutations"]
+    assert status == 1 and report["summary"]["equality_failures"] == 0
+    assert len(listed) == report["summary"]["exceptions_listed"] > 0
+    found = []
+    for n in range(1, report["parameters"]["n_max"] + 1):
+        if len(found) >= len(listed):
+            break
+        for p in report["parameters"]["primes"]:
+            for pi in enumerate_partitions_by_recursion(n):
+                exception = _congruence_exception(n, p, pi)
+                if exception is not None:
+                    found.append(exception)
+    assert found[: len(listed)] == listed
+
+
+@pytest.mark.parametrize("line", ["hll-check --n 12 --d 4", "hll-check --n 12 --d 3"])
+def test_hll_refutations_are_found_again_by_stripping(line, capsys):
+    """The failing members of each exit-1 hll-check benchmark report are
+    exactly those of `hll_check_gl_by_stripping`, field for field."""
+    status, out = _replay(line, capsys)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[line]["sha256"]
+    report = json.loads(out)
+    fmt = partitions.format_partition
+    expected = [
+        {
+            "core": fmt(series.core),
+            "partition": fmt(m.partition),
+            "quotient": [fmt(c) for c in m.quotient],
+            "constant": None if m.constant is None else str(m.constant),
+            "display": m.constant_str,
+            "expected": m.expected,
+            "ok": False,
+            "reason": m.reason,
+        }
+        for series in hll_check_gl_by_stripping(**report["parameters"]).series
+        for m in series.members
+        if not m.ok
+    ]
+    assert status == 1 and expected
+    assert report["refutations"] == expected
 
 
 def test_the_benchmarks_jobs_command_matches_golden():

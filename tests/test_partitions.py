@@ -12,6 +12,7 @@ from oracles import (
     core_and_quotient_by_sorting,
     enumerate_partitions_by_recursion,
     gl_degree_poly_by_cyclotomic_exponents,
+    hook_lengths_by_cells,
     partition_from_beta,
     relative_hook_degree_by_symbol_hooks,
 )
@@ -190,28 +191,17 @@ def test_conjugate_involution_and_duals():
 # hooks and degrees
 
 
-def _hooks_oracle(pi):
-    out = []
-    cols = conjugate(pi)
-    for i, part in enumerate(pi):
-        for j in range(part):
-            arm = part - (j + 1)
-            leg = cols[j] - (i + 1)
-            out.append(arm + leg + 1)
-    return sorted(out)
-
-
 def test_hook_lengths_cell_oracle():
     for n in range(1, 21):
         for pi in enumerate_partitions(n):
-            assert sorted(hook_lengths(pi)) == _hooks_oracle(pi)
+            assert sorted(hook_lengths(pi)) == hook_lengths_by_cells(pi)
 
 
 def test_degree_hook_formula_consistency():
     # the row-by-row beta-set product against the cell-by-cell hooks
     for n in range(1, 21):
         for pi in enumerate_partitions(n):
-            assert degree(pi) * prod(_hooks_oracle(pi)) == factorial(n)
+            assert degree(pi) * prod(hook_lengths_by_cells(pi)) == factorial(n)
 
 
 def test_degree_matches_tableau_count():
@@ -428,8 +418,8 @@ def test_b_statistic():
 
 
 def test_gl_degree_poly_known_values():
-    assert str(gl_degree_poly((2,))) == "1"
-    assert str(gl_degree_poly((1, 1))) == "x"
+    assert gl_degree_poly((2,)).coeffs == (1,)
+    assert gl_degree_poly((1, 1)).coeffs == (0, 1)
     p21 = gl_degree_poly((2, 1))
     assert p21(1) == 2 and p21(2) == 6
 
