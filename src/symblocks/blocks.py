@@ -78,7 +78,11 @@ class BlockData(NamedTuple):
         return tuple(m.degree for m in self.height_zero)
 
 
+@lru_cache(maxsize=None, typed=True)
 def _check_prime(p: int) -> None:
+    """Raise ValueError unless p is prime.  An accepted p is memoised; a
+    rejected p raises again on every call, since a raised call is never
+    cached."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
@@ -147,16 +151,30 @@ def _decompose(pi: Partition, p: int) -> tuple[Partition, tuple[Partition, ...],
 @lru_cache(maxsize=None)
 def _quotient_table(
     quotient: tuple[Partition, ...],
-) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]:
-    """The symbol hooks of a p-quotient, grouped by row pair, and its
-    wreath-product degree.
+) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """The symbol hooks of a p-quotient as flat (i, j, p*length) triples,
+    and its wreath-product degree.
 
     The hooks (i, j, length) of the symbol depend on the quotient alone;
     the core only enters the hook formula through the offsets c_i - c_j.
-    So both checks share one table per quotient: its symbol_hooks, one
-    (i, j, lengths) per row pair, plus wreath_degree(quotient).
+    So both checks share one table per quotient: one triple per hook of
+    symbol_hooks, in its order, with p = len(quotient) multiplied in, plus
+    wreath_degree(quotient).
     """
-    return tuple(symbol_hooks(symbol_of(quotient))), wreath_degree(quotient)
+    p = len(quotient)
+    hooks = tuple(
+        (i, j, p * length)
+        for i, j, lengths in symbol_hooks(symbol_of(quotient))
+        for length in lengths
+    )
+    return hooks, wreath_degree(quotient)
+
+
+@lru_cache(maxsize=None)
+def _core_offsets(core: Partition, p: int) -> tuple[int, ...]:
+    """The offsets c_i = p*b_i + i of the hook formula, from the runner bead
+    counts b of the p-core; every partition of the block reads them."""
+    return tuple(p * b + i for i, b in enumerate(runner_bead_counts(core, p)))
 
 
 def relative_hook_degree(pi: Partition, p: int) -> int:
@@ -165,10 +183,11 @@ def relative_hook_degree(pi: Partition, p: int) -> int:
     n!/r! divided by the product over all hooks (i, j, l) of the p-symbol of
     the p-quotient of |p*l + c_i - c_j|, times the degree of the core
     (r = |core|, c_i = p*b_i + i from the runner bead counts b of the core;
-    Olsson 1993, James-Kerber 1981, 2.7).  The hook lengths come from the
-    quotient's cached table, grouped by row pair, so c_i - c_j is taken
-    once per pair.  Always equals degree(pi); a zero factor or an inexact
-    division raises ExactnessError.
+    Olsson 1993, James-Kerber 1981, 2.7).  The triples (i, j, p*l) come
+    from the quotient's cached table and the offsets from the core's, and
+    the factors are multiplied in one pass over the table.  Always equals
+    degree(pi); a zero factor or an inexact division raises
+    ExactnessError.
 
     >>> relative_hook_degree((3, 1), 2)
     3
@@ -176,12 +195,9 @@ def relative_hook_degree(pi: Partition, p: int) -> int:
     core, quotient, w = _decompose(pi, p)
     if w == 0:
         return degree(core)
-    c = [p * b + i for i, b in enumerate(runner_bead_counts(core, p))]
-    pairs, _ = _quotient_table(quotient)
-    hooks = 1
-    for i, j, lengths in pairs:
-        d = c[i] - c[j]
-        hooks *= prod([abs(p * length + d) for length in lengths])
+    c = _core_offsets(core, p)
+    table, _ = _quotient_table(quotient)
+    hooks = prod([abs(x + c[i] - c[j]) for i, j, x in table])
     if hooks == 0:
         raise ExactnessError("zero hook factor")
     num = (factorial(sum(pi)) // factorial(sum(core))) * degree(core)

@@ -42,6 +42,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 from math import factorial, prod
+from operator import lt
 
 from .algebra import ExactnessError, Poly
 
@@ -49,10 +50,15 @@ Partition = tuple[int, ...]
 
 
 def check_partition(pi: Partition) -> None:
-    """Raise ValueError unless pi is weakly decreasing with positive parts."""
-    if any(x <= 0 for x in pi):
+    """Raise ValueError unless pi is weakly decreasing with positive parts.
+
+    Both tests run inside builtins, the smallest part first and then each
+    part against the next, so a partition with a part below 1 is named for
+    that part even when its parts also rise.
+    """
+    if min(pi, default=1) <= 0:
         raise ValueError(f"parts must be positive: {pi}")
-    if any(pi[i] < pi[i + 1] for i in range(len(pi) - 1)):
+    if any(map(lt, pi, pi[1:])):
         raise ValueError(f"parts must be weakly decreasing: {pi}")
 
 
@@ -255,11 +261,20 @@ def beta_set(pi: Partition, beads: int) -> tuple[int, ...]:
 
 
 def _abacus_levels(pi: Partition, p: int) -> list[list[int]]:
-    """Bead levels per runner under the fixed bead-count convention."""
-    m = -(-len(pi) // p) * p
-    runners: list[list[int]] = [[] for _ in range(p)]
-    for b in beta_set(pi, m):
-        runners[b % p].append(b // p)
+    """Bead levels per runner under the fixed bead-count convention, each
+    runner's levels ascending.
+
+    The pad = -len(pi) % p padding beads sit at level 0 of runners
+    0..pad-1.  Counted from the bottom row, starting at j = pad, row j's
+    bead part + j goes on runner r at level q with q, r = divmod(part + j,
+    p).  The beads rise row by row, so each runner fills in ascending
+    order, and no beta-set is built.
+    """
+    pad = -len(pi) % p
+    runners = [[0] for _ in range(pad)] + [[] for _ in range(p - pad)]
+    for j, part in enumerate(reversed(pi), pad):
+        q, r = divmod(part + j, p)
+        runners[r].append(q)
     return runners
 
 

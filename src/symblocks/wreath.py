@@ -31,6 +31,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import ge
 
 from .algebra import CycElt, ExactnessError, root_monomial
 from .partitions import Partition, beta_set, degree, enumerate_partitions
@@ -65,15 +66,21 @@ def enumerate_multipartitions(e: int, r: int) -> tuple[Multipartition, ...]:
 
 
 def check_symbol(sym: ESymbol) -> None:
+    """Raise ValueError unless sym has at least one row and its rows are of
+    one length, non-negative and strictly increasing.
+
+    Row by row, the length is tested first, then the smallest entry and
+    then each entry against the next, the last two inside builtins.
+    """
     if not sym:
         raise ValueError("a symbol needs at least one row")
     m = len(sym[0])
     for row in sym:
         if len(row) != m:
             raise ValueError("rows must all have the same length")
-        if any(x < 0 for x in row):
+        if min(row, default=0) < 0:
             raise ValueError("entries must be non-negative")
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+        if any(map(ge, row, row[1:])):
             raise ValueError("rows must be strictly increasing")
 
 

@@ -27,13 +27,16 @@ it builds every symmetric block with `blocks_sn` and keeps the smaller core
 of each conjugate pair.
 
 The relative hook formula is checked against the paths that
-`symblocks.blocks.relative_hook_degree` replaced: `core_and_quotient_by_sorting`
-places the beads on an abacus of its own and reads the core and every
-quotient component off it through the sorting `partition_from_beta`;
+`symblocks.blocks.relative_hook_degree` replaced: `abacus_by_rows` places
+the beads on an abacus of its own, row by row from the top, and
+`core_and_quotient_by_sorting` reads the core and every quotient component
+off it through the sorting `partition_from_beta`;
 `symbol_hooks_by_membership` finds the symbol hooks by testing every
 t <= s against each row; and
 `relative_hook_degree_by_symbol_hooks` multiplies |p*l + c_i - c_j| over
-those hooks one at a time, with no per-quotient table.
+those hooks one at a time, with no per-quotient table, and counts the
+core's beads per runner on the same abacus (`bead_counts_by_rows`), not
+with the library's `runner_bead_counts`.
 
 `gl_degree_poly_by_cyclotomic_exponents` is the degree polynomial that
 `symblocks.partitions.gl_degree_poly` replaced: x**b(pi) times each Phi_d
@@ -57,9 +60,10 @@ of unity.
 `conjugate_by_counting` is the transpose that
 `symblocks.partitions.conjugate` replaced: it counts the parts that reach
 each column.  `combine_by_components` is the inverse of
-`core_and_quotient` that `symblocks.partitions.combine` replaced: it builds
-each runner's beta-set as a tuple with `beta_set`, padded for the one
-member it builds, and recovers the partition from all the beads with
+`core_and_quotient` that `symblocks.partitions.combine` replaced: it counts
+the core's beads per runner with `bead_counts_by_rows`, builds each
+runner's beta-set as a tuple with `beta_set`, padded for the one member it
+builds, and recovers the partition from all the beads with
 `partition_from_beta`, which sorts any beta-set and takes a part at every
 entry; the library builds a whole block with one padding, only reads
 beta-sets it builds in ascending order, and reads them from the top bead
@@ -141,7 +145,6 @@ from symblocks.partitions import (
     gl_degree_poly,
     hook_lengths,
     is_p_core,
-    runner_bead_counts,
 )
 from symblocks.unipotent import (
     HllReport,
@@ -288,25 +291,42 @@ def blocks_an_by_selection(n: int, p: int) -> tuple[BlockData, ...]:
     return tuple(out)
 
 
+def abacus_by_rows(pi: Partition, p: int) -> list[list[int]]:
+    """The bead levels of each runner, ascending, placed row by row from the
+    top: m beads, m the least multiple of p at or above the number of parts,
+    row i's bead at pi_i + m - 1 - i (rows past the last part are zero), on
+    runner b % p at level b // p.
+
+    >>> abacus_by_rows((3, 1), 2)
+    [[2], [0]]
+    >>> abacus_by_rows((2,), 3)
+    [[0], [0, 1], []]
+    """
+    m = -(-len(pi) // p) * p
+    runners: list[list[int]] = [[] for _ in range(p)]
+    for i, part in enumerate(pi + (0,) * (m - len(pi))):
+        b = part + m - 1 - i
+        runners[b % p].append(b // p)
+    return [sorted(levels) for levels in runners]
+
+
+def bead_counts_by_rows(core: Partition, p: int) -> list[int]:
+    """The number of beads on each runner of `abacus_by_rows`."""
+    return [len(levels) for levels in abacus_by_rows(core, p)]
+
+
 def core_and_quotient_by_sorting(
     pi: Partition, p: int
 ) -> tuple[Partition, tuple[Partition, ...], int]:
-    """p-core, p-quotient and weight, each read off the abacus by sorting.
-
-    The beads are placed here: m beads, m the least multiple of p at or
-    above the number of parts, row i's bead at pi_i + m - 1 - i (rows past
-    the last part are zero), on runner b % p at level b // p.
+    """p-core, p-quotient and weight, each read off the abacus of
+    `abacus_by_rows` by sorting.
 
     >>> core_and_quotient_by_sorting((3, 1), 2)
     ((), ((2,), ()), 2)
     """
     if p < 1:
         raise ValueError("need p >= 1")
-    m = -(-len(pi) // p) * p
-    runners: list[list[int]] = [[] for _ in range(p)]
-    for i, part in enumerate(pi + (0,) * (m - len(pi))):
-        b = part + m - 1 - i
-        runners[b % p].append(b // p)
+    runners = abacus_by_rows(pi, p)
     core_beta = [
         i + p * lvl for i, levels in enumerate(runners) for lvl in range(len(levels))
     ]
@@ -342,7 +362,7 @@ def combine_by_components(
         raise ValueError(f"quotient must have exactly {p} components")
     if not is_p_core(core, p):
         raise ValueError(f"{core} has a hook length divisible by {p}")
-    counts = runner_bead_counts(core, p)
+    counts = bead_counts_by_rows(core, p)
     extra = max([len(nu) - c for nu, c in zip(quotient, counts)] + [0])
     final_beta = [
         i + p * lvl
@@ -380,7 +400,7 @@ def relative_hook_degree_by_symbol_hooks(pi: Partition, p: int) -> int:
     core, quotient, w = core_and_quotient_by_sorting(pi, p)
     if w == 0:
         return degree(core)
-    c = [p * b + i for i, b in enumerate(runner_bead_counts(core, p))]
+    c = [p * b + i for i, b in enumerate(bead_counts_by_rows(core, p))]
     hooks = prod(
         abs(p * length + c[i] - c[j])
         for i, j, length in symbol_hooks_by_membership(symbol_of(quotient))

@@ -25,6 +25,7 @@ from symblocks.blocks import (
 )
 from symblocks.commands import verify_hook_formula
 from symblocks.partitions import (
+    check_partition,
     conjugate,
     core_and_quotient,
     degree,
@@ -32,6 +33,7 @@ from symblocks.partitions import (
     is_self_dual,
 )
 from symblocks.wreath import (
+    check_symbol,
     enumerate_multipartitions,
     symbol_hooks,
     symbol_of,
@@ -301,6 +303,41 @@ def test_cached_decomposition_still_validates():
     assert quotient_congruence((3, 1), 2).holds
     with pytest.raises(ValueError):
         quotient_congruence((3, 1), 4)
+
+
+# (check, arguments, exception type, message), recorded from the validators
+# that tested each entry in a Python loop; (3, -1) has a negative part and a
+# rise, and must name the part, the first of the two checks
+VALIDATION_ERRORS = [
+    (check_partition, ((0,),), ValueError, "parts must be positive: (0,)"),
+    (check_partition, ((2, 0),), ValueError, "parts must be positive: (2, 0)"),
+    (check_partition, ((1, 2),), ValueError,
+     "parts must be weakly decreasing: (1, 2)"),
+    (check_partition, ((3, -1),), ValueError, "parts must be positive: (3, -1)"),
+    (check_partition, ((-1, 2),), ValueError, "parts must be positive: (-1, 2)"),
+    (check_symbol, ((),), ValueError, "a symbol needs at least one row"),
+    (check_symbol, (((0, 1), (0,)),), ValueError,
+     "rows must all have the same length"),
+    (check_symbol, (((1, 1),),), ValueError, "rows must be strictly increasing"),
+    (check_symbol, (((-1, 0),),), ValueError, "entries must be non-negative"),
+    (check_symbol, (((3, -1),),), ValueError, "entries must be non-negative"),
+    (check_symbol, (((2, 1),),), ValueError, "rows must be strictly increasing"),
+    (relative_hook_degree, ((1, 2), 3), ValueError,
+     "parts must be weakly decreasing: (1, 2)"),
+    (relative_hook_degree, ((2, 1), 4), ValueError, "p must be prime, got 4"),
+    (quotient_congruence, ((1, 2), 3), ValueError,
+     "parts must be weakly decreasing: (1, 2)"),
+    (quotient_congruence, ((2, 1), 4), ValueError, "p must be prime, got 4"),
+]
+
+
+@pytest.mark.parametrize("check,args,error,message", VALIDATION_ERRORS)
+def test_validators_keep_their_errors(check, args, error, message):
+    # twice: a rejected input is rejected again, not served from a cache
+    for _ in range(2):
+        with pytest.raises(Exception) as info:
+            check(*args)
+        assert (type(info.value), str(info.value)) == (error, message)
 
 
 # ---------------------------------------------------------------------------

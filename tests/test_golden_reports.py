@@ -8,10 +8,12 @@ changes any report byte or exit status fails the suite.  The one --jobs 2
 command is also run as its own process, with two workers where the host has
 two CPUs.  The refutations of the three commands that exit 1 are derived
 again by the oracles of `tests/oracles.py`: each listed verify-hook-formula
-exception from `core_and_quotient_by_sorting`, cell-by-cell degrees and
-`Fraction` ratios, and each hll-check failure from
-`hll_check_gl_by_stripping`, so no exit status of 1 rests only on the path
-that printed it.
+exception, and the exception count of each key walked to find them, from
+`core_and_quotient_by_sorting`, cell-by-cell degrees and `Fraction` ratios,
+and each hll-check failure from `hll_check_gl_by_stripping`, so no exit
+status of 1 rests only on the path that printed it.  The same re-derivation
+runs on the PARENT_RECORDED verify-hook-formula at the primes 2, 11 and 13,
+whose quotients pad the abacus the most.
 
 PARENT_RECORDED covers the paths the benchmark does not reach: hll-check at
 d = 1 and d = 2 (rational roots of unity) and at d = 5 and d = 6, verify-wreath
@@ -172,27 +174,48 @@ def _congruence_exception(n: int, p: int, pi) -> dict | None:
             "lhs": lhs, "rhs": rhs}
 
 
-def test_hook_formula_refutations_are_found_again_by_the_oracles(capsys):
-    """Each congruence exception that the exit-1 benchmark report lists is
+def _recorded_sha256(line: str) -> str:
+    """The digest recorded for a JSON command: its golden.json entry, or else
+    its PARENT_RECORDED one."""
+    if line in GOLDEN:
+        return GOLDEN[line]["sha256"]
+    [sha256] = [h for entry, h, _ in PARENT_RECORDED if entry == line + " --format json"]
+    return sha256
+
+
+@pytest.mark.parametrize(
+    "line",
+    [REPLAYED[0], "verify-hook-formula --n-max 22 --primes 2,11,13 --jobs 1"],
+)
+def test_hook_formula_refutations_are_found_again_by_the_oracles(line, capsys):
+    """Each congruence exception that an exit-1 recorded report lists is
     derived again, in key order, from the core and quotient of
-    `core_and_quotient_by_sorting` and cell-by-cell hook products."""
-    line = REPLAYED[0]
+    `core_and_quotient_by_sorting` and cell-by-cell hook products, and so
+    is the exception count of every key walked on the way.  The primes 11
+    and 13 pad the abacus the most."""
     status, out = _replay(line, capsys)
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[line]["sha256"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _recorded_sha256(line)
     report = json.loads(out)
     listed = report["refutations"]
     assert status == 1 and report["summary"]["equality_failures"] == 0
     assert len(listed) == report["summary"]["exceptions_listed"] > 0
     found = []
+    counts = {}
     for n in range(1, report["parameters"]["n_max"] + 1):
         if len(found) >= len(listed):
             break
         for p in report["parameters"]["primes"]:
+            counts[n, p] = 0
             for pi in enumerate_partitions_by_recursion(n):
                 exception = _congruence_exception(n, p, pi)
                 if exception is not None:
                     found.append(exception)
+                    counts[n, p] += 1
     assert found[: len(listed)] == listed
+    assert {
+        (r["n"], r["p"]): r["exceptions"]
+        for r in report["records"] if (r["n"], r["p"]) in counts
+    } == counts
 
 
 @pytest.mark.parametrize("line", ["hll-check --n 12 --d 4", "hll-check --n 12 --d 3"])

@@ -52,13 +52,15 @@ ROWS = {
     "combine_by_components": (
         lambda: combine_by_components((1,), ((2,), (1,)), 2),
         lambda: partitions.combine((1,), [((2,), (1,))], 2),
-        ("partitions.combine", "partitions._partition_from_ascending"),
+        ("partitions.combine", "partitions._partition_from_ascending",
+         "partitions.runner_bead_counts", "partitions._abacus_levels"),
     ),
     "relative_hook_degree_by_symbol_hooks": (
         lambda: relative_hook_degree_by_symbol_hooks((5, 2, 1), 3),
         lambda: blocks.relative_hook_degree((5, 2, 1), 3),
         ("blocks.relative_hook_degree", "blocks._quotient_table",
-         "wreath.symbol_hooks"),
+         "blocks._core_offsets", "wreath.symbol_hooks",
+         "partitions.runner_bead_counts", "partitions._abacus_levels"),
     ),
     "gl_degree_poly_by_cyclotomic_exponents": (
         lambda: gl_degree_poly_by_cyclotomic_exponents((3, 2, 1)),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    abacus_by_rows,
     combine_by_components,
     conjugate_by_counting,
     core_and_quotient_by_sorting,
@@ -334,6 +335,20 @@ def test_combine_rejects_a_bad_quotient_anywhere_in_the_block(bad, where):
 def test_runner_bead_counts_of_a_core():
     # (2,) on three runners: beads 0, 1 and 4, flush on every runner
     assert runner_bead_counts((2,), 3) == (1, 2, 0)
+
+
+def test_abacus_levels_match_the_row_by_row_oracle():
+    # every partition of n <= 22 at every prime p <= 41: the padding beads
+    # of the one-pass layout against the oracle's zero rows, with the
+    # number of parts a multiple of p, below p, and neither
+    primes = [q for q in range(2, 42) if sympy.isprime(q)]
+    shapes = set()
+    for n in range(23):
+        for pi in enumerate_partitions_by_recursion(n):
+            for p in primes:
+                assert partitions._abacus_levels(pi, p) == abacus_by_rows(pi, p)
+                shapes.add((len(pi) % p == 0, p > len(pi)))
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_combine_round_trip_exhaustive():
