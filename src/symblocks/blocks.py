@@ -35,7 +35,7 @@ from .partitions import (
     level_degrees,
     runner_bead_counts,
 )
-from .wreath import enumerate_multipartitions, symbol_hooks, symbol_of, wreath_degree
+from .wreath import symbol_hooks, symbol_of, wreath_degree
 
 
 class ClassificationError(RuntimeError):
@@ -102,8 +102,7 @@ def _sym_members(core: Partition, w: int, p: int) -> list[tuple[Partition, int]]
     in p-quotient enumeration order: one `combine` call builds the whole
     block, and each degree is read from the level table of n."""
     degrees = level_degrees(sum(core) + p * w)
-    members = combine(core, enumerate_multipartitions(p, w), p)
-    return [(pi, degrees[pi]) for pi in members]
+    return [(pi, degrees[pi]) for pi in combine(core, w, p)]
 
 
 def blocks_sn(n: int, p: int) -> tuple[BlockData, ...]:

@@ -3,6 +3,8 @@ every partition of n <= --n-max at each prime."""
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .. import blocks, partitions
 from ..cli import _flat
 from . import _jobs
@@ -14,7 +16,7 @@ def _worker(key):
     n, p = key
     equality_failures = []
     # the report lists the first EXCEPTION_DETAIL_CAP exceptions in key
-    # order, so no key needs the details of more than that many
+    # order, so no key needs more than that many
     exceptions = []
     plus = minus = checks = missed = 0
     for pi in partitions.enumerate_partitions(n):
@@ -31,16 +33,7 @@ def _worker(key):
         if not rep.holds:
             missed += 1
             if missed <= EXCEPTION_DETAIL_CAP:
-                exceptions.append(
-                    {
-                        "n": n,
-                        "p": p,
-                        "partition": partitions.format_partition(pi),
-                        "ratio": str(rep.ratio),
-                        "lhs": rep.lhs,
-                        "rhs": rep.rhs,
-                    }
-                )
+                exceptions.append((pi, rep))
     row = {
         "n": n,
         "p": p,
@@ -58,8 +51,13 @@ def report(args) -> dict:
     results = _jobs.parallel_map(_worker, keys, args.jobs)
     rows = [row for row, _, _ in results]
     equality_failures = [f for _, fs, _ in results for f in fs]
-    exceptions = [e for _, _, es in results for e in es]
-    shown = exceptions[:EXCEPTION_DETAIL_CAP]
+    # only the exceptions that are listed are formatted
+    pairs = ((key, pi, rep) for key, (_, _, es) in zip(keys, results) for pi, rep in es)
+    shown = [
+        {"n": n, "p": p, "partition": partitions.format_partition(pi),
+         "ratio": str(rep.ratio), "lhs": rep.lhs, "rhs": rep.rhs}
+        for (n, p), pi, rep in islice(pairs, EXCEPTION_DETAIL_CAP)
+    ]
     return {
         "records": rows,
         "summary": {

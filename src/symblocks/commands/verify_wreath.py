@@ -15,7 +15,7 @@ def _worker(key):
     order = e**r * factorial(r)
     sum_squares = 0
     mismatches = []
-    for nu in wreath.enumerate_multipartitions(e, r):
+    for nu in partitions.enumerate_multipartitions(e, r):
         d = wreath.wreath_degree(nu)
         sum_squares += d * d
         f = wreath.schur_specialize_roots(wreath.symbol_of(nu))
@@ -32,7 +32,7 @@ def _worker(key):
     return {
         "e": e,
         "r": r,
-        "characters": len(wreath.enumerate_multipartitions(e, r)),
+        "characters": len(partitions.enumerate_multipartitions(e, r)),
         "sum_squares_ok": sum_squares == order,
         "degrees_match": not mismatches,
     }, mismatches

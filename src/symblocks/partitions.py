@@ -21,12 +21,12 @@ involve the first row, so `p_cores` grows cores one top row at a time and
 keeps a row only when none of its hooks is divisible by p.  A partition is a
 p-core exactly when every runner is flush (its beads fill the lowest
 levels), so a core is laid out on the abacus by its runner bead counts alone.
-`combine` goes back from a core and quotients to partitions one block at a
-time: the members of a block share their core, so its check and its bead
-counts are read once, and padding every runner by the same full rows lets
-one layout hold every member of the block.  It builds each p-block of S_n
-in `blocks` and each d-series of GL_n in `unipotent`, one per pair of
-`cores_and_weights`.
+A block has a core and a weight w, and one member for each p-quotient of
+weight w: `combine(core, w, p)` builds them in `enumerate_multipartitions`
+order, reads the core's check and bead counts once, and pads every runner
+with the same full rows, so one layout holds every member.  It builds each
+p-block of S_n in `blocks` and each d-series of GL_n in `unipotent`, one
+per pair of `cores_and_weights`.
 
 The hook walk gives `degree` for a single partition.  A block scan needs the
 degree of every partition of n, and `level_degrees` holds them as a level
@@ -39,7 +39,6 @@ held; a table asked for below it is seeded again from the hook walk.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 from math import factorial, prod
 from operator import lt
@@ -47,6 +46,7 @@ from operator import lt
 from .algebra import ExactnessError, Poly
 
 Partition = tuple[int, ...]
+Multipartition = tuple[Partition, ...]
 
 
 def check_partition(pi: Partition) -> None:
@@ -117,6 +117,27 @@ def enumerate_partitions(n: int):
                     x[h] = free
                     h += 1
         yield tuple(x[:m])
+
+
+@lru_cache(maxsize=None)
+def enumerate_multipartitions(e: int, r: int) -> tuple[Multipartition, ...]:
+    """All e-tuples of partitions of total size r, in a cached tuple: the
+    first component runs through the sizes r down to 0, each in
+    enumerate_partitions order, and the rest follow in this order.
+
+    >>> len(enumerate_multipartitions(2, 2))
+    5
+    """
+    if e == 0:
+        return ((),) if r == 0 else ()
+    if e == 1:
+        return tuple((pi,) for pi in enumerate_partitions(r))
+    return tuple(
+        (head,) + tail
+        for k in range(r, -1, -1)
+        for head in enumerate_partitions(k)
+        for tail in enumerate_multipartitions(e - 1, r - k)
+    )
 
 
 def conjugate(pi: Partition) -> Partition:
@@ -395,45 +416,40 @@ def cores_and_weights(n: int, d: int) -> list[tuple[Partition, int]]:
     return sorted((c, w) for w in range(n // d + 1) for c in p_cores(n - d * w, d))
 
 
-def combine(
-    core: Partition, quotients: Sequence[tuple[Partition, ...]], p: int
-) -> list[Partition]:
-    """The partitions of one block: for each p-quotient in quotients, the
-    unique partition with that quotient and the p-core core, in order.
+def combine(core: Partition, w: int, p: int) -> list[Partition]:
+    """The partitions of the block of the p-core core and weight w: for each
+    p-quotient of weight w, the unique partition with that quotient and core,
+    in `enumerate_multipartitions(p, w)` order.
 
     Inverse of core_and_quotient under the fixed convention.  The core is
-    checked once and its runner bead counts are read once for the block.
-    The weight w of the first quotient fixes one padding for every member:
-    each runner is topped up with full bead rows until the emptiest one
-    holds w beads, and a component of a weight-w quotient has at most w
-    parts.  Per quotient the beads are placed, sorted once and read off.
-    A quotient without p components, or with a component longer than its
-    padded runner, raises ValueError, and then no partition is returned.
+    checked once and its runner bead counts are read once for the block.  A
+    component of a weight-w quotient has at most w parts, so each runner is
+    topped up with full bead rows until the emptiest one holds w beads, and
+    that one padding holds every member.  Per quotient the beads are placed,
+    sorted once and read off.
 
-    >>> combine((), [((2,), ()), ((1,), (1,)), ((), (1, 1))], 2)
-    [(3, 1), (2, 2), (2, 1, 1)]
-    >>> combine((2,), [((), (), ())], 3)
+    >>> enumerate_multipartitions(2, 2)[:3]
+    (((2,), ()), ((1, 1), ()), ((1,), (1,)))
+    >>> combine((), 2, 2)
+    [(3, 1), (1, 1, 1, 1), (2, 2), (4,), (2, 1, 1)]
+    >>> combine((2,), 0, 3)
     [(2,)]
     """
+    if w < 0:
+        raise ValueError("w must be >= 0")
     if not is_p_core(core, p):
         raise ValueError(f"{core} has a hook length divisible by {p}")
-    if not quotients:
-        return []
     # the beads of a core are flush, so their counts place them; runner i
     # holds its beads at i + p * level, below the position top
     counts = runner_bead_counts(core, p)
-    extra = max(sum(map(sum, quotients[0])) - min(counts), 0)
+    extra = max(w - min(counts), 0)
     tops = [(i, i + p * (c + extra)) for i, c in enumerate(counts)]
     out = []
-    for quotient in quotients:
-        if len(quotient) != p:
-            raise ValueError(f"quotient must have exactly {p} components")
+    for quotient in enumerate_multipartitions(p, w):
         beads: list[int] = []
         for nu, (i, top) in zip(quotient, tops):
             # the padding beads, then one bead per part from the last row up
             b = top - p * len(nu)
-            if b < i:
-                raise ValueError(f"{quotient} does not fit the padding of {core}")
             beads += range(i, b, p)
             for part in reversed(nu):
                 beads.append(b + p * part)

@@ -43,11 +43,12 @@ from .partitions import (
     b_statistic,
     combine,
     cores_and_weights,
+    enumerate_multipartitions,
     enumerate_partitions,
     gl_degree_poly,
     hook_lengths,
 )
-from .wreath import enumerate_multipartitions, wreath_degree
+from .wreath import wreath_degree
 
 
 # ---------------------------------------------------------------------------
@@ -85,21 +86,23 @@ def dhc_series_gl(n: int, d: int) -> tuple[tuple[Partition, tuple[Partition, ...
         raise ValueError("need n >= 1")
     if d < 1:
         raise ValueError("need d >= 1")
-    return tuple((c, tuple(pi for pi, _ in ms)) for c, ms in _series_with_quotients(n, d))
+    return tuple(
+        (c, tuple(pi for pi, _ in ms)) for c, _, ms in _series_with_quotients(n, d)
+    )
 
 
 def _series_with_quotients(
     n: int, d: int
-) -> list[tuple[Partition, list[tuple[Partition, tuple[Partition, ...]]]]]:
-    """(core, [(pi, d-quotient of pi), ...]) pairs sorted by core, members
-    in enumeration order.  Each series is built from its core as a block of
-    S_n is, by one `combine` call over the d-quotients of its weight, and
-    one sort puts its members back in (reverse lexicographic) order."""
+) -> list[tuple[Partition, int, list[tuple[Partition, tuple[Partition, ...]]]]]:
+    """(core, w, [(pi, d-quotient of pi), ...]) triples sorted by core,
+    members in enumeration order.  Each series is built as a block of S_n
+    is, by one `combine(core, w, d)`, paired with the quotients of the cached
+    enumerator in its order, and one sort puts them back in (reverse
+    lexicographic) order."""
     out = []
     for core, w in cores_and_weights(n, d):
-        quotients = enumerate_multipartitions(d, w)
-        members = zip(combine(core, quotients, d), quotients)
-        out.append((core, sorted(members, reverse=True)))
+        members = zip(combine(core, w, d), enumerate_multipartitions(d, w))
+        out.append((core, w, sorted(members, reverse=True)))
     return out
 
 
@@ -172,9 +175,8 @@ def hll_check_gl(n: int, d: int) -> HllReport:
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     series_reports = []
-    for core, members in _series_with_quotients(n, d):
+    for core, weight, members in _series_with_quotients(n, d):
         r = sum(core)
-        weight = (n - r) // d
         core_b = b_statistic(core)
         # above[j]: factors x^m - 1 above the line (m = k in (r, n] or a hook
         # of the core) with m = j mod d

@@ -1,10 +1,11 @@
-"""Multipartitions, e-symbols, and exact Schur values at the roots of unity.
+"""e-symbols, wreath degrees, and exact Schur values at the roots of unity.
 
 An e-symbol is a tuple of e strictly increasing rows of non-negative
 integers, all of the same length m.  Symbols are considered up to the
 simultaneous shift (s_1, ..., s_m) -> (0, s_1 + 1, ..., s_m + 1) applied to
 every row; equivalence classes of rank-r symbols biject with e-tuples of
-partitions of total size r (multipartitions).
+partitions of total size r (multipartitions, which the block builder's
+`partitions.enumerate_multipartitions` lists).
 
 The central object is the product formula f_S(v; u_1, ..., u_e), a rational
 function whose inverse is the Schur element of the corresponding character
@@ -29,40 +30,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from operator import ge
 
 from .algebra import CycElt, ExactnessError, root_monomial
-from .partitions import Partition, beta_set, degree, enumerate_partitions
+from .partitions import Multipartition, beta_set, degree
 
-Multipartition = tuple[Partition, ...]
 ESymbol = tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
-# multipartitions and symbols
-
-
-@lru_cache(maxsize=None)
-def enumerate_multipartitions(e: int, r: int) -> tuple[Multipartition, ...]:
-    """All e-tuples of partitions of total size r, in a cached tuple: the
-    first component runs through the sizes r down to 0, each in
-    enumerate_partitions order, and the rest follow in this order.
-
-    >>> len(enumerate_multipartitions(2, 2))
-    5
-    """
-    if e == 0:
-        return ((),) if r == 0 else ()
-    if e == 1:
-        return tuple((pi,) for pi in enumerate_partitions(r))
-    return tuple(
-        (head,) + tail
-        for k in range(r, -1, -1)
-        for head in enumerate_partitions(k)
-        for tail in enumerate_multipartitions(e - 1, r - k)
-    )
+# symbols
 
 
 def check_symbol(sym: ESymbol) -> None:

@@ -16,12 +16,13 @@ Schur value `schur_linear`, and the split-torus parameter points
 points check the oracle against `schur_linear`.
 
 `blocks_sn_by_filter` is the p-block scan that `symblocks.blocks.blocks_sn`
-replaced: it finds cores by testing every partition with `is_p_core`,
+replaced: it finds cores by testing every partition with `is_p_core`, takes
+the quotients of each weight from `enumerate_multipartitions_by_recursion`,
 builds each member with `combine_by_components`, one member at a time, and
 takes its degree from its cell-by-cell hook lengths (`degree_by_cells`),
 then builds and classifies each block with the library's `_sym_block`.  So
-it shares neither the per-block `combine` nor the level table with the scan
-it checks.
+it shares neither the per-block `combine`, nor the quotient enumerator that
+`combine` runs, nor the level table with the scan it checks.
 `blocks_an_by_selection` is the alternating scan that `blocks_an` replaced:
 it builds every symmetric block with `blocks_sn` and keeps the smaller core
 of each conjugate pair.
@@ -48,8 +49,9 @@ multiplies and divides by the rest on integer lists.
 `dhc_series_by_decomposition` is the series grouping that
 `symblocks.unipotent._series_with_quotients` replaced: it decomposes every
 partition of n with `core_and_quotient` and groups the members by their
-d-core in a dict, where the library builds each series from its core with
-one `combine` call and sorts its members back into enumeration order.
+d-core in a dict, where the library builds each series from its core and
+weight with one `combine` call, pairs its members with the quotients of the
+cached enumerator, and sorts them back into enumeration order.
 `hll_check_gl_by_stripping` is the series check that
 `symblocks.unipotent.hll_check_gl` replaced: over the series of
 `dhc_series_by_decomposition`, it builds the degree polynomial of every
@@ -60,25 +62,28 @@ of unity.
 `conjugate_by_counting` is the transpose that
 `symblocks.partitions.conjugate` replaced: it counts the parts that reach
 each column.  `combine_by_components` is the inverse of
-`core_and_quotient` that `symblocks.partitions.combine` replaced: it counts
-the core's beads per runner with `bead_counts_by_rows`, builds each
-runner's beta-set as a tuple with `beta_set`, padded for the one member it
-builds, and recovers the partition from all the beads with
-`partition_from_beta`, which sorts any beta-set and takes a part at every
-entry; the library builds a whole block with one padding, only reads
-beta-sets it builds in ascending order, and reads them from the top bead
-down to the first one with no gap below it.
+`core_and_quotient` that `symblocks.partitions.combine` replaced: given
+one quotient, it counts the core's beads per runner with
+`bead_counts_by_rows`, builds each runner's beta-set as a tuple with
+`beta_set`, padded for the one member it builds, and recovers the partition
+from all the beads with `partition_from_beta`, which sorts any beta-set and
+takes a part at every entry; the library builds a whole block from its core
+and weight, over the quotients of its own enumerator, with one padding,
+only reads beta-sets it builds in ascending order, and reads them from the
+top bead down to the first one with no gap below it.
 
 `enumerate_partitions_by_recursion` is the partition generator that
 `symblocks.partitions.enumerate_partitions` replaced: it recurses on the
 first part and builds each tuple one part at a time as it passes up through
 the generator frames, where the library steps one working list by the ZS1
 successor rule.  `enumerate_multipartitions_by_recursion` is the
-multipartition enumerator that `symblocks.wreath.enumerate_multipartitions`
-replaced: a generator that recurses down to zero components, so with one
-component left it enumerates every smaller size only to find that none has
-a tail, where the library stops at one component and caches every tuple of
-multipartitions it builds.
+multipartition enumerator that
+`symblocks.partitions.enumerate_multipartitions` replaced: a generator that
+recurses down to zero components, so with one component left it enumerates
+every smaller size only to find that none has a tail, where the library
+stops at one component and caches every tuple of multipartitions it builds.
+It also gives the block oracles their quotients, since the library's
+enumerator fixes the member order of every `combine` block.
 `symbol_a`, the exponent of v in the Schur product's denominator, is used
 only by `schur_value_by_factors`: at v = 1 the library's tally never needs
 it.
@@ -134,6 +139,7 @@ from symblocks.blocks import (
     blocks_sn,
 )
 from symblocks.partitions import (
+    Multipartition,
     Partition,
     b_statistic,
     beta_set,
@@ -156,9 +162,7 @@ from symblocks.unipotent import (
 )
 from symblocks.wreath import (
     ESymbol,
-    Multipartition,
     check_symbol,
-    enumerate_multipartitions,
     symbol_c,
     symbol_of,
     symbol_rank,
@@ -235,7 +239,7 @@ def blocks_sn_by_filter(n: int, p: int) -> tuple[BlockData, ...]:
     out = []
     for core, w in cores:
         pairs = []
-        for nu in enumerate_multipartitions(p, w):
+        for nu in enumerate_multipartitions_by_recursion(p, w):
             pi = combine_by_components(core, nu, p)
             pairs.append((pi, degree_by_cells(pi)))
         out.append(_sym_block(n, p, core, w, pairs))

@@ -25,6 +25,7 @@ from symblocks.blocks import (
 )
 from symblocks.partitions import (
     degree,
+    enumerate_multipartitions,
     enumerate_partitions,
     gl_degree_poly,
     is_self_dual,
@@ -36,7 +37,6 @@ from symblocks.unipotent import (
     tori_check,
 )
 from symblocks.wreath import (
-    enumerate_multipartitions,
     schur_specialize_roots,
     symbol_of,
     wreath_degree,

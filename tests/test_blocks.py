@@ -29,12 +29,12 @@ from symblocks.partitions import (
     conjugate,
     core_and_quotient,
     degree,
+    enumerate_multipartitions,
     enumerate_partitions,
     is_self_dual,
 )
 from symblocks.wreath import (
     check_symbol,
-    enumerate_multipartitions,
     symbol_hooks,
     symbol_of,
     wreath_degree,
@@ -70,13 +70,15 @@ def test_blocks_sn_two_levels_up_matches_the_filter_oracle(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_each_block_is_built_by_one_combine_call(p, monkeypatch):
     """blocks_sn and blocks_an hand combine one block at a time: one call
-    per block, with that block's core and every quotient of its weight."""
+    per block, with that block's core and weight, building one member for
+    every quotient of that weight."""
     calls = []
     real = blocks.combine
 
-    def counting(core, quotients, q):
-        calls.append((core, len(quotients), q))
-        return real(core, quotients, q)
+    def counting(core, w, q):
+        members = real(core, w, q)
+        calls.append((core, w, len(members), q))
+        return members
 
     monkeypatch.setattr(blocks, "combine", counting)
     for n in range(2, 15):
@@ -84,7 +86,8 @@ def test_each_block_is_built_by_one_combine_call(p, monkeypatch):
             calls.clear()
             out = scan(n, p)
             assert calls == [
-                (b.label.core, len(enumerate_multipartitions(p, b.label.weight)), p)
+                (b.label.core, b.label.weight,
+                 len(enumerate_multipartitions(p, b.label.weight)), p)
                 for b in out
             ], (scan.__name__, n, p)
 

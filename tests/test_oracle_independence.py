@@ -47,13 +47,14 @@ ROWS = {
         lambda: blocks_sn_by_filter(6, 2),
         lambda: blocks.blocks_sn(6, 2),
         ("blocks.blocks_sn", "partitions.combine", "partitions.level_degrees",
-         "partitions.cores_and_weights"),
+         "partitions.cores_and_weights", "partitions.enumerate_multipartitions"),
     ),
     "combine_by_components": (
         lambda: combine_by_components((1,), ((2,), (1,)), 2),
-        lambda: partitions.combine((1,), [((2,), (1,))], 2),
+        lambda: partitions.combine((1,), 3, 2),
         ("partitions.combine", "partitions._partition_from_ascending",
-         "partitions.runner_bead_counts", "partitions._abacus_levels"),
+         "partitions.runner_bead_counts", "partitions._abacus_levels",
+         "partitions.enumerate_multipartitions"),
     ),
     "relative_hook_degree_by_symbol_hooks": (
         lambda: relative_hook_degree_by_symbol_hooks((5, 2, 1), 3),

@@ -11,6 +11,7 @@ from oracles import (
     combine_by_components,
     conjugate_by_counting,
     core_and_quotient_by_sorting,
+    enumerate_multipartitions_by_recursion,
     enumerate_partitions_by_recursion,
     gl_degree_poly_by_cyclotomic_exponents,
     hook_lengths_by_cells,
@@ -28,6 +29,7 @@ from symblocks.partitions import (
     core_and_quotient,
     cores_and_weights,
     degree,
+    enumerate_multipartitions,
     enumerate_partitions,
     format_partition,
     gl_degree_poly,
@@ -38,7 +40,7 @@ from symblocks.partitions import (
     p_cores,
     runner_bead_counts,
 )
-from symblocks.wreath import enumerate_multipartitions, wreath_degree
+from symblocks.wreath import wreath_degree
 
 
 # ---------------------------------------------------------------------------
@@ -292,44 +294,17 @@ def test_p_cores_match_the_filter():
 
 def test_combine_rejects_a_non_core_after_cached_cores():
     # (2,) has its bead layout cached as a 3-core, (1,) as a 2-core
-    assert combine((2,), [((), (), ())], 3) == [(2,)]
-    assert combine((1,), [((1,), ())], 2) == [(3,)]
-    assert combine((1,), [], 2) == []
+    assert combine((2,), 0, 3) == [(2,)]
+    assert combine((1,), 1, 2) == [(3,), (1, 1, 1)]
     # the core check runs on every call, a repeated one included, and also
-    # for a block with no quotients
+    # at weight 0; a negative weight is refused even for a core
     for _ in range(2):
-        with pytest.raises(ValueError):
-            combine((2,), [((), ())], 2)
-        with pytest.raises(ValueError):
-            combine((2,), [], 2)
-        with pytest.raises(ValueError):
-            combine((1,), [((), (), ())], 2)
-
-
-# quotients that cannot join the block of the 3-core (1,) at weight 1: two
-# components or four, and ones with more parts than a padded runner holds.
-# The first quotient fixes the padding, and (0, 0, 0) takes three beads but
-# adds no weight, so it does not fit in any place; a heavier quotient fits
-# in the first place, where it sets the padding, so it is tried after it
-_BAD_QUOTIENTS = {
-    "two components": ((1,), ()),
-    "four components": ((1,), (), (), ()),
-    "zero parts": ((), (), (0, 0, 0)),
-    "heavier": ((), (1, 1, 1, 1), ()),
-}
-
-
-@pytest.mark.parametrize(
-    "bad,where",
-    [(bad, where) for bad in _BAD_QUOTIENTS for where in (0, 1, 3)
-     if (bad, where) != ("heavier", 0)],
-)
-def test_combine_rejects_a_bad_quotient_anywhere_in_the_block(bad, where):
-    block = [((1,), (), ()), ((), (1,), ()), ((), (), (1,))]
-    assert combine((1,), block, 3) == [(4,), (2, 2), (1, 1, 1, 1)]
-    quotients = block[:where] + [_BAD_QUOTIENTS[bad]] + block[where:]
-    with pytest.raises(ValueError):
-        combine((1,), quotients, 3)
+        with pytest.raises(ValueError, match="divisible by 2"):
+            combine((2,), 1, 2)
+        with pytest.raises(ValueError, match="divisible by 2"):
+            combine((2,), 0, 2)
+        with pytest.raises(ValueError, match="w must be"):
+            combine((1,), -1, 2)
 
 
 def test_runner_bead_counts_of_a_core():
@@ -352,12 +327,17 @@ def test_abacus_levels_match_the_row_by_row_oracle():
 
 
 def test_combine_round_trip_exhaustive():
+    """Every member of every block decomposes back to its block's core and
+    weight and to the quotient it is paired with."""
     for n in range(1, 19):
         for p in (2, 3, 5):
-            for pi in enumerate_partitions(n):
-                core, quotient, _ = core_and_quotient(pi, p)
-                assert combine(core, [quotient], p) == [pi]
-                assert combine_by_components(core, quotient, p) == pi
+            for core, w in cores_and_weights(n, p):
+                quotients = enumerate_multipartitions(p, w)
+                members = combine(core, w, p)
+                assert len(members) == len(quotients)
+                for pi, quotient in zip(members, quotients):
+                    assert core_and_quotient(pi, p) == (core, quotient, w)
+                    assert combine_by_components(core, quotient, p) == pi
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -367,8 +347,8 @@ def test_combine_builds_every_block_like_the_components_oracle(p):
     for n in range(0, 21):
         joined = []
         for core, w in cores_and_weights(n, p):
-            quotients = enumerate_multipartitions(p, w)
-            members = combine(core, quotients, p)
+            quotients = enumerate_multipartitions_by_recursion(p, w)
+            members = combine(core, w, p)
             assert members == [combine_by_components(core, nu, p) for nu in quotients]
             joined += members
         assert sorted(joined) == sorted(enumerate_partitions(n)), (n, p)
@@ -393,7 +373,8 @@ def _partitions_strategy(draw, max_n=40):
 def test_combine_round_trip_property(pi, p):
     assert conjugate(pi) == conjugate_by_counting(pi)
     core, quotient, weight = core_and_quotient(pi, p)
-    assert combine(core, [quotient], p) == [pi]
+    index = enumerate_multipartitions(p, weight).index(quotient)
+    assert combine(core, weight, p)[index] == pi
     assert combine_by_components(core, quotient, p) == pi
     assert sum(core) + p * weight == sum(pi)
 

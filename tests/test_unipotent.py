@@ -116,12 +116,14 @@ def test_dhc_series_partition_property():
 
 def test_series_match_the_decomposition_oracle():
     """Built from their cores, the series keep the cores, the member order
-    and the quotients of grouping every partition by its core; d runs from 1
-    past n, through composite d."""
+    and the quotients of grouping every partition by its core, and each is
+    given the weight of its core; d runs from 1 past n, through composite d."""
     for n in range(1, 21):
         for d in range(1, n + 3):
             got = unipotent._series_with_quotients(n, d)
-            assert got == dhc_series_by_decomposition(n, d), (n, d)
+            series = [(c, ms) for c, _, ms in got]
+            assert series == dhc_series_by_decomposition(n, d), (n, d)
+            assert [w for _, w, _ in got] == [(n - sum(c)) // d for c, _ in series]
 
 
 def test_dhc_validation():
@@ -291,16 +293,17 @@ def test_hll_builds_each_series_with_one_combine_call(monkeypatch):
         decomposed.append((pi, d))
         return real_decompose(pi, d)
 
-    def combining(core, quotients, d):
-        combined.append((core, len(quotients), d))
-        return real_combine(core, quotients, d)
+    def combining(core, w, d):
+        members = real_combine(core, w, d)
+        combined.append((core, w, len(members), d))
+        return members
 
     monkeypatch.setattr(partitions, "core_and_quotient", decomposing)
     monkeypatch.setattr(unipotent, "combine", combining)
     rep = hll_check_gl(12, 4)
     assert not hasattr(unipotent, "core_and_quotient")
     assert decomposed == []
-    assert combined == [(s.core, len(s.members), 4) for s in rep.series]
+    assert combined == [(s.core, s.weight, len(s.members), 4) for s in rep.series]
 
 
 def test_hll_validation():

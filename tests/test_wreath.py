@@ -20,10 +20,14 @@ from oracles import (
 )
 from symblocks import wreath
 from symblocks.algebra import CycElt, ExactnessError
-from symblocks.partitions import degree, enumerate_partitions, hook_lengths
+from symblocks.partitions import (
+    degree,
+    enumerate_multipartitions,
+    enumerate_partitions,
+    hook_lengths,
+)
 from symblocks.wreath import (
     check_symbol,
-    enumerate_multipartitions,
     schur_specialize_roots,
     schur_value,
     symbol_hooks,
