@@ -280,6 +280,26 @@ def test_hook_worker_decomposes_each_partition_once(p, monkeypatch):
     assert calls == [(pi, p) for pi in enumerate_partitions(10)]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_hook_worker_keeps_the_first_exceptions_as_raw_pairs(p, monkeypatch):
+    """The worker formats no exception: it counts every one and keeps the
+    first cap of them, in enumeration order, as (partition, report) pairs."""
+    missed = [
+        pi for pi in enumerate_partitions(12) if not quotient_congruence(pi, p).holds
+    ]
+    assert len(missed) > 3
+
+    def formatting(pi):
+        raise AssertionError(f"{pi} formatted by the worker")
+
+    monkeypatch.setattr(verify_hook_formula, "EXCEPTION_DETAIL_CAP", 3)
+    monkeypatch.setattr(partitions, "format_partition", formatting)
+    row, failures, exceptions = verify_hook_formula._worker((12, p))
+    assert failures == []
+    assert row["exceptions"] == len(missed)
+    assert exceptions == [(pi, quotient_congruence(pi, p)) for pi in missed[:3]]
+
+
 def test_cached_decomposition_gives_the_uncached_values():
     # the same pi across primes, the congruence before the hook formula
     calls = [

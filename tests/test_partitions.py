@@ -354,6 +354,28 @@ def test_combine_builds_every_block_like_the_components_oracle(p):
         assert sorted(joined) == sorted(enumerate_partitions(n)), (n, p)
 
 
+
+@pytest.mark.parametrize("p,m_max", [(2, 66), (3, 36), (5, 25), (7, 23), (11, 21)])
+def test_combine_builds_the_blocks_of_large_cores_like_the_components_oracle(
+    p, m_max
+):
+    """Cores of sizes 21 to m_max, past the per-n sweep, whose runners hold
+    unequal bead counts: at weights 0 to 2 each block matches the one-member
+    oracle, and each member decomposes back to its core and quotient."""
+    spread = 0
+    for m in range(21, m_max + 1):
+        for core in p_cores(m, p):
+            counts = runner_bead_counts(core, p)
+            spread = max(spread, max(counts) - min(counts))
+            for w in range(3):
+                quotients = enumerate_multipartitions_by_recursion(p, w)
+                members = combine(core, w, p)
+                assert members == [combine_by_components(core, nu, p) for nu in quotients]
+                for pi, nu in zip(members, quotients):
+                    assert core_and_quotient(pi, p) == (core, nu, w)
+    # some core's emptiest runner already holds more than w beads
+    assert spread > 2
+
 @st.composite
 def _partitions_strategy(draw, max_n=40):
     n = draw(st.integers(min_value=1, max_value=max_n))
