@@ -35,7 +35,7 @@ from .partitions import (
     level_degrees,
     runner_bead_counts,
 )
-from .wreath import symbol_hooks, symbol_of, wreath_degree
+from .wreath import symbol_of, wreath_degree
 
 
 class ClassificationError(RuntimeError):
@@ -156,17 +156,40 @@ def _quotient_table(
 
     The hooks (i, j, length) of the symbol depend on the quotient alone;
     the core only enters the hook formula through the offsets c_i - c_j.
-    So both checks share one table per quotient: one triple per hook of
-    symbol_hooks, in its order, with p = len(quotient) multiplied in, plus
-    wreath_degree(quotient).
+    So both checks share one table per quotient, built in one pass over the
+    beta-sets of symbol_of(quotient), plus wreath_degree(quotient).
+
+    A hook pairs s in row i (0-indexed) with a gap t <= s of row j (a t in
+    {0..s} missing from row j), of length s - t; t == s only counts for
+    j > i, so length zero is allowed.  Each row's gaps below the top entry
+    of the symbol are listed once, ascending, and the walk over them stops
+    at the first t past s.  The triples run over row i, entry s, row j and
+    gap t ascending, with p = len(quotient) multiplied in.
+
+    >>> _quotient_table(((2,), ()))
+    (((0, 0, 4), (0, 0, 2), (0, 1, 2), (0, 1, 0)), 1)
     """
     p = len(quotient)
-    hooks = tuple(
-        (i, j, p * length)
-        for i, j, lengths in symbol_hooks(symbol_of(quotient))
-        for length in lengths
-    )
-    return hooks, wreath_degree(quotient)
+    sym = symbol_of(quotient)
+    top = max((row[-1] for row in sym if row), default=-1)
+    gaps = []
+    for row in sym:
+        row_gaps: list[int] = []
+        prev = -1
+        for b in (*row, top + 1):
+            row_gaps.extend(range(prev + 1, b))
+            prev = b
+        gaps.append(row_gaps)
+    hooks = []
+    for i, row in enumerate(sym):
+        for s in row:
+            for j, row_gaps in enumerate(gaps):
+                stop = s + (j > i)
+                for t in row_gaps:
+                    if t >= stop:
+                        break
+                    hooks.append((i, j, p * (s - t)))
+    return tuple(hooks), wreath_degree(quotient)
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +206,9 @@ def relative_hook_degree(pi: Partition, p: int) -> int:
     the p-quotient of |p*l + c_i - c_j|, times the degree of the core
     (r = |core|, c_i = p*b_i + i from the runner bead counts b of the core;
     Olsson 1993, James-Kerber 1981, 2.7).  The triples (i, j, p*l) come
-    from the quotient's cached table and the offsets from the core's, and
-    the factors are multiplied in one pass over the table.  Always equals
+    from the quotient's cached table, which walks the symbol's beta-sets
+    once, and the offsets from the core's; the factors are multiplied in
+    one pass over the table.  Always equals
     degree(pi); a zero factor or an inexact division raises
     ExactnessError.
 

@@ -1,5 +1,11 @@
 """verify-hook-formula: the relative hook formula and its congruence, for
-every partition of n <= --n-max at each prime."""
+every partition of n <= --n-max at each prime.
+
+Each (n, p) key counts its checks in `_worker` and keeps only the
+partitions of its first EXCEPTION_DETAIL_CAP congruence exceptions, so a
+`--jobs` child sends back plain tuples.  `report` takes the first
+EXCEPTION_DETAIL_CAP of those in key order and asks
+`blocks.quotient_congruence` again for each one it lists."""
 
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ def _worker(key):
     n, p = key
     equality_failures = []
     # the report lists the first EXCEPTION_DETAIL_CAP exceptions in key
-    # order, so no key needs more than that many
+    # order, so no key keeps more than that many partitions
     exceptions = []
     plus = minus = checks = missed = 0
     for pi in partitions.enumerate_partitions(n):
@@ -33,7 +39,7 @@ def _worker(key):
         if not rep.holds:
             missed += 1
             if missed <= EXCEPTION_DETAIL_CAP:
-                exceptions.append((pi, rep))
+                exceptions.append(pi)
     row = {
         "n": n,
         "p": p,
@@ -51,13 +57,15 @@ def report(args) -> dict:
     results = _jobs.parallel_map(_worker, keys, args.jobs)
     rows = [row for row, _, _ in results]
     equality_failures = [f for _, fs, _ in results for f in fs]
-    # only the exceptions that are listed are formatted
-    pairs = ((key, pi, rep) for key, (_, _, es) in zip(keys, results) for pi, rep in es)
-    shown = [
-        {"n": n, "p": p, "partition": partitions.format_partition(pi),
-         "ratio": str(rep.ratio), "lhs": rep.lhs, "rhs": rep.rhs}
-        for (n, p), pi, rep in islice(pairs, EXCEPTION_DETAIL_CAP)
-    ]
+    # only the exceptions that are listed are checked again and formatted
+    listed = ((key, pi) for key, (_, _, es) in zip(keys, results) for pi in es)
+    shown = []
+    for (n, p), pi in islice(listed, EXCEPTION_DETAIL_CAP):
+        rep = blocks.quotient_congruence(pi, p)
+        shown.append(
+            {"n": n, "p": p, "partition": partitions.format_partition(pi),
+             "ratio": str(rep.ratio), "lhs": rep.lhs, "rhs": rep.rhs}
+        )
     return {
         "records": rows,
         "summary": {

@@ -337,9 +337,11 @@ def core_and_quotient(
 
     Any modulus p >= 1 works; with a single runner the core is empty and
     the quotient is the partition itself.  Each runner's levels come off
-    the beta-set in ascending order, so they are read into its quotient
-    component without sorting.  Pushing the beads down leaves each runner
-    flush, so the core is placed from the runner bead counts alone.
+    the beta-set in ascending order, so one loop over the runners reads
+    each quotient component from its top bead down, without sorting, and
+    adds its parts to the weight as it goes.  Pushing the beads down leaves
+    each runner flush, so the core is placed from the runner bead counts
+    alone.
 
     >>> core_and_quotient((3, 1), 2)
     ((), ((2,), ()), 2)
@@ -351,12 +353,24 @@ def core_and_quotient(
     if p < 1:
         raise ValueError("need p >= 1")
     runners = _abacus_levels(pi, p)
+    quotient = []
+    weight = 0
+    for levels in runners:
+        # as in _partition_from_ascending: the j-th bead b holds part b - j,
+        # and the first bead at its own index ends the component
+        parts = []
+        j = len(levels)
+        for b in reversed(levels):
+            j -= 1
+            if b == j:
+                break
+            parts.append(b - j)
+            weight += b - j
+        quotient.append(tuple(parts))
     core = _flush_core(tuple(map(len, runners)))
-    quotient = tuple(map(_partition_from_ascending, runners))
-    weight = sum(map(sum, quotient))
     if sum(pi) != sum(core) + p * weight:
         raise ExactnessError("abacus bookkeeping failed")  # pragma: no cover
-    return core, quotient, weight
+    return core, tuple(quotient), weight
 
 
 def is_p_core(pi: Partition, p: int) -> bool:

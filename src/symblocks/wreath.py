@@ -28,7 +28,6 @@ the value +-(num/den) * zeta^S * prod_k (1 - zeta^k)^(n_k) with one division.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial
 from operator import ge
@@ -86,40 +85,6 @@ def symbol_c(sym: ESymbol) -> int:
     e = len(sym)
     r = symbol_rank(sym)
     return comb(e, 2) * comb(m, 2) + r * (e - 1)
-
-
-def symbol_hooks(sym: ESymbol):
-    """Yield (i, j, lengths) for each pair of rows (0-indexed) with hooks.
-
-    A hook pairs s in row i with a gap t <= s of row j (a t in {0..s}
-    missing from row j), of length s - t; t == s only counts for j > i, so
-    length zero is allowed.  Each row's gaps are listed once, in ascending
-    order, so the hooks of s in row i against row j are s minus a prefix of
-    that list: the gaps t < s, and t == s as well when j > i.  The lengths
-    of a pair run over s in row order, then over t ascending.
-
-    >>> list(symbol_hooks(((2,), (0,))))
-    [(0, 0, (2, 1)), (0, 1, (1, 0))]
-    """
-    check_symbol(sym)
-    top = max((row[-1] for row in sym if row), default=-1)
-    gaps = []
-    for row in sym:
-        row_gaps: list[int] = []
-        prev = -1
-        for b in (*row, top + 1):
-            row_gaps.extend(range(prev + 1, b))
-            prev = b
-        gaps.append(row_gaps)
-    for i, row in enumerate(sym):
-        for j, row_gaps in enumerate(gaps):
-            lengths = tuple(
-                s - t
-                for s in row
-                for t in row_gaps[: bisect_left(row_gaps, s + (j > i))]
-            )
-            if lengths:
-                yield i, j, lengths
 
 
 def wreath_degree(nu: Multipartition) -> int:

@@ -33,7 +33,8 @@ the beads on an abacus of its own, row by row from the top, and
 `core_and_quotient_by_sorting` reads the core and every quotient component
 off it through the sorting `partition_from_beta`;
 `symbol_hooks_by_membership` finds the symbol hooks by testing every
-t <= s against each row; and
+t <= s against each row, where `blocks._quotient_table` walks each row's
+gaps once and stops at the first past s; and
 `relative_hook_degree_by_symbol_hooks` multiplies |p*l + c_i - c_j| over
 those hooks one at a time, with no per-quotient table, and counts the
 core's beads per runner on the same abacus (`bead_counts_by_rows`), not
@@ -377,8 +378,9 @@ def combine_by_components(
 
 
 def symbol_hooks_by_membership(sym: ESymbol):
-    """The hooks (i, j, length) of a symbol, in symbol_hooks order, found
-    by testing every t in {0..s} for membership in row j.
+    """The hooks (i, j, length) of a symbol, found by testing every t in
+    {0..s} for membership in row j: over row i, entry s, row j and t
+    ascending, the order of the triples of `blocks._quotient_table`.
 
     >>> list(symbol_hooks_by_membership(((2,), (0,))))
     [(0, 0, 2), (0, 0, 1), (0, 1, 1), (0, 1, 0)]

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from oracles import (
     blocks_sn_by_filter,
     core_and_quotient_by_sorting,
     relative_hook_degree_by_symbol_hooks,
-    shift_symbol,
     symbol_hooks_by_membership,
 )
 from symblocks.algebra import UnprovenPrimeError, factorial_val, padic_val
@@ -35,7 +35,6 @@ from symblocks.partitions import (
 )
 from symblocks.wreath import (
     check_symbol,
-    symbol_hooks,
     symbol_of,
     wreath_degree,
 )
@@ -177,19 +176,17 @@ def test_relative_hook_degree_sweep():
                 assert relative_hook_degree(pi, p) == degree(pi)
 
 
-@pytest.mark.parametrize("e", [1, 2, 3, 4])
-def test_symbol_hooks_match_the_membership_oracle(e):
-    # the oracle's hooks grouped by row pair, pair for pair with the lengths
-    # in equal order, on minimal and once-shifted symbols
-    for r in range(7):
-        for nu in enumerate_multipartitions(e, r):
-            sym = symbol_of(nu)
-            for s in (sym, shift_symbol(sym)):
-                pairs = {}
-                for i, j, length in symbol_hooks_by_membership(s):
-                    pairs.setdefault((i, j), []).append(length)
-                want = sorted((i, j, tuple(ls)) for (i, j), ls in pairs.items())
-                assert sorted(symbol_hooks(s)) == want
+@pytest.mark.parametrize("e,r_max", [(1, 6), (2, 6), (3, 6), (4, 6), (5, 4), (7, 4)])
+def test_symbol_hooks_match_the_membership_oracle(e, r_max):
+    # the table's triples are the oracle's hooks with p = e multiplied in,
+    # in the oracle's order: row i, entry s, row j, gap t ascending
+    for r in range(r_max + 1):
+        for q in enumerate_multipartitions(e, r):
+            want = tuple(
+                (i, j, e * length)
+                for i, j, length in symbol_hooks_by_membership(symbol_of(q))
+            )
+            assert blocks._quotient_table(q)[0] == want, q
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -283,7 +280,8 @@ def test_hook_worker_decomposes_each_partition_once(p, monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_hook_worker_keeps_the_first_exceptions_as_raw_pairs(p, monkeypatch):
     """The worker formats no exception: it counts every one and keeps the
-    first cap of them, in enumeration order, as (partition, report) pairs."""
+    partitions of the first cap of them, in enumeration order; the report
+    asks for their congruence reports again."""
     missed = [
         pi for pi in enumerate_partitions(12) if not quotient_congruence(pi, p).holds
     ]
@@ -297,7 +295,18 @@ def test_hook_worker_keeps_the_first_exceptions_as_raw_pairs(p, monkeypatch):
     row, failures, exceptions = verify_hook_formula._worker((12, p))
     assert failures == []
     assert row["exceptions"] == len(missed)
-    assert exceptions == [(pi, quotient_congruence(pi, p)) for pi in missed[:3]]
+    assert exceptions == missed[:3]
+
+
+def test_hook_worker_result_pickles_without_fractions():
+    """A --jobs child pickles _worker's result: rows, formatted equality
+    failures and partitions, with no Fraction to rebuild on the way back
+    (a pickled Fraction or CongruenceReport names its class)."""
+    result = verify_hook_formula._worker((12, 2))
+    assert result[2]
+    data = pickle.dumps(result)
+    assert pickle.loads(data) == result
+    assert b"Fraction" not in data and b"CongruenceReport" not in data
 
 
 def test_cached_decomposition_gives_the_uncached_values():

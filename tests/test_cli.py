@@ -333,6 +333,34 @@ def test_jobs_are_capped_by_keys_and_cpus(monkeypatch, capsys):
     _no_child_left()
 
 
+def test_hook_exceptions_listed_from_both_shares_print_the_serial_bytes(
+    monkeypatch, capsys
+):
+    """With two workers over the primes 2, 3, 5 and 7, the parent's share
+    holds the keys of p = 2 and 5 and the child's those of p = 3 and 7.  The
+    listed exceptions come from both shares, and the report asks for each
+    one's congruence report again, so the bytes equal the serial run's."""
+    argv = ["verify-hook-formula", "--n-max", "16", "--primes", "2,3,5,7"]
+    argv += ["--format", "json"]
+    assert cli.main(argv + ["--jobs", "1"]) == 1
+    serial = capsys.readouterr().out
+    listed = {r["p"] for r in json.loads(serial)["refutations"]}
+    assert listed & {2, 5} and listed & {3, 7}
+    forks = []
+    real = os.fork
+
+    def counting():
+        forks.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting)
+    _two_cpus(monkeypatch)
+    assert cli.main(argv + ["--jobs", "2"]) == 1
+    assert capsys.readouterr().out == serial
+    assert len(forks) == 1
+    _no_child_left()
+
+
 # with --primes 2,3 and two workers the parent's share holds the p = 2 keys
 # and the forked child's share the p = 3 keys
 _TWO_SHARES = ["verify-hook-formula", "--n-max", "4", "--primes", "2,3"]

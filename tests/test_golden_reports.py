@@ -15,6 +15,9 @@ status of 1 rests only on the path that printed it.  The same re-derivation
 runs on the PARENT_RECORDED verify-hook-formula at the primes 2, 11 and 13,
 whose quotients pad the abacus the most, and on every PARENT_RECORDED
 hll-check JSON run that exits 1, whose series reach weights of 3 and more.
+The table and CSV verify-hook-formula runs of PARENT_RECORDED have every
+row's counts, and a table's summary line, counted again by the same
+oracles and the per-hook product.
 
 PARENT_RECORDED covers the paths the benchmark does not reach: hll-check at
 d = 1 and d = 2 (rational roots of unity) and at d = 5 and d = 6, verify-wreath
@@ -104,7 +107,9 @@ lists it as a refutation in every format.  Its digests were recorded from
 the code before the block builders classified their own blocks.
 """
 
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -119,6 +124,7 @@ from oracles import (
     degree_by_cells,
     enumerate_partitions_by_recursion,
     hll_check_gl_by_stripping,
+    relative_hook_degree_by_symbol_hooks,
 )
 from symblocks import blocks, cli, partitions
 
@@ -157,30 +163,39 @@ def test_report_matches_golden(line, capsys):
     assert status == GOLDEN[line]["exit"]
 
 
-def _congruence_exception(n: int, p: int, pi) -> dict | None:
-    """The hook-formula exception record of pi at p, or None when the
-    congruence holds, from the oracles alone."""
+def _congruence_by_oracles(pi, p: int) -> tuple[Fraction, int | None, int]:
+    """The ratio degree(pi)/degree(core), its residue mod p (None when p
+    divides its denominator) and the wreath degree of the quotient mod p,
+    from the oracles alone."""
     core, quotient, w = core_and_quotient_by_sorting(pi, p)
     ratio = Fraction(degree_by_cells(pi), degree_by_cells(core))
     wreath = factorial(w) * prod(map(degree_by_cells, quotient))
     wreath //= prod(factorial(sum(nu)) for nu in quotient)
-    rhs = wreath % p
     lhs = None
     if ratio.denominator % p:
         lhs = ratio.numerator * pow(ratio.denominator, -1, p) % p
-        if lhs in (rhs, -rhs % p):
-            return None
+    return ratio, lhs, wreath % p
+
+
+def _congruence_exception(n: int, p: int, pi) -> dict | None:
+    """The hook-formula exception record of pi at p, or None when the
+    congruence holds, from the oracles alone."""
+    ratio, lhs, rhs = _congruence_by_oracles(pi, p)
+    if lhs is not None and lhs in (rhs, -rhs % p):
+        return None
     partition = json.dumps(list(pi), separators=(",", ":"))
     return {"n": n, "p": p, "partition": partition, "ratio": str(ratio),
             "lhs": lhs, "rhs": rhs}
 
 
 def _recorded_sha256(line: str) -> str:
-    """The digest recorded for a JSON command: its golden.json entry, or else
-    its PARENT_RECORDED one."""
+    """The digest recorded for a command: its golden.json entry, or else its
+    PARENT_RECORDED one.  A line that names no format is the JSON run."""
     if line in GOLDEN:
         return GOLDEN[line]["sha256"]
-    [sha256] = [h for entry, h, _ in PARENT_RECORDED if entry == line + " --format json"]
+    if "--format" not in line:
+        line += " --format json"
+    [sha256] = [h for entry, h, _ in PARENT_RECORDED if entry == line]
     return sha256
 
 
@@ -217,6 +232,72 @@ def test_hook_formula_refutations_are_found_again_by_the_oracles(line, capsys):
         (r["n"], r["p"]): r["exceptions"]
         for r in report["records"] if (r["n"], r["p"]) in counts
     } == counts
+
+
+def _hook_row_by_oracles(n: int, p: int) -> dict:
+    """The verify-hook-formula record of (n, p), counted from the oracles:
+    the per-hook product against cell-by-cell degrees, and the congruence of
+    `_congruence_by_oracles`."""
+    row = {"n": n, "p": p, "partitions": 0, "equality_failures": 0,
+           "plus": 0, "minus": 0, "exceptions": 0}
+    for pi in enumerate_partitions_by_recursion(n):
+        row["partitions"] += 1
+        if relative_hook_degree_by_symbol_hooks(pi, p) != degree_by_cells(pi):
+            row["equality_failures"] += 1
+        _, lhs, rhs = _congruence_by_oracles(pi, p)
+        plus = lhs == rhs
+        minus = lhs == -rhs % p
+        row["plus"] += plus
+        row["minus"] += minus
+        row["exceptions"] += not (plus or minus)
+    return row
+
+
+def _rendered_hook_rows(out: str, fmt: str) -> list[dict]:
+    """The records of a table or CSV verify-hook-formula report, as ints
+    under the JSON record keys; a table's summary line is left out."""
+    if fmt == "csv":
+        return [
+            {k: int(v) for k, v in row.items()}
+            for row in csv.DictReader(io.StringIO(out))
+        ]
+    return [
+        {k.replace("-", "_"): int(v) for k, v in (f.split("=") for f in line.split())}
+        for line in out.splitlines()[:-1]
+    ]
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["verify-hook-formula --n-max 12 --primes 3,5 --format table",
+     "verify-hook-formula --n-max 12 --primes 2,7 --format csv",
+     "verify-hook-formula --n-max 10 --primes 2,3 --format table",
+     "verify-hook-formula --n-max 10 --primes 2,3 --format csv"],
+)
+def test_rendered_hook_rows_are_counted_again_by_the_oracles(line, capsys):
+    """Every row of the PARENT_RECORDED table and CSV hook runs, and a
+    table's summary line, are counted again from
+    `core_and_quotient_by_sorting`, cell-by-cell degrees and the per-hook
+    product, key by key in report order."""
+    argv = line.split()
+    status = cli.main(argv)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _recorded_sha256(line)
+    n_max = int(argv[argv.index("--n-max") + 1])
+    primes = [int(p) for p in argv[argv.index("--primes") + 1].split(",")]
+    fmt = argv[argv.index("--format") + 1]
+    expected = [
+        _hook_row_by_oracles(n, p) for n in range(1, n_max + 1) for p in primes
+    ]
+    assert _rendered_hook_rows(out, fmt) == expected
+    total = {k: sum(r[k] for r in expected) for k in expected[0]}
+    assert status == 1 and total["exceptions"] > 0
+    if fmt == "table":
+        assert out.splitlines()[-1] == (
+            f"{total['partitions']} checks, {total['equality_failures']} "
+            f"equality failures, sign tally +{total['plus']}/-{total['minus']}, "
+            f"{total['exceptions']} congruence exceptions"
+        )
 
 
 @pytest.mark.parametrize(

@@ -60,8 +60,8 @@ ROWS = {
         lambda: relative_hook_degree_by_symbol_hooks((5, 2, 1), 3),
         lambda: blocks.relative_hook_degree((5, 2, 1), 3),
         ("blocks.relative_hook_degree", "blocks._quotient_table",
-         "blocks._core_offsets", "wreath.symbol_hooks",
-         "partitions.runner_bead_counts", "partitions._abacus_levels"),
+         "blocks._core_offsets", "partitions.runner_bead_counts",
+         "partitions._abacus_levels"),
     ),
     "gl_degree_poly_by_cyclotomic_exponents": (
         lambda: gl_degree_poly_by_cyclotomic_exponents((3, 2, 1)),

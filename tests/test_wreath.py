@@ -19,6 +19,7 @@ from oracles import (
     symbol_a,
 )
 from symblocks import wreath
+from symblocks.blocks import _quotient_table
 from symblocks.algebra import CycElt, ExactnessError
 from symblocks.partitions import (
     degree,
@@ -30,7 +31,6 @@ from symblocks.wreath import (
     check_symbol,
     schur_specialize_roots,
     schur_value,
-    symbol_hooks,
     symbol_of,
     symbol_c,
     symbol_rank,
@@ -97,11 +97,17 @@ def test_check_symbol_rejects():
 
 
 def test_single_row_hooks_match_partition_hooks():
+    # at p = 1 the quotient table holds the hooks of pi; at p = 2, with pi
+    # in either slot, the same-row triples hold them times 2 among 2|pi|
     for n in range(1, 9):
         for pi in enumerate_partitions(n):
-            sym = symbol_of((pi,))
-            got = Counter(length for _, _, ls in symbol_hooks(sym) for length in ls)
-            assert got == Counter(hook_lengths(pi))
+            table, _ = _quotient_table((pi,))
+            assert Counter(x for _, _, x in table) == Counter(hook_lengths(pi))
+            for slot, q in enumerate([(pi, ()), ((), pi)]):
+                table, _ = _quotient_table(q)
+                assert len(table) == 2 * n
+                got = Counter(x for i, j, x in table if i == j == slot)
+                assert got == Counter(2 * h for h in hook_lengths(pi))
 
 
 def test_invariants_small_symbol():
@@ -109,7 +115,9 @@ def test_invariants_small_symbol():
     assert symbol_rank(sym) == 1
     assert symbol_a(sym) == 0
     assert symbol_c(sym) == 1
-    assert list(symbol_hooks(sym)) == [(0, 0, (1,)), (0, 1, (0,))]
+    assert symbol_of(((1,), ())) == sym
+    assert _quotient_table(((1,), ()))[0] == ((0, 0, 2), (0, 1, 0))
+    assert _quotient_table(((1,),))[0] == ((0, 0, 1),)
 
 
 def test_linear_symbol_shape():
