@@ -3,13 +3,15 @@
 Everything here is exact. `Poly` coefficients and `CycElt` coordinates (vectors
 modulo the monic n-th cyclotomic polynomial) are kept as given: integer
 polynomials stay `int` through products and exact quotients (a `Poly` has
-no sums or powers), cyclotomic integers through sums, products and powers.
-A `fractions.Fraction` is made only by the inverse's division by its rational
-norm, which the program reaches through the one `/` in `root_monomial`, by
-that function's division by an integer denominator, by `CycElt.__hash__` and
-by `CycElt.to_fraction`, for rational callers. The field needs
-no linear algebra: inverse, embedding and hash each go through one Galois
-substitution zeta -> zeta**k. Polynomials are divided only by divisors with
+no sums or powers), cyclotomic integers through products and powers.  A
+`CycElt` has only what `root_monomial`, the one way the program reaches the
+field, runs: products and quotients of elements of one order, powers
+n >= 0, and the rational test and value.  A `fractions.Fraction` is made
+only by the inverse's division by its rational norm, which the program
+reaches through the one `/` in `root_monomial`, by that function's division
+by an integer denominator and by `CycElt.to_fraction`, for rational callers.
+The field needs no linear algebra: the inverse goes through the Galois
+substitutions zeta -> zeta**k.  Polynomials are divided only by divisors with
 leading coefficient 1 or -1, so integer quotients stay integral. Any other
 divisor, and any division that should be exact but is not, raises
 `ExactnessError` instead of truncating, so a failed divisibility claim never
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -497,23 +499,24 @@ def _units(order: int) -> tuple[int, ...]:
 
 
 class CycElt(_Frozen):
-    """An element of the cyclotomic field Q(zeta_order).
+    """An element of the cyclotomic field Q(zeta_order), as `root_monomial`
+    builds it.
 
     Stored as the coordinate vector of its residue modulo the order-th
     cyclotomic polynomial, so the representation is a field: every nonzero
-    element has an inverse.  Coordinates are kept as given: `int` coordinates
-    stay `int` under +, -, *, ** and `embed`, and only `inverse`, `/`, `hash`
-    and `to_fraction` make a `Fraction`.  `embed`, `inverse` and `hash` are
-    built on one substitution zeta -> zeta**k (`_substitute`).  A CycElt is
-    immutable, as a Poly is.
+    element has an inverse.  Coordinates are kept as given: `int`
+    coordinates stay `int` under * and **, and only `inverse`, `/` and
+    `to_fraction` make a `Fraction`.  Both operands of * and / have the
+    same order.  `inverse` is built on the substitution zeta -> zeta**k
+    (`_substitute`).  A CycElt is immutable, as a Poly is.
 
-    >>> z = CycElt.root(3)
-    >>> z ** 3 == 1
-    True
-    >>> (z + z**2 + z**3).is_rational()
-    True
-    >>> (z + z**2 + z**3).to_fraction()
-    Fraction(0, 1)
+    >>> z = CycElt.from_poly(3, Poly.of(0, 1))
+    >>> (z ** 3).coords
+    (1, 0)
+    >>> (z * z).coords, (z * z).is_rational()
+    ((-1, -1), False)
+    >>> (z ** 3 / z ** 3).to_fraction()
+    Fraction(1, 1)
     """
 
     __slots__ = ("order", "coords")
@@ -537,18 +540,10 @@ class CycElt(_Frozen):
         # order 1: the basis vector is 1 itself (x == 1 mod x-1), same slot
         return CycElt(order, (a,) + (0,) * (_cyc_degree(order) - 1))
 
-    @staticmethod
-    def root(order: int, k: int = 1) -> "CycElt":
-        """zeta_order ** k."""
-        return CycElt.from_poly(order, Poly((0,) * (k % order) + (1,)))
-
     # predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
@@ -560,44 +555,10 @@ class CycElt(_Frozen):
 
     # arithmetic -------------------------------------------------------
 
-    def _coerce(self, other) -> "CycElt":
-        if isinstance(other, CycElt):
-            if other.order != self.order:
-                raise ValueError(
-                    "mixed cyclotomic orders; lift to a common field first"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycElt.from_rational(self.order, other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CycElt(self.order, tuple(a + b for a, b in zip(self.coords, o.coords)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycElt(self.order, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CycElt.from_poly(self.order, Poly(self.coords) * Poly(o.coords))
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "CycElt") -> "CycElt":
+        if other.order != self.order:
+            raise ValueError("mixed cyclotomic orders; lift to a common field first")
+        return CycElt.from_poly(self.order, Poly(self.coords) * Poly(other.coords))
 
     def inverse(self) -> "CycElt":
         """Multiplicative inverse: the product of the other Galois conjugates
@@ -606,60 +567,27 @@ class CycElt(_Frozen):
         the inverse makes one Fraction division per coordinate."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        conjugates = (self._substitute(a, self.order) for a in _units(self.order)[1:])
+        conjugates = (self._substitute(a) for a in _units(self.order)[1:])
         rest = next(conjugates, CycElt.from_rational(self.order, 1))  # 1 in Q
         for c in conjugates:
             rest = rest * c
         norm = (self * rest).to_fraction()
         return CycElt(self.order, tuple(Fraction(c) / norm for c in rest.coords))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
+    def __truediv__(self, other: "CycElt") -> "CycElt":
+        return self * other.inverse()
 
     def __pow__(self, n: int) -> "CycElt":
-        if n < 0:
-            return self.inverse() ** (-n)
+        """self**n for n >= 0."""
         return _power(self, n) if n else CycElt.from_rational(self.order, 1)
 
-    # comparison -------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
-        if isinstance(other, CycElt):
-            if other.order == self.order:
-                return self.coords == other.coords
-            if self.is_rational() and other.is_rational():
-                return self.coords[0] == other.coords[0]
-            # compare in the compositum
-            L = lcm(self.order, other.order)
-            return self.embed(L).coords == other.embed(L).coords
-        return NotImplemented
-
-    def __hash__(self):
-        # The trace over Q divided by the degree is the same in every field
-        # holding x, and is x itself when x is rational, so x and x.embed(k)
-        # hash alike, and a rational x hashes as its int or Fraction.
-        units = _units(self.order)
-        trace = sum(self._substitute(a, self.order).coords[0] for a in units)
-        return hash(Fraction(trace, len(units)))
-
-    def _substitute(self, k: int, target: int) -> "CycElt":
-        """Image under zeta_order -> zeta_target ** k: coordinate j moves to
-        exponent k*j mod target, reduced once mod Phi_target."""
-        cs = [0] * target
+    def _substitute(self, k: int) -> "CycElt":
+        """The Galois image under zeta -> zeta**k: coordinate j moves to
+        exponent k*j mod order, reduced once mod Phi_order."""
+        cs = [0] * self.order
         for j, c in enumerate(self.coords):
-            cs[k * j % target] += c
-        return CycElt.from_poly(target, Poly.of(*cs))
-
-    def embed(self, target_order: int) -> "CycElt":
-        """Image under zeta_order -> zeta_target ** (target/order)."""
-        if target_order % self.order != 0:
-            raise ValueError("target order must be a multiple of the current order")
-        return self._substitute(target_order // self.order, target_order)
+            cs[k * j % self.order] += c
+        return CycElt.from_poly(self.order, Poly.of(*cs))
 
     def __repr__(self) -> str:
         return f"CycElt(order={self.order}, coords={self.coords})"
@@ -678,8 +606,8 @@ def root_monomial(order: int, num: int, den: int, exponent: int, powers) -> CycE
     the denominator is the integer den, and each coordinate is divided by
     it with no inverse.
 
-    >>> root_monomial(4, 1, 2, 1, (0, 0, 1, 0)) == CycElt.root(4)
-    True
+    >>> root_monomial(4, 1, 2, 1, (0, 0, 1, 0)).coords
+    (Fraction(0, 1), Fraction(1, 1))
     >>> root_monomial(3, 3, 2, 0, (0, 0, 0)).to_fraction()
     Fraction(3, 2)
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, prod
 from typing import NamedTuple
 
 from .algebra import ExactnessError, factorial_val, is_prime, padic_val
@@ -235,17 +235,23 @@ def relative_hook_degree(pi: Partition, p: int) -> int:
 class CongruenceReport(NamedTuple):
     """Mod-p comparison of the degree ratio with the quotient wreath degree.
 
-    ratio is the exact value of degree(pi)/degree(core); it is not always an
-    integer ((6,1,1) at p=3 gives 7/2).  lhs is its residue mod p when the
-    denominator is a unit mod p, otherwise None, in which case neither flag
-    can hold and the report is an exception by construction.
+    num/den is degree(pi)/degree(core) in lowest terms, and `ratio` its
+    exact value; it is not always an integer ((6,1,1) at p=3 gives 7/2).
+    lhs is its residue mod p when the denominator is a unit mod p,
+    otherwise None, in which case neither flag can hold and the report is an
+    exception by construction.
     """
 
-    ratio: Fraction
+    num: int
+    den: int
     lhs: int | None
     rhs: int
     holds_plus: bool
     holds_minus: bool
+
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @property
     def holds(self) -> bool:
@@ -255,24 +261,28 @@ class CongruenceReport(NamedTuple):
 def quotient_congruence(pi: Partition, p: int) -> CongruenceReport:
     """Compare the degree ratio with the wreath degree of the quotient mod p.
 
-    The exact ratio degree(pi)/degree(core), reduced mod p where defined, is
-    compared with the degree of the wreath-product character of the
-    p-quotient (read from the quotient's cached table), with either sign.
-    By the relative hook formula the ratio is n!/r! over the symbol hook
-    product; it is taken from the degrees here.
+    The ratio degree(pi)/degree(core), reduced by the gcd of the two
+    degrees, is taken mod p where its denominator is a unit and compared
+    with the degree of the wreath-product character of the p-quotient (read
+    from the quotient's cached table), with either sign.  By the relative
+    hook formula the ratio is n!/r! over the symbol hook product; it is
+    taken from the degrees here.
 
     >>> r = quotient_congruence((3, 1), 2)
     >>> (r.ratio, r.lhs, r.rhs, r.holds)
     (Fraction(3, 1), 1, 1, True)
     """
     core, quotient, _ = _decompose(pi, p)
-    ratio = Fraction(degree(pi), degree(core))
+    a, b = degree(pi), degree(core)
+    g = gcd(a, b)
+    a //= g
+    b //= g
     _, wreath_deg = _quotient_table(quotient)
     rhs = wreath_deg % p
-    if ratio.denominator % p == 0:
-        return CongruenceReport(ratio, None, rhs, False, False)
-    lhs = ratio.numerator * pow(ratio.denominator, -1, p) % p
-    return CongruenceReport(ratio, lhs, rhs, lhs == rhs, lhs == (-rhs) % p)
+    if b % p == 0:
+        return CongruenceReport(a, b, None, rhs, False, False)
+    lhs = a * pow(b, -1, p) % p
+    return CongruenceReport(a, b, lhs, rhs, lhs == rhs, lhs == (-rhs) % p)
 
 
 # ---------------------------------------------------------------------------

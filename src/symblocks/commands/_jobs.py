@@ -91,7 +91,8 @@ def parallel_map(fn, keys, jobs):
         raise RuntimeError(lost[0])
     failed = [(w + len(res) * workers, exc) for w, (res, exc) in enumerate(shares) if exc]
     if failed:
-        raise min(failed, key=lambda f: f[0])[1]
+        # the key indices differ, so min never compares two exceptions
+        raise min(failed)[1]
     out = [None] * len(keys)
     for w, (res, _) in enumerate(shares):
         out[w::workers] = res

@@ -75,30 +75,23 @@ def unipotent_degrees_gl(n: int) -> tuple[DegreePolyEntry, ...]:
     )
 
 
-def dhc_series_gl(n: int, d: int) -> tuple[tuple[Partition, tuple[Partition, ...]], ...]:
+def dhc_series_gl(
+    n: int, d: int
+) -> list[tuple[Partition, int, list[tuple[Partition, tuple[Partition, ...]]]]]:
     """The partitions of n in series, each built from its d-core for any
-    d >= 1: (core, members) pairs sorted by core, members in enumeration order.
+    d >= 1: (core, w, [(pi, d-quotient of pi), ...]) triples sorted by core,
+    members in enumeration order.  Each series is built as a block of S_n
+    is, by one `combine(core, w, d)`, paired with the quotients of the cached
+    enumerator in its order, and one sort puts them back in (reverse
+    lexicographic) order.
 
     >>> dhc_series_gl(2, 2)
-    (((), ((2,), (1, 1))),)
+    [((), 1, [((2,), ((), (1,))), ((1, 1), ((1,), ()))])]
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if d < 1:
         raise ValueError("need d >= 1")
-    return tuple(
-        (c, tuple(pi for pi, _ in ms)) for c, _, ms in _series_with_quotients(n, d)
-    )
-
-
-def _series_with_quotients(
-    n: int, d: int
-) -> list[tuple[Partition, int, list[tuple[Partition, tuple[Partition, ...]]]]]:
-    """(core, w, [(pi, d-quotient of pi), ...]) triples sorted by core,
-    members in enumeration order.  Each series is built as a block of S_n
-    is, by one `combine(core, w, d)`, paired with the quotients of the cached
-    enumerator in its order, and one sort puts them back in (reverse
-    lexicographic) order."""
     out = []
     for core, w in cores_and_weights(n, d):
         members = zip(combine(core, w, d), enumerate_multipartitions(d, w))
@@ -139,10 +132,6 @@ class HllReport(NamedTuple):
     d: int
     series: tuple[HllSeriesReport, ...]
 
-    @property
-    def failures(self) -> tuple[tuple[Partition, HllMemberReport], ...]:
-        return tuple((s.core, m) for s in self.series for m in s.members if not m.ok)
-
 
 def hll_check_gl(n: int, d: int) -> HllReport:
     """Compare each member's degree ratio to its series base at a primitive
@@ -175,7 +164,7 @@ def hll_check_gl(n: int, d: int) -> HllReport:
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     series_reports = []
-    for core, weight, members in _series_with_quotients(n, d):
+    for core, weight, members in dhc_series_gl(n, d):
         r = sum(core)
         core_b = b_statistic(core)
         # above[j]: factors x^m - 1 above the line (m = k in (r, n] or a hook

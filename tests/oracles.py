@@ -48,7 +48,7 @@ where the library cancels hooks against the factors x^k - 1 and
 multiplies and divides by the rest on integer lists.
 
 `dhc_series_by_decomposition` is the series grouping that
-`symblocks.unipotent._series_with_quotients` replaced: it decomposes every
+`symblocks.unipotent.dhc_series_gl` replaced: it decomposes every
 partition of n with `core_and_quotient` and groups the members by their
 d-core in a dict, where the library builds each series from its core and
 weight with one `combine` call, pairs its members with the quotients of the
@@ -104,14 +104,23 @@ a list, which `speceq_search` took from `trial_factor(n_bound)`.
 `speceq_search_unpinned` is `speceq_search` without its pinning: it tries
 every exponent vector over all the factors.
 
+The cyclotomic oracles compute in `Cyc`, a field class of their own: its
+coordinates are reduced modulo Phi_L with sympy's coefficients, and it has
+the sums, differences, equality and embeddings that the library's `CycElt`
+leaves out.  `CycElt` keeps only what `algebra.root_monomial` runs, so
+`schur_value_by_factors`, `root_monomial_by_factors`,
+`cyc_inverse_by_elimination` and `hll_check_gl_by_stripping` share no
+product or inverse with the paths they check.  Their values are compared
+with the library's by (order, coords), in the same power basis.
+
 `cyc_inverse_by_elimination` is the inverse that `CycElt.inverse` replaced:
 it solves x * y == 1 for the coordinates of y by Gaussian elimination over
 Fractions, where the library multiplies the other Galois conjugates of x and
-divides by the norm.
+divides by the norm.  It is also the inverse of `Cyc`.
 
 `root_monomial_by_factors` is the slow path that
 `symblocks.algebra.root_monomial` replaced in `schur_value` and
-`hll_check_gl`: it starts from `CycElt.root(order, exponent) * num` and
+`hll_check_gl`: it starts from `Cyc.root(order, exponent) * num` and
 multiplies in, or divides out with `/`, one factor 1 - zeta^k at a time,
 then divides by den, where the library multiplies cached powers into one
 numerator and one denominator and divides once.
@@ -120,9 +129,12 @@ numerator and one denominator and divides once.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm, prod
 from typing import NamedTuple, Sequence, Union
+
+import sympy
 
 from symblocks.algebra import (
     CycElt,
@@ -457,7 +469,9 @@ def hll_check_gl_by_stripping(n: int, d: int) -> HllReport:
     In the series with core mu, both Deg(pi) and Deg(mu) are divisible by
     Phi_d exactly floor(|mu|/d) times; after stripping that power, their
     ratio at a primitive d-th root of unity is the member's constant.  Each
-    stripped polynomial is evaluated at zeta as its residue mod Phi_d.
+    stripped polynomial is evaluated at zeta as its residue mod Phi_d, in
+    the oracles' own field `Cyc`; the library's `_hll_member` judges the
+    value, handed over as a `CycElt` of the same coordinates.
     """
     phi = cyclotomic_poly(d)
     series_reports = []
@@ -467,14 +481,14 @@ def hll_check_gl_by_stripping(n: int, d: int) -> HllReport:
         base = gl_degree_poly(core)
         for _ in range(strip):
             base = base.exact_div(phi)
-        base_inv = CycElt.from_poly(d, base).inverse()
+        base_inv = Cyc(d, base.coeffs).inverse()
         member_reports = []
         for pi, quotient in members:
             reduced = gl_degree_poly(pi)
             for _ in range(strip):
                 reduced = reduced.exact_div(phi)
-            value = CycElt.from_poly(d, reduced) * base_inv
-            member_reports.append(_hll_member(pi, quotient, value))
+            value = Cyc(d, reduced.coeffs) * base_inv
+            member_reports.append(_hll_member(pi, quotient, CycElt(d, value.coords)))
         series_reports.append(
             HllSeriesReport(core, (n - r) // d, tuple(member_reports))
         )
@@ -636,7 +650,126 @@ def speceq_search_unpinned(
     return tuple(out)
 
 
-FieldValue = Union[Fraction, CycElt]
+@lru_cache(maxsize=None)
+def _phi(order: int) -> tuple[int, ...]:
+    """The coefficients of Phi_order, low degree first, as sympy gives them."""
+    coeffs = sympy.cyclotomic_poly(order, polys=True).all_coeffs()
+    return tuple(int(c) for c in reversed(coeffs))
+
+
+class Cyc:
+    """An element of Q(zeta_order) for the oracles, with the whole field.
+
+    Its coordinates are Fractions in the power basis 1, zeta, ...,
+    zeta**(deg - 1), the basis of `CycElt`, reduced modulo Phi_order with
+    the coefficients that sympy gives, not the library's.  It has sums,
+    differences, products, quotients (by `cyc_inverse_by_elimination`),
+    integer powers, the embedding into the field of a multiple order and
+    equality with a rational or an element of the same order.  Its
+    arithmetic enters no method of `CycElt`, so the oracles built on it do
+    not share the products and inverses of the fast paths they check.
+
+    >>> z = Cyc.root(3)
+    >>> z**3 == 1, z + z**2 == -1, z.embed(6) == Cyc.root(6, 2)
+    (True, True, True)
+    >>> (z + 2).inverse().coords
+    (Fraction(1, 3), Fraction(-1, 3))
+    """
+
+    __slots__ = ("order", "coords")
+
+    def __init__(self, order: int, cs: Sequence):
+        """The residue mod Phi_order of sum_j cs[j] * zeta**j, any length."""
+        phi = _phi(order)
+        d = len(phi) - 1
+        cs = [Fraction(c) for c in cs] + [Fraction(0)] * (d - len(cs))
+        for i in range(len(cs) - 1, d - 1, -1):
+            c = cs[i]
+            if c:
+                for j, pc in enumerate(phi):
+                    cs[i - d + j] -= c * pc
+        self.order = order
+        self.coords = tuple(cs[:d])
+
+    @staticmethod
+    def root(order: int, k: int = 1) -> "Cyc":
+        """zeta_order ** k."""
+        return Cyc(order, [0] * (k % order) + [1])
+
+    def embed(self, target: int) -> "Cyc":
+        """The image under zeta_order -> zeta_target ** (target/order)."""
+        if target % self.order:
+            raise ValueError("target order must be a multiple of the order")
+        cs = [0] * target
+        for j, c in enumerate(self.coords):
+            cs[j * (target // self.order)] = c
+        return Cyc(target, cs)
+
+    def _lift(self, other) -> "Cyc":
+        if isinstance(other, Cyc):
+            if other.order != self.order:
+                raise ValueError("mixed cyclotomic orders; embed them first")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Cyc(self.order, [other])
+        return NotImplemented  # type: ignore[return-value]
+
+    def __eq__(self, other) -> bool:
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.coords == o.coords
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return Cyc(self.order, [a + b for a, b in zip(self.coords, o.coords)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cyc(self.order, [-a for a in self.coords])
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self + -o
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        out = [0] * (2 * len(self.coords) - 1)
+        for i, a in enumerate(self.coords):
+            for j, b in enumerate(o.coords):
+                out[i + j] += a * b
+        return Cyc(self.order, out)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Cyc":
+        return cyc_inverse_by_elimination(self)
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __pow__(self, n: int) -> "Cyc":
+        base = self if n >= 0 else self.inverse()
+        out = Cyc(self.order, [1])
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+
+FieldValue = Union[Fraction, Cyc]
 
 
 class SchurEvaluationError(ArithmeticError):
@@ -656,17 +789,17 @@ class PositiveOrderZeroError(SchurEvaluationError):
 
 
 def normalize_field_values(values: Sequence) -> tuple[FieldValue, ...]:
-    """Lift a mix of ints, Fractions and CycElts into one common field."""
-    orders = [v.order for v in values if isinstance(v, CycElt)]
+    """Lift a mix of ints, Fractions and Cycs into one common field."""
+    orders = [v.order for v in values if isinstance(v, Cyc)]
     if not orders:
         return tuple(Fraction(v) for v in values)
     L = lcm(*orders)
     out = []
     for v in values:
-        if isinstance(v, CycElt):
+        if isinstance(v, Cyc):
             out.append(v.embed(L))
         else:
-            out.append(CycElt.from_rational(L, v))
+            out.append(Cyc(L, [v]))
     return tuple(out)
 
 
@@ -694,7 +827,7 @@ class ParamSpec(NamedTuple):
     def roots_of_unity(e: int) -> "ParamSpec":
         """v = 1 and u_j = zeta_e^j (so u_e = 1), in Q(zeta_e), where
         `symblocks.wreath.schur_value` evaluates."""
-        return ParamSpec.of(1, [CycElt.root(e, j) for j in range(1, e + 1)])
+        return ParamSpec.of(1, [Cyc.root(e, j) for j in range(1, e + 1)])
 
 
 def multipartition_of(sym: ESymbol) -> Multipartition:
@@ -742,8 +875,8 @@ def case_one_params(q: int, d: int, b: Sequence[int]) -> ParamSpec:
 
 
 def _one_like(x) -> FieldValue:
-    if isinstance(x, CycElt):
-        return CycElt.from_rational(x.order, 1)
+    if isinstance(x, Cyc):
+        return Cyc(x.order, [1])
     return Fraction(1)
 
 
@@ -891,20 +1024,21 @@ def schur_linear(e: int, r: int, i: int, params: ParamSpec) -> FieldValue:
     return num / den
 
 
-def cyc_inverse_by_elimination(x: CycElt) -> CycElt:
-    """The y with x * y == 1, by Gaussian elimination over Fractions.
+def cyc_inverse_by_elimination(x) -> Cyc:
+    """The y with x * y == 1, by Gaussian elimination over Fractions, for x
+    a `CycElt` or a `Cyc`: only its order and coordinates are read.
 
     Column j is the coordinate vector of x * zeta**j, so the solution of the
     system with right-hand side the coordinates of 1 is the coordinate
     vector of y.  Rows become Fractions first, so integer input never divides
     to a float.
     """
-    if x.is_zero():
+    if not any(x.coords):
         raise ZeroDivisionError("inverse of zero in a cyclotomic field")
     d = len(x.coords)
-    columns = [(x * CycElt.root(x.order, j)).coords for j in range(d)]
-    one = CycElt.from_rational(x.order, 1).coords
-    rows = [[Fraction(c) for c in row] for row in zip(*columns, one)]
+    columns = [Cyc(x.order, [0] * j + list(x.coords)).coords for j in range(d)]
+    one = Cyc(x.order, [1]).coords
+    rows = [list(row) for row in zip(*columns, one)]
     for c in range(d):
         pivot = next(k for k in range(c, d) if rows[k][c])
         rows[c], rows[pivot] = rows[pivot], rows[c]
@@ -912,17 +1046,17 @@ def cyc_inverse_by_elimination(x: CycElt) -> CycElt:
         for k, row in enumerate(rows):
             if k != c and row[c]:
                 rows[k] = [a - row[c] * b for a, b in zip(row, rows[c])]
-    return CycElt(x.order, tuple(row[-1] for row in rows))
+    return Cyc(x.order, [row[-1] for row in rows])
 
 
 def root_monomial_by_factors(
     order: int, num: int, den: int, exponent: int, powers: Sequence[int]
-) -> CycElt:
+) -> Cyc:
     """(num/den) * zeta^exponent * prod_(0<k<order) (1 - zeta^k)^(powers[k])
     with one field product or division per factor."""
-    value = CycElt.root(order, exponent) * num
+    value = Cyc.root(order, exponent) * num
     for k in range(1, order):
-        factor = 1 - CycElt.root(order, k)
+        factor = 1 - Cyc.root(order, k)
         for _ in range(abs(powers[k])):
             value = value * factor if powers[k] > 0 else value / factor
     return value / den

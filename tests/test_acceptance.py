@@ -204,7 +204,8 @@ def test_criterion_09_series_agree_with_blocks():
     for n in range(1, 21):
         for p in (2, 3, 5):
             series = {
-                core: sorted(members) for core, members in dhc_series_gl(n, p)
+                core: sorted(pi for pi, _ in members)
+                for core, _, members in dhc_series_gl(n, p)
             }
             from_blocks = {
                 b.label.core: sorted(m.partition for m in b.members)

@@ -687,6 +687,31 @@ def test_scan_blocks_byte_determinism():
     assert serial.stdout == parallel.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-blocks", "--group", "alt", "--n-range", "4..9", "--p", "3"],
+        ["verify-hook-formula", "--n-max", "8", "--primes", "2,3,5"],
+        ["verify-wreath", "--e-max", "3", "--r-max", "3"],
+        ["unipotent", "--n", "15", "--q", "2", "--collisions"],
+        ["hll-check", "--n", "7", "--d", "2"],
+        ["speceq", "--q-max", "5", "--m-max", "4", "--exp-bound", "1"],
+        ["tori", "--series", "2A", "--n", "6", "--q", "3"],
+        ["zsigmondy", "--q", "6", "--m", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # str and bytes hashes are salted per process unless PYTHONHASHSEED
+    # fixes them, so a report that followed the order of a set would differ
+    first, second = (
+        run(*argv, "--format", "json", env={"PYTHONHASHSEED": seed})
+        for seed in ("0", "987654")
+    )
+    assert first.returncode in (0, 1), first.stderr
+    assert (first.returncode, first.stdout) == (second.returncode, second.stdout)
+
+
 def test_scan_blocks_ehzd_filter():
     r = run("scan-blocks", "--group", "sym", "--n-range", "1..8", "--p", "2",
             "--ehzd-only", "--format", "json")

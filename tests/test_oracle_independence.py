@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from oracles import (
+    ParamSpec,
     blocks_sn_by_filter,
     combine_by_components,
     core_and_quotient_by_sorting,
@@ -26,14 +27,20 @@ from oracles import (
     hll_check_gl_by_stripping,
     relative_hook_degree_by_symbol_hooks,
     root_monomial_by_factors,
+    schur_value_by_factors,
     tori_entry_by_binomials,
 )
 from symblocks import algebra, blocks, partitions, unipotent, wreath
-from symblocks.algebra import CycElt
+from symblocks.algebra import CycElt, Poly
 
 MODULES = (algebra, blocks, partitions, unipotent, wreath)
 
 POWERS = (0, 1, -1, 0, 2, 0)
+X = CycElt.from_poly(5, Poly.of(2, 1))  # zeta_5 + 2
+SYMBOL = ((1,), (1,), (0,))
+
+# the products and the inverse of the library's cyclotomic field
+FIELD = ("algebra.CycElt.__mul__", "algebra.CycElt.inverse")
 
 # oracle: (oracle call, fast-path call, functions of the fast path).
 # Left out: `blocks_an_by_selection` builds every symmetric block with
@@ -72,13 +79,13 @@ ROWS = {
         lambda: dhc_series_by_decomposition(6, 2),
         lambda: unipotent.dhc_series_gl(6, 2),
         ("partitions.combine", "partitions.cores_and_weights",
-         "unipotent._series_with_quotients"),
+         "unipotent.dhc_series_gl"),
     ),
     "hll_check_gl_by_stripping": (
         lambda: hll_check_gl_by_stripping(6, 3),
         lambda: unipotent.hll_check_gl(6, 3),
-        ("unipotent.hll_check_gl", "unipotent._series_with_quotients",
-         "algebra.root_monomial"),
+        ("unipotent.hll_check_gl", "unipotent.dhc_series_gl",
+         "algebra.root_monomial", *FIELD),
     ),
     "tori_entry_by_binomials": (
         lambda: tori_entry_by_binomials("D", 5),
@@ -86,14 +93,19 @@ ROWS = {
         ("unipotent.tori_entry", "algebra.cyclotomic_poly"),
     ),
     "cyc_inverse_by_elimination": (
-        lambda: cyc_inverse_by_elimination(CycElt.root(5) + 2),
-        lambda: (CycElt.root(5) + 2).inverse(),
-        ("algebra.CycElt.inverse",),
+        lambda: cyc_inverse_by_elimination(X),
+        lambda: X.inverse(),
+        FIELD,
     ),
     "root_monomial_by_factors": (
         lambda: root_monomial_by_factors(6, 1, 2, 1, POWERS),
         lambda: algebra.root_monomial(6, 1, 2, 1, POWERS),
-        ("algebra.root_monomial", "algebra._one_minus_root_power"),
+        ("algebra.root_monomial", "algebra._one_minus_root_power", *FIELD),
+    ),
+    "schur_value_by_factors": (
+        lambda: schur_value_by_factors(SYMBOL, ParamSpec.roots_of_unity(3)),
+        lambda: wreath.schur_value(SYMBOL),
+        ("wreath.schur_value", "algebra.root_monomial", *FIELD),
     ),
     "core_and_quotient_by_sorting": (
         lambda: core_and_quotient_by_sorting((5, 2, 1), 3),
